@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -45,12 +46,18 @@ __all__ = [
     "RecurrenceRow",
     "recurrence_row",
     "eval_phi",
+    "phi_rows",
     "one_coefficients",
     "node_polynomial",
     "barycentric_weights",
     "null_vector_basis_matrix",
     "monomial_rows",
 ]
+
+
+def is_integer(v) -> bool:
+    """True for an integer that is not a bool (JSON true would pass isinstance int)."""
+    return isinstance(v, Integral) and not isinstance(v, bool)
 
 
 def _check_nodes(nodes):
@@ -118,6 +125,8 @@ class CustomThreeTerm(ThreeTermBasis):
         alpha = tuple(complex(v) for v in self.alpha)
         if any(v == 0 for v in alpha):
             raise ValueError("custom recurrence needs alpha_k != 0 (degree must advance)")
+        if len(self.beta) < len(alpha):
+            raise ValueError("custom recurrence needs one beta per alpha")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", tuple(complex(v) for v in self.beta))
         object.__setattr__(self, "gamma", tuple(complex(v) for v in self.gamma))
@@ -149,6 +158,8 @@ class Hermite(Basis):
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", _check_nodes(self.nodes))
+        if not all(is_integer(s) for s in self.confluencies):
+            raise BadConfluencyError("confluencies must be integers")
         conf = tuple(int(s) for s in self.confluencies)
         if len(conf) != len(self.nodes):
             raise BadConfluencyError("need one confluency per node")
@@ -200,34 +211,76 @@ def recurrence_row(basis: Basis, k: int) -> RecurrenceRow:
 
 
 def eval_phi(basis: Basis, k: int, z: complex) -> complex:
-    """Value of the k-th basis function at z."""
+    """Value of the k-th basis function at z (column k of phi_rows, rescaled)."""
     if k < 0:
         raise ValueError("basis index must be >= 0")
-    z = complex(z)
     if isinstance(basis, ThreeTermBasis):
-        prev, cur = 0.0 + 0.0j, 1.0 + 0.0j  # phi_{-1}, phi_0
-        for j in range(k):
-            a, b, g = recurrence_row(basis, j)
-            prev, cur = cur, ((z - b) * cur - g * prev) / a
-        return cur
+        count = k + 1
+    elif isinstance(basis, Bernstein):
+        count = basis.grade + 1
+    elif isinstance(basis, Lagrange):
+        count = len(basis.nodes)
+    else:
+        raise UnsupportedBasisError(
+            "Hermite basis functions are evaluated through the interpolation formula, "
+            "not individually"
+        )
+    if k >= count:
+        raise ValueError(f"{type(basis).__name__} index {k} exceeds the {count} basis functions")
+    z = complex(z)
+    return complex(phi_rows(basis, count, [z])[0, k] * max(1.0, abs(z)) ** (count - 1))
+
+
+def phi_rows(basis: Basis, count: int, zs) -> np.ndarray:
+    """phi_0 .. phi_{count-1} at every z in one pass, one row per point.
+
+    Row i is divided by max(1, |z_i|)^(count-1), so no entry overflows however
+    large z_i is; quotients homogeneous of degree zero in a row (the
+    polynomial backward error) are unaffected.  Columns follow the payload
+    order of MatrixPolynomial: coefficients by ascending index, Lagrange
+    samples by node, and Hermite data per node, value then scaled
+    derivatives ascending.  Interpolation rows use the product form
+    omega(z) * sum_j b_ij (z - tau_i)^(k-j-1), which is exact on the nodes.
+    """
+    z = np.asarray(zs, dtype=complex).reshape(-1)
+    ell = count - 1
+    inv = 1.0 / np.maximum(1.0, np.abs(z))
+    if isinstance(basis, ThreeTermBasis):
+        # psi_k = phi_k / s^k obeys the recurrence with z/s and gamma/s^2
+        z_s, inv2 = z * inv, inv * inv
+        prev, cur = 0.0, np.ones_like(z)
+        columns = [cur]
+        for k in range(ell):
+            a, b, g = recurrence_row(basis, k)
+            prev, cur = cur, ((z_s - b * inv) * cur - g * inv2 * prev) / a
+            columns.append(cur)
+        return np.stack(columns, axis=1) * inv[:, None] ** (ell - np.arange(count))
     if isinstance(basis, Bernstein):
-        ell = basis.grade
-        if k > ell:
-            raise ValueError(f"Bernstein index {k} exceeds grade {ell}")
-        return comb(ell, k) * z**k * (1.0 - z) ** (ell - k)
-    if isinstance(basis, Lagrange):
-        if k >= len(basis.nodes):
-            raise ValueError(f"Lagrange index {k} exceeds node count")
-        beta = barycentric_weights(basis)[k]
-        out = beta
-        for j, t in enumerate(basis.nodes):
-            if j != k:
-                out = out * (z - t)
-        return complex(out)
-    raise UnsupportedBasisError(
-        "Hermite basis functions are evaluated through the interpolation formula, "
-        "not individually"
-    )
+        if ell != basis.grade:
+            raise ValueError(f"{count} values do not match Bernstein grade {basis.grade}")
+        k = np.arange(count)
+        binom = np.array([comb(ell, j) for j in k], dtype=float)
+        return binom * (z * inv)[:, None] ** k * ((1.0 - z) * inv)[:, None] ** (ell - k)
+    if isinstance(basis, (Lagrange, Hermite)):
+        nodes = np.asarray(basis.nodes, dtype=complex)
+        confl = getattr(basis, "confluencies", (1,) * len(nodes))
+        if sum(confl) != count:
+            raise ValueError(f"{count} values do not match the {sum(confl)} interpolation data")
+        weights = barycentric_weights(basis)
+        out = np.empty((z.size, count), dtype=complex)
+        d = (z[:, None] - nodes[None, :]) * inv[:, None]  # (z - tau_i) / s
+        powers = d ** np.asarray(confl)
+        pos = 0
+        for i, s in enumerate(confl):
+            others = np.prod(np.delete(powers, i, axis=1), axis=1)
+            for k in range(s):
+                acc = np.zeros_like(z)
+                for j in range(k, s):
+                    acc += weights[pos + s - 1 - j] * inv ** (j - k) * d[:, i] ** (k - j - 1 + s)
+                out[:, pos + k] = others * acc
+            pos += s
+        return out
+    raise UnsupportedBasisError(f"unknown basis {type(basis).__name__}")
 
 
 def one_coefficients(basis: Basis, ell: int) -> np.ndarray:

@@ -42,10 +42,6 @@ EXIT_CONSTRUCTION = 3
 EXIT_NO_CONVERGENCE = 4
 EXIT_VERIFY_FAILED = 5
 
-# residual above which a reported finite eigenvalue is considered spurious
-# (interpolation pencils produce such values in place of true infinities)
-SPURIOUS_RESIDUAL = 1e-6
-
 
 def _load_json(path):
     try:
@@ -93,17 +89,14 @@ def cmd_eig(args):
     pc = build(p)
     rng = np.random.default_rng(args.seed)
     result = eigen.generalized_eigenvalues(pc, p, rng=rng)
-    finite, spurious = [], []
-    for lam, res in result.finite:
-        entry = {"value": scalar_to_json(lam), "magnitude": abs(lam), "residual": res}
-        (finite if res <= SPURIOUS_RESIDUAL else spurious).append(entry)
-    # a filtered value is a numerically perturbed eigenvalue at infinity, so
-    # it moves to the infinite tally; magnitude and residual stay reported
     _emit({
-        "finite": [e["value"] for e in finite],
-        "residuals": [e["residual"] for e in finite],
-        "spurious": spurious,
-        "infinite_count": result.infinite_count + len(spurious),
+        "finite": [scalar_to_json(lam) for lam, _ in result.finite],
+        "residuals": [res for _, res in result.finite],
+        # spurious values are perturbed infinities, counted in infinite_count;
+        # magnitude and residual stay reported
+        "spurious": [{"value": scalar_to_json(lam), "magnitude": abs(lam), "residual": res}
+                     for lam, res in result.spurious],
+        "infinite_count": result.infinite_count,
         "shift": scalar_to_json(result.shift_used),
     }, args.pretty)
     return EXIT_OK

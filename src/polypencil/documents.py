@@ -23,8 +23,9 @@ from .bases import (
     Newton,
     ShiftedMonomial,
     Taylor,
+    is_integer,
 )
-from .errors import DocumentError
+from .errors import BadConfluencyError, DocumentError
 from .matpoly import MatrixPolynomial
 
 __all__ = [
@@ -97,11 +98,14 @@ def parse_basis(desc, grade):
         rec = desc.get("recurrence")
         if not isinstance(rec, dict) or "alpha" not in rec:
             raise DocumentError('custom basis needs a "recurrence" object with alpha/beta/gamma')
-        return CustomThreeTerm(
-            alpha=tuple(parse_scalar(v) for v in rec.get("alpha", [])),
-            beta=tuple(parse_scalar(v) for v in rec.get("beta", [])),
-            gamma=tuple(parse_scalar(v) for v in rec.get("gamma", [])),
-        )
+        rows = [rec.get(key, []) for key in ("alpha", "beta", "gamma")]
+        if not all(isinstance(row, list) for row in rows):
+            raise DocumentError("custom recurrence alpha/beta/gamma must be lists")
+        alpha, beta, gamma = (tuple(parse_scalar(v) for v in row) for row in rows)
+        try:
+            return CustomThreeTerm(alpha=alpha, beta=beta, gamma=gamma)
+        except ValueError as exc:
+            raise DocumentError(str(exc)) from exc
     if kind == "bernstein":
         if grade is None:
             raise DocumentError("bernstein basis needs the document grade")
@@ -115,8 +119,11 @@ def parse_basis(desc, grade):
     nodes = desc.get("nodes")
     if not isinstance(nodes, list) or not isinstance(confl, list):
         raise DocumentError("hermite basis needs node and confluency lists")
-    return Hermite(nodes=tuple(parse_scalar(t) for t in nodes),
-                   confluencies=tuple(confl))
+    nodes = tuple(parse_scalar(t) for t in nodes)
+    try:
+        return Hermite(nodes=nodes, confluencies=tuple(confl))
+    except BadConfluencyError as exc:
+        raise DocumentError(str(exc)) from exc
 
 
 def parse_document(doc) -> MatrixPolynomial:
@@ -127,10 +134,10 @@ def parse_document(doc) -> MatrixPolynomial:
         if key not in doc:
             raise DocumentError(f'document is missing the "{key}" key')
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if not is_integer(n) or n < 1:
         raise DocumentError('"n" must be a positive integer')
     grade = doc.get("grade")
-    if grade is not None and (not isinstance(grade, int) or grade < 0):
+    if grade is not None and (not is_integer(grade) or grade < 0):
         raise DocumentError('"grade" must be a nonnegative integer')
     payload_keys = [k for k in ("coefficients", "samples", "hermite_samples") if k in doc]
     if len(payload_keys) != 1:

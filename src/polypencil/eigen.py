@@ -1,12 +1,40 @@
-"""Dense complex eigensolver and the generalized-eigenvalue front end for pencils.
+"""Generalized eigenvalues of companion pencils, with normwise backward errors.
 
-The path is Householder reduction to Hessenberg form followed by a
-single-shift (Wilkinson) QR iteration with deflation -- complex arithmetic
-throughout, since the pencils are genuinely complex.  Generalized
-eigenvalues of z*C1 - C0 are obtained by shift-and-invert: with
-M = sigma*C1 - C0 nonsingular, the eigenvalues theta of M^-1 C1 map to
-pencil eigenvalues lambda = sigma - 1/theta, and theta near zero means an
-eigenvalue at infinity.
+Eigenvalues of z*C1 - C0 come from shift-and-invert: with M = sigma*C1 - C0
+nonsingular, the eigenvalues theta of A = M^-1 C1 map to pencil eigenvalues
+lambda = sigma - 1/theta, and theta near zero means an eigenvalue at
+infinity.  One LAPACK call through ``numpy.linalg.eig`` returns theta and the
+right eigenvectors V of A, which are eigenvectors of the pencil as well.
+
+A theta is classed infinite when zero lies within its first-order error
+bound, |theta| <= kappa(theta) * N * u * ||A||_F, where kappa(theta) is the
+norm of row i of V^-1 times the norm of column i of V and u is machine
+epsilon.  A theta repeated to working precision has parallel eigenvectors,
+so kappa bounds nothing there and the bound is N * u * ||A||_F alone.
+Those infinite values with |theta| > N * u * ||A||_F are perturbed
+infinities (interpolation pencils surface their structural infinities this
+way); they are returned apart, as ``spurious``, and counted as infinite.
+
+Every residual is a normwise backward error, computed for all eigenvalues at
+once with no factorization per eigenvalue:
+
+* from the pencil, ||(lambda C1 - C0) x|| / ((|lambda| ||C1||_F + ||C0||_F) ||x||),
+  x the eigenvector;
+* from the polynomial P = sum_k P_k phi_k (Tisseur, LAA 2000),
+  eta = sigma_min(P(lambda)) / sum_k |phi_k(lambda)| ||P_k||_2, which is
+  the reported residual.
+
+eta may not perturb a zero P_k at all, so a root at 0 of a polynomial with
+P_0 = 0, computed as 1e-16, has eta of order one.  The filter therefore uses
+the absolute-weight error eta_abs, with every ||P_k||_2 replaced by
+max_j ||P_j||_2: it never exceeds eta, is what a backward-stable pencil
+solve keeps small, and a finite value with eta_abs > SPURIOUS_RESIDUAL is
+spurious as well.  Without P there is no filter, because the pencil error
+of a backward-stable solve is small for perturbed infinities too.
+
+Householder reduction to Hessenberg form followed by single-shift
+(Wilkinson) QR, complex throughout, is kept as the self-contained reference
+eigensolver ``eig``; the tests check the LAPACK path against it.
 """
 
 from __future__ import annotations
@@ -15,13 +43,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bases import phi_rows
 from .errors import (
     NoConvergenceError,
     SingularMatrixError,
     SingularPencilEverywhereError,
 )
 from .linalg import as_cmatrix, lu_factor, lu_solve, pivot_ratio
-from .matpoly import MatrixPolynomial, evaluate
+from .matpoly import MatrixPolynomial
 from .pencils import CompanionPencil
 
 __all__ = [
@@ -33,22 +62,28 @@ __all__ = [
     "eigen_residual",
 ]
 
-# |theta| at or below this classifies the generalized eigenvalue as infinite.
-# Tunable: spurious interpolation eigenvalues show up with |theta| well above
-# it and have to be judged by magnitude and residual instead.
-THETA_INF = 1e-8
-
 SHIFT_RADIUS = 1.37
 MAX_SHIFT_TRIES = 8
+MACHINE_EPSILON = np.finfo(float).eps
+
+# absolute-weight backward error above which a finite eigenvalue of the
+# supplied polynomial is classed spurious (a numerically perturbed infinity)
+SPURIOUS_RESIDUAL = 1e-6
 
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Finite eigenvalues with residuals, plus the count classified infinite."""
+    """Eigenvalues as (lambda, backward error) pairs, plus the count classed infinite.
+
+    ``spurious`` holds the perturbed infinities and the values that fail the
+    backward-error filter; ``infinite_count`` includes them.  ``finite`` and
+    ``spurious`` are sorted by real, then imaginary part.
+    """
 
     finite: tuple
     infinite_count: int
     shift_used: complex
+    spurious: tuple = ()
 
 
 def hessenberg(a) -> np.ndarray:
@@ -163,59 +198,35 @@ def eig(a) -> np.ndarray:
     return qr_eigenvalues(hessenberg(a))
 
 
-def _inverse_iteration_residual(matrix, scale, rng):
-    n = matrix.shape[0]
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    try:
-        f = lu_factor(matrix)
-    except SingularMatrixError:
-        return 0.0
-    for _ in range(3):
-        w = lu_solve(f, v.reshape(-1, 1)).ravel()
-        norm_w = np.linalg.norm(w)
-        if not np.isfinite(norm_w) or norm_w == 0.0:
-            return 0.0
-        v = w / norm_w
-    return float(np.linalg.norm(matrix @ v) / scale)
+def _polynomial_backward_errors(p: MatrixPolynomial, lams):
+    """(eta, eta_abs) for every lambda: P_k weighted by ||P_k||_2, and by max_j ||P_j||_2.
 
-
-def eigen_residual(p: MatrixPolynomial, lam, rng=None) -> float:
-    """Smallest-singular-value proxy of P(lambda), scaled by the data size.
-
-    A few inverse-iteration steps from a random vector align v with the
-    near-null direction; the result is ||P(lambda) v|| / max_k ||P_k||_F.
-    An exactly singular P(lambda) short-circuits to 0.
+    One batched SVD over the stacked P(lambda); the basis values come from a
+    single phi_rows pass, whose per-point scaling cancels in the quotients.
     """
-    rng = np.random.default_rng(271828) if rng is None else rng
-    payload = p.coefficients or p.samples
-    if payload is None:
-        payload = [m for group in p.hermite_samples for m in group]
-    scale = max(float(np.linalg.norm(m)) for m in payload)
-    if scale == 0.0:
-        scale = 1.0
-    return _inverse_iteration_residual(evaluate(p, lam), scale, rng)
+    data = p.payload
+    phi = phi_rows(p.basis, data.shape[0], lams)
+    smallest = np.linalg.svd(np.tensordot(phi, data, axes=1), compute_uv=False)[:, -1]
+    norms = np.linalg.svd(data, compute_uv=False)[:, 0]
+    magnitude = np.abs(phi)
+    # a zero denominator means P(lambda) = 0, which is exactly singular
+    return tuple(np.divide(smallest, scale, out=np.zeros_like(smallest), where=scale > 0)
+                 for scale in (magnitude @ norms, magnitude.sum(axis=1) * norms.max()))
 
 
-def _pencil_residual(pc: CompanionPencil, lam, rng) -> float:
-    scale = max(float(np.linalg.norm(pc.c1)), float(np.linalg.norm(pc.c0)), 1e-300)
-    return _inverse_iteration_residual(pc.at(lam), scale * (1.0 + abs(lam)), rng)
+def eigen_residual(p: MatrixPolynomial, lam) -> float:
+    """Normwise backward error of lambda as an eigenvalue of P (Tisseur, LAA 2000)."""
+    return float(_polynomial_backward_errors(p, [lam])[0][0])
 
 
-def generalized_eigenvalues(pc: CompanionPencil, p: MatrixPolynomial = None,
-                            rng=None, theta_inf: float = THETA_INF) -> EigenResult:
-    """Eigenvalues of the pencil z*C1 - C0 by shift-and-invert.
+def _pencil_backward_errors(pc: CompanionPencil, lams, vectors) -> np.ndarray:
+    residual = np.linalg.norm(pc.c1 @ vectors * lams - pc.c0 @ vectors, axis=0)
+    scale = np.abs(lams) * np.linalg.norm(pc.c1) + np.linalg.norm(pc.c0)
+    return residual / (scale * np.linalg.norm(vectors, axis=0))
 
-    Shifts are drawn on the circle |sigma| = 1.37 until sigma*C1 - C0
-    factors with a healthy pivot ratio (at most 8 tries).  Eigenvalues theta
-    of (sigma C1 - C0)^-1 C1 with |theta| <= theta_inf are reported as
-    infinite; the rest map to lambda = sigma - 1/theta, sorted by real then
-    imaginary part.  Residuals come from eigen_residual when the polynomial
-    is supplied, otherwise from the pencil itself.
-    """
-    rng = np.random.default_rng(0) if rng is None else rng
-    factors = None
-    sigma = None
+
+def _accepted_shift(pc: CompanionPencil, rng):
+    """(sigma, LU of sigma*C1 - C0) for the first shift with a healthy pivot ratio."""
     for _ in range(MAX_SHIFT_TRIES):
         angle = rng.uniform(0.0, 2.0 * np.pi)
         candidate = SHIFT_RADIUS * complex(np.cos(angle), np.sin(angle))
@@ -223,27 +234,61 @@ def generalized_eigenvalues(pc: CompanionPencil, p: MatrixPolynomial = None,
             f = lu_factor(candidate * pc.c1 - pc.c0)
         except SingularMatrixError:
             continue
-        if pivot_ratio(f) < 1e-12:
-            continue
-        factors, sigma = f, candidate
-        break
-    if factors is None:
-        raise SingularPencilEverywhereError(
-            f"no acceptable shift among {MAX_SHIFT_TRIES} tries; pencil may be singular"
-        )
-    thetas = eig(lu_solve(factors, pc.c1))
-    finite = []
-    infinite = 0
-    for theta in thetas:
-        if abs(theta) <= theta_inf:
-            infinite += 1
-            continue
-        lam = sigma - 1.0 / theta
-        if p is not None:
-            res = eigen_residual(p, lam)
-        else:
-            res = _pencil_residual(pc, lam, np.random.default_rng(271828))
-        finite.append((complex(lam), res))
-    finite.sort(key=lambda pair: (pair[0].real, pair[0].imag))
-    return EigenResult(finite=tuple(finite), infinite_count=infinite,
-                       shift_used=complex(sigma))
+        if pivot_ratio(f) >= 1e-12:
+            return candidate, f
+    raise SingularPencilEverywhereError(
+        f"no acceptable shift among {MAX_SHIFT_TRIES} tries; pencil may be singular"
+    )
+
+
+def _pairs(lams, residuals):
+    out = [(complex(lam), float(res)) for lam, res in zip(lams, residuals)]
+    return tuple(sorted(out, key=lambda pair: (pair[0].real, pair[0].imag)))
+
+
+def generalized_eigenvalues(pc: CompanionPencil, p: MatrixPolynomial = None,
+                            rng=None) -> EigenResult:
+    """Eigenvalues of the pencil z*C1 - C0 by shift-and-invert.
+
+    Shifts are drawn on the circle |sigma| = 1.37 until sigma*C1 - C0
+    factors with a healthy pivot ratio (at most 8 tries).  theta and the
+    eigenvectors of A = (sigma C1 - C0)^-1 C1 come from numpy.linalg.eig, and
+    theta is classed infinite, perturbed infinite or finite by its error
+    bound (module docstring).  Backward errors are taken against the
+    polynomial when it is supplied, and then a finite value whose
+    absolute-weight error exceeds SPURIOUS_RESIDUAL is spurious as well;
+    without the polynomial they are taken against the pencil.
+    """
+    rng = np.random.default_rng(0) if rng is None else rng
+    sigma, factors = _accepted_shift(pc, rng)
+    a = lu_solve(factors, pc.c1)
+    try:
+        thetas, vectors = np.linalg.eig(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"LAPACK eigensolver did not converge: {exc}") from exc
+    try:
+        left = np.linalg.inv(vectors)
+    except np.linalg.LinAlgError:
+        # exactly parallel eigenvectors, from an exactly repeated defective theta
+        left = np.linalg.pinv(vectors)
+    with np.errstate(over="ignore"):  # an infinite kappa is a defective theta
+        kappa = np.linalg.norm(left, axis=1) * np.linalg.norm(vectors, axis=0)
+    tol = a.shape[0] * MACHINE_EPSILON * np.linalg.norm(a)
+    modulus = np.abs(thetas)
+    # a theta repeated to working precision is an unperturbed multiple
+    # eigenvalue (a root of z^2 at 0, say); its computed eigenvectors are
+    # parallel, so kappa bounds nothing and it is infinite only if |theta| <= tol
+    gaps = np.abs(thetas[:, None] - thetas[None, :]) + np.diag(np.full(thetas.size, np.inf))
+    repeated = gaps.min(axis=1, initial=np.inf) <= tol
+    infinite = modulus <= np.where(repeated, 1.0, kappa) * tol
+    shown = ~infinite | (modulus > tol)
+    lams = sigma - 1.0 / thetas[shown]
+    finite = ~infinite[shown]
+    if p is not None:
+        residuals, absolute = _polynomial_backward_errors(p, lams)
+        finite &= absolute <= SPURIOUS_RESIDUAL
+    else:
+        residuals = _pencil_backward_errors(pc, lams, vectors[:, shown])
+    return EigenResult(finite=_pairs(lams[finite], residuals[finite]),
+                       infinite_count=thetas.size - int(finite.sum()), shift_used=complex(sigma),
+                       spurious=_pairs(lams[~finite], residuals[~finite]))

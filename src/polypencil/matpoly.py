@@ -8,6 +8,7 @@ at infinity in the pencils built from the polynomial.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,9 +19,8 @@ from .bases import (
     Lagrange,
     ThreeTermBasis,
     barycentric_weights,
-    eval_phi,
     node_polynomial,
-    recurrence_row,
+    phi_rows,
 )
 from .errors import DimensionMismatchError, UnsupportedBasisError
 from .linalg import as_cmatrix
@@ -102,6 +102,13 @@ class MatrixPolynomial:
     def __call__(self, z):
         return evaluate(self, z)
 
+    @cached_property
+    def payload(self) -> np.ndarray:
+        """The payload matrices stacked as (count, n, n), in the column order of phi_rows."""
+        if self.hermite_samples is not None:
+            return np.stack([m for group in self.hermite_samples for m in group])
+        return np.stack(self.coefficients or self.samples)
+
 
 def _near(z, tau):
     return abs(z - tau) < NODE_SNAP * (1.0 + abs(tau))
@@ -110,25 +117,16 @@ def _near(z, tau):
 def evaluate(p: MatrixPolynomial, z) -> np.ndarray:
     """P(z) as an n x n complex matrix.
 
-    Lagrange and Hermite evaluation uses the first barycentric form; at (or
-    numerically on top of) a node the stored data is returned directly.
+    Coefficient payloads are summed against the basis values of phi_rows.
+    Lagrange and Hermite evaluation keeps the first barycentric form, which
+    returns the stored data exactly at (or numerically on top of) a node;
+    the product form of phi_rows only agrees there to rounding.
     """
     z = complex(z)
     basis = p.basis
     if p.coefficients is not None:
-        if isinstance(basis, ThreeTermBasis):
-            out = np.zeros((p.n, p.n), dtype=complex)
-            prev, cur = 0.0 + 0.0j, 1.0 + 0.0j
-            for k, ck in enumerate(p.coefficients):
-                out += ck * cur
-                if k < p.grade:
-                    a, b, g = recurrence_row(basis, k)
-                    prev, cur = cur, ((z - b) * cur - g * prev) / a
-            return out
-        out = np.zeros((p.n, p.n), dtype=complex)
-        for k, ck in enumerate(p.coefficients):
-            out += ck * eval_phi(basis, k, z)
-        return out
+        phi = phi_rows(basis, p.grade + 1, [z]) * max(1.0, abs(z)) ** p.grade
+        return (phi @ p.payload.reshape(p.grade + 1, -1)).reshape(p.n, p.n)
     if p.samples is not None:
         nodes = basis.nodes
         for k, tau in enumerate(nodes):

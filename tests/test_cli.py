@@ -142,6 +142,48 @@ class TestEigCommand:
         reported = [e["magnitude"] for e in doc["spurious"]]
         assert reported and all(m > 10.0 for m in reported)
 
+    def test_rescaled_monomial_keeps_every_eigenvalue(self, tmp_path, capsys):
+        # n = 3, grade 8, complex Gaussian coefficients normalized to unit
+        # largest norm, then z scaled by 20: P~(z) = P(z/20), |lambda| up to ~100
+        rng = np.random.default_rng(5)
+        coeffs = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+                  for _ in range(9)]
+        scale = max(np.linalg.norm(c) for c in coeffs)
+        coeffs = [c / scale / 20.0 ** k for k, c in enumerate(coeffs)]
+        doc = {"basis": {"kind": "monomial"}, "n": 3, "grade": 8,
+               "coefficients": [[[[v.real, v.imag] for v in row] for row in c] for c in coeffs]}
+        code, out, _ = run(capsys, "eig", write(tmp_path, "doc.json", doc))
+        assert code == 0
+        payload = json.loads(out)
+        assert len(payload["finite"]) == 24
+        assert payload["spurious"] == [] and payload["infinite_count"] == 0
+        assert max(abs(complex(*v)) for v in payload["finite"]) > 20.0
+
+    @pytest.mark.parametrize("coefficients, roots", [
+        ([0, 1, 1], [-1, 0]),        # z + z^2: the zero P_0 admits no relative change
+        ([0, 0, 1, 1], [-1, 0, 0]),  # z^2 + z^3: an exactly repeated theta
+    ])
+    def test_root_at_zero_stays_finite(self, tmp_path, capsys, coefficients, roots):
+        doc = {"basis": {"kind": "monomial"}, "n": 1,
+               "coefficients": [[[c]] for c in coefficients]}
+        code, out, _ = run(capsys, "eig", write(tmp_path, "doc.json", doc))
+        assert code == 0
+        payload = json.loads(out)
+        got = sorted(complex(*v).real for v in payload["finite"])
+        assert got == pytest.approx(roots, abs=1e-7)
+        assert payload["spurious"] == [] and payload["infinite_count"] == 0
+
+    def test_lagrange_root_on_a_node_stays_finite(self, tmp_path, capsys):
+        # samples of P(z) = z: the sample at the node 0 is exactly zero
+        nodes = [1, 0.5, 0, -0.5, -1]
+        doc = {"basis": {"kind": "lagrange", "nodes": nodes}, "n": 1,
+               "samples": [[[t]] for t in nodes]}
+        code, out, _ = run(capsys, "eig", write(tmp_path, "doc.json", doc))
+        assert code == 0
+        payload = json.loads(out)
+        assert len(payload["finite"]) == 1 and abs(complex(*payload["finite"][0])) <= 1e-12
+        assert all(e["magnitude"] > 10.0 for e in payload["spurious"])
+
 
 class TestVerifyCommand:
     def test_bernstein_monic(self, tmp_path, capsys):
@@ -239,6 +281,26 @@ class TestDocumentValidation:
         doc["grade"] = 4
         code, _, err = run(capsys, "pencil", write(tmp_path, "d.json", doc))
         assert code == 2 and "coefficient matrices" in err
+
+    def _assert_schema_fault(self, capsys, path, word):
+        code, out, err = run(capsys, "eig", path)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and word in err and "Traceback" not in err
+
+    def test_boolean_n_exits_2(self, tmp_path, capsys):
+        doc = dict(SQUARE_PLUS_ONE, n=True)
+        self._assert_schema_fault(capsys, write(tmp_path, "d.json", doc), '"n"')
+
+    def test_short_custom_beta_exits_2(self, tmp_path, capsys):
+        doc = {"basis": {"kind": "custom",
+                         "recurrence": {"alpha": [1, 0.5, 0.5], "beta": [0, 0],
+                                        "gamma": [0, 0.5, 0.5]}},
+               "n": 1, "coefficients": [[[0.3]], [[-0.7]], [[1.1]], [[0.4]]]}
+        self._assert_schema_fault(capsys, write(tmp_path, "d.json", doc), "beta")
+
+    def test_fractional_confluency_exits_2(self, tmp_path, capsys):
+        doc = dict(HERMITE_ONE, basis=dict(HERMITE_ONE["basis"], confluencies=[2, 1, 1, 1.7]))
+        self._assert_schema_fault(capsys, write(tmp_path, "d.json", doc), "confluencies")
 
     def test_hermite_grade_mismatch(self, tmp_path, capsys):
         doc = dict(HERMITE_ONE)

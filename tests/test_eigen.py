@@ -5,19 +5,24 @@ import golden
 from conftest import rand_matrix, random_polynomial
 from polypencil import (
     Bernstein,
+    ChebyshevT,
     Lagrange,
     MatrixPolynomial,
     Monomial,
     Newton,
     NoConvergenceError,
     build,
+    build_algebraic,
+    composed_triple,
     eig,
     eigen_residual,
     evaluate,
     generalized_eigenvalues,
     hessenberg,
+    make_triple,
     qr_eigenvalues,
 )
+from polypencil.eigen import SPURIOUS_RESIDUAL
 from polypencil.linalg import det
 
 
@@ -168,3 +173,72 @@ class TestEigenResidual:
         for lam, res in result.finite:
             assert res <= 1e-8
             assert eigen_residual(p, lam) <= 1e-8
+
+    def test_backward_error_ignores_z_scaling(self):
+        # P~(z) = P(z/20) multiplies every eigenvalue by 20; in exact arithmetic
+        # eta_P~(20 z) = eta_P(z) at every z, eigenvalues included
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            coeffs = [rand_matrix(rng, 3) for _ in range(9)]
+            p = MatrixPolynomial.from_coefficients(Monomial(), coeffs)
+            scaled = MatrixPolynomial.from_coefficients(
+                Monomial(), [c / 20.0 ** k for k, c in enumerate(coeffs)])
+            for z in 1.5 * np.exp(1j * np.linspace(0.0, 6.0, 5)):
+                assert eigen_residual(scaled, 20.0 * z) == pytest.approx(
+                    eigen_residual(p, z), rel=1e-9)
+            worst = max(res for _, res in generalized_eigenvalues(build(p), p).finite)
+            worst_scaled = max(res for _, res in
+                               generalized_eigenvalues(build(scaled), scaled).finite)
+            assert 0.1 <= worst_scaled / worst <= 10.0
+
+
+class TestClassification:
+    def test_large_chebyshev_eigenvalue_stays_finite(self):
+        rng = np.random.default_rng(0)
+        p = random_polynomial("chebyshev", 2, 20, rng)
+        # a small leading coefficient pushes eigenvalues out past |z| = 5,
+        # where T_20 is about 1e19
+        coeffs = list(p.coefficients[:-1]) + [0.1 * p.coefficients[-1]]
+        p = MatrixPolynomial.from_coefficients(ChebyshevT(), coeffs)
+        pc = build(p)
+        result = generalized_eigenvalues(pc, p)
+        assert result.infinite_count == 0 and len(result.finite) == 40
+        assert all(res <= SPURIOUS_RESIDUAL for _, res in result.finite)
+        reference = np.linalg.eigvals(np.linalg.solve(pc.c1, pc.c0))
+        large = [lam for lam, _ in result.finite if abs(lam) > 5.0]
+        assert large
+        for lam in large:
+            assert np.min(np.abs(reference - lam)) <= 1e-8 * abs(lam)
+
+
+def _mandelbrot_pencil(depth, c):
+    """Pencil of p_depth from p_1 = z + 1 and p_{k+1} = z p_k^2 + c."""
+    one = np.eye(1, dtype=complex)
+    triple = make_triple(build(MatrixPolynomial.from_coefficients(Monomial(), [one, one])))
+    for _ in range(depth - 1):
+        al = build_algebraic(triple, triple, c * one)
+        triple = composed_triple(al, triple, triple)
+    return triple.pencil
+
+
+class TestReferenceSolver:
+    """The LAPACK path against the self-contained Hessenberg + QR solver."""
+
+    def test_same_finite_eigenvalues(self, rng):
+        cases = [(build(p), p) for p in (random_polynomial("chebyshev", 2, 6, rng),
+                                          random_polynomial("lagrange", 2, 5, rng),
+                                          random_polynomial("hermite", 2, 5, rng))]
+        cases.append((_mandelbrot_pencil(5, 1.0 + 0.05j), None))
+        for pc, p in cases:
+            result = generalized_eigenvalues(pc, p)
+            sigma = result.shift_used
+            a = np.linalg.solve(sigma * pc.c1 - pc.c0, pc.c1)
+            thetas = qr_eigenvalues(hessenberg(a))
+            # the finite and the infinite thetas are many orders apart here
+            thetas = thetas[np.abs(thetas) > 1e-8 * np.linalg.norm(a)]
+            reference = sigma - 1.0 / thetas
+            ours = np.array([lam for lam, _ in result.finite])
+            assert len(ours) == len(reference)
+            dist = np.abs(ours[:, None] - reference[None, :]) / np.maximum(1.0, np.abs(ours))[:, None]
+            assert dist.min(axis=1).max() <= 1e-8
+            assert dist.min(axis=0).max() <= 1e-8

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import golden
+from conftest import ALL_KINDS, poly_nodes, random_polynomial
 from polypencil import (
     ChebyshevT,
     Hermite,
@@ -12,6 +13,7 @@ from polypencil import (
     degree_defect,
     evaluate,
 )
+from polypencil.bases import phi_rows
 from polypencil.matpoly import NODE_SNAP
 
 
@@ -127,3 +129,19 @@ class TestValidation:
         p = MatrixPolynomial.from_coefficients(Monomial(), [[[1.0]], [[0.0]], [[1.0]]])
         assert p.n == 1 and p.grade == 2
         assert evaluate(p, 2.0)[0, 0] == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_phi_rows_agree_with_evaluate(kind, rng):
+    p = random_polynomial(kind, 2, 4, rng)
+    zs = [0.3 - 0.2j, -1.1 + 0.4j, 25.0j, *poly_nodes(p)[:2]]
+    rows = phi_rows(p.basis, p.payload.shape[0], zs)
+    for z, values in zip(zs, np.tensordot(rows, p.payload, axes=1)):
+        expected = evaluate(p, z)
+        got = values * max(1.0, abs(z)) ** p.grade
+        assert np.linalg.norm(got - expected) <= 1e-12 * max(1.0, np.linalg.norm(expected))
+
+
+def test_phi_rows_stay_finite_far_out():
+    rows = phi_rows(ChebyshevT(), 21, [1e200, -3e150j])
+    assert np.all(np.isfinite(rows)) and np.allclose(np.abs(rows[:, -1]), 2.0 ** 19)
