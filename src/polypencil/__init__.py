@@ -2,12 +2,7 @@
 for regular matrix polynomials in monomial, orthogonal, Newton, Bernstein,
 Lagrange, and Hermite bases, with a self-contained dense complex eigensolver."""
 
-from .algebraic import (
-    AlgebraicLinearization,
-    build_algebraic,
-    composed_triple,
-    verify_algebraic,
-)
+from .algebraic import build_algebraic, composed_triple, verify_algebraic
 from .bases import (
     Basis,
     Bernstein,
@@ -69,9 +64,6 @@ from .pencils import (
     build_hermite,
     build_lagrange,
     build_three_term,
-    flip,
-    similarity,
-    transpose,
 )
 from .triples import (
     GeneralizedStandardTriple,
@@ -82,6 +74,7 @@ from .triples import (
     resolvent,
     sample_points,
     similarity_triple,
+    transpose_triple,
     verify_triple,
 )
 

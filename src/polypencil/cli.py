@@ -49,7 +49,7 @@ def _load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to read
         raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -62,13 +62,13 @@ def _emit(payload, pretty):
     sys.stdout.write("\n")
 
 
-def _pencil_payload(pc, triple):
+def _pencil_payload(triple):
     return {
-        "C1": matrix_to_json(pc.c1),
-        "C0": matrix_to_json(pc.c0),
+        "C1": matrix_to_json(triple.pencil.c1),
+        "C0": matrix_to_json(triple.pencil.c0),
         "X": matrix_to_json(triple.x),
         "Y": matrix_to_json(triple.y),
-        "N": pc.size,
+        "N": triple.pencil.size,
     }
 
 
@@ -79,8 +79,7 @@ def cmd_pencil(args):
         _emit({"valid": True, "basis": doc["basis"]["kind"], "n": p.n, "grade": p.grade},
               args.pretty)
         return EXIT_OK
-    pc = build(p)
-    _emit(_pencil_payload(pc, make_triple(pc)), args.pretty)
+    _emit(_pencil_payload(make_triple(build(p))), args.pretty)
     return EXIT_OK
 
 
@@ -104,11 +103,10 @@ def cmd_eig(args):
 
 def cmd_verify(args):
     p = _load_polynomial(args.input)
-    pc = build(p)
-    triple = make_triple(pc)
+    triple = make_triple(build(p))
     rng = np.random.default_rng(args.seed)
     avoid = getattr(p.basis, "nodes", ())
-    zs = sample_points(pc, args.samples, rng, avoid=avoid)
+    zs = sample_points(triple.pencil, args.samples, rng, avoid=avoid)
     residual = verify_triple(triple, p, zs)
     ok = residual <= args.tol
     _emit({"max_residual": residual, "samples": args.samples, "tol": args.tol, "pass": ok},
@@ -125,15 +123,15 @@ def cmd_alglin(args):
     c = parse_matrix(cdoc, pa.n)
     ta = make_triple(build(pa))
     tb = make_triple(build(pb))
-    al = alg.build_algebraic(ta, tb, c)
+    t = alg.build_algebraic(ta, tb, c)
     rng = np.random.default_rng(args.seed)
     zs = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(args.samples)]
-    spread = alg.verify_algebraic(al, pa, pb, c, zs)
+    spread = alg.verify_algebraic(t, pa, pb, c, zs)
     ok = spread <= args.tol
     _emit({
-        "DH": matrix_to_json(al.dh),
-        "EH": matrix_to_json(al.eh),
-        "N": al.na + al.n + al.nb,
+        "DH": matrix_to_json(t.pencil.c1),
+        "EH": matrix_to_json(t.pencil.c0),
+        "N": t.pencil.size,
         "ratio_spread": spread,
         "pass": ok,
     }, args.pretty)

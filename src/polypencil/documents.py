@@ -10,6 +10,8 @@ bare numbers are accepted on input and normalized to pairs on output.
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
 from .bases import (
@@ -44,11 +46,20 @@ BASIS_KINDS = (
 
 
 def parse_scalar(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2 and all(isinstance(x, (int, float)) for x in v):
-        return complex(v[0], v[1])
-    raise DocumentError(f"expected a number or [re, im] pair, got {v!r}")
+    """A complex number from a JSON number or an [re, im] pair.
+
+    Booleans, NaN, +-Inf and integers beyond the float range are schema errors.
+    """
+    parts = v if isinstance(v, (list, tuple)) and len(v) == 2 else (v,)
+    if not all(is_integer(x) or isinstance(x, float) for x in parts):
+        raise DocumentError(f"expected a number or [re, im] pair, got {v!r}")
+    try:
+        z = complex(*parts)
+    except OverflowError:  # an integer beyond the float range
+        z = complex("inf")
+    if not cmath.isfinite(z):
+        raise DocumentError(f"expected a finite number, got {v!r}")
+    return z
 
 
 def parse_matrix(rows, n) -> np.ndarray:
@@ -93,6 +104,9 @@ def parse_basis(desc, grade):
         nodes = desc.get("nodes")
         if not isinstance(nodes, list) or not nodes:
             raise DocumentError("newton basis needs a nonempty node list")
+        if grade is not None and len(nodes) < grade:
+            raise DocumentError(f"newton basis of grade {grade} needs {grade} nodes, "
+                                f"got {len(nodes)}")
         return Newton(nodes=tuple(parse_scalar(t) for t in nodes))
     if kind == "custom":
         rec = desc.get("recurrence")

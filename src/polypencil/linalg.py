@@ -17,20 +17,10 @@ from .errors import DimensionMismatchError, SingularMatrixError
 
 __all__ = [
     "as_cmatrix",
-    "identity",
-    "zeros",
     "sip",
-    "kron",
-    "add",
-    "sub",
-    "matmul",
-    "scalar_mul",
-    "conj_transpose",
-    "frobenius_norm",
     "LUFactors",
     "lu_factor",
     "lu_solve",
-    "solve",
     "determinant",
     "det",
     "pivot_ratio",
@@ -49,57 +39,9 @@ def as_cmatrix(a, name="matrix"):
     return m
 
 
-def identity(n: int) -> np.ndarray:
-    return np.eye(n, dtype=complex)
-
-
-def zeros(rows: int, cols: int) -> np.ndarray:
-    return np.zeros((rows, cols), dtype=complex)
-
-
 def sip(n: int) -> np.ndarray:
     """Anti-identity J (ones on the anti-diagonal); J @ J == I."""
     return np.eye(n, dtype=complex)[::-1].copy()
-
-
-def kron(a, b) -> np.ndarray:
-    return np.kron(as_cmatrix(a), as_cmatrix(b))
-
-
-# The remaining arithmetic is numpy's own; the named forms exist so callers
-# get shape/finiteness validation instead of broadcasting surprises.
-
-def add(a, b) -> np.ndarray:
-    a, b = as_cmatrix(a), as_cmatrix(b)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"cannot add {a.shape} and {b.shape}")
-    return a + b
-
-
-def sub(a, b) -> np.ndarray:
-    a, b = as_cmatrix(a), as_cmatrix(b)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"cannot subtract {b.shape} from {a.shape}")
-    return a - b
-
-
-def matmul(a, b) -> np.ndarray:
-    a, b = as_cmatrix(a), as_cmatrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionMismatchError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def scalar_mul(c, a) -> np.ndarray:
-    return complex(c) * as_cmatrix(a)
-
-
-def conj_transpose(a) -> np.ndarray:
-    return as_cmatrix(a).conj().T.copy()
-
-
-def frobenius_norm(a) -> float:
-    return float(np.linalg.norm(np.asarray(a, dtype=complex)))
 
 
 @dataclass(frozen=True)
@@ -172,11 +114,6 @@ def lu_solve(f: LUFactors, b) -> np.ndarray:
             rhs[k] -= lu[k, k + 1:] @ rhs[k + 1:]
         rhs[k] /= lu[k, k]
     return rhs
-
-
-def solve(a, b) -> np.ndarray:
-    """One-shot solve; raises SingularMatrixError on exact breakdown."""
-    return lu_solve(lu_factor(a), b)
 
 
 def determinant(f: LUFactors) -> complex:

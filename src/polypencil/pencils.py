@@ -1,4 +1,4 @@
-"""Companion pencil builders for every supported basis, plus pencil transforms.
+"""Companion pencil builders for every supported basis.
 
 Each builder assembles the pair (C1, C0) so that det(z*C1 - C0) = det P(z)
 for every z, which is the executable form of the linearization property and
@@ -27,7 +27,6 @@ from .errors import (
     GradeTooSmallError,
     UnsupportedBasisError,
 )
-from .linalg import as_cmatrix, lu_factor, lu_solve, sip
 from .matpoly import MatrixPolynomial
 
 __all__ = [
@@ -37,9 +36,6 @@ __all__ = [
     "build_bernstein",
     "build_lagrange",
     "build_hermite",
-    "flip",
-    "transpose",
-    "similarity",
 ]
 
 
@@ -47,8 +43,8 @@ __all__ = [
 class CompanionPencil:
     """The pair (C1, C0) of N x N matrices with its construction metadata.
 
-    ``basis`` is None for pencils that did not come from a single basis
-    (flips and similarity transforms keep it; algebraic compositions do not).
+    ``basis`` is None for transformed and composed pencils, whose X and Y
+    come with them in a triple; ``ell`` is None for compositions.
     """
 
     c1: np.ndarray
@@ -56,7 +52,6 @@ class CompanionPencil:
     n: int
     ell: int
     basis: Basis = None
-    provenance: str = ""
 
     def __post_init__(self):
         if self.c1.shape != self.c0.shape or self.c1.shape[0] != self.c1.shape[1]:
@@ -109,8 +104,7 @@ def build_three_term(p: MatrixPolynomial) -> CompanionPencil:
         a0, b0, _ = recurrence_row(p.basis, 0)
         c1 = coeff[1] / a0
         c0 = (b0 / a0) * coeff[1] - coeff[0]
-        return CompanionPencil(c1=c1.copy(), c0=c0, n=n, ell=1, basis=p.basis,
-                               provenance="three_term")
+        return CompanionPencil(c1=c1.copy(), c0=c0, n=n, ell=1, basis=p.basis)
     N = ell * n
     eye = np.eye(n, dtype=complex)
     a_top, b_top, g_top = recurrence_row(p.basis, ell - 1)
@@ -128,8 +122,7 @@ def build_three_term(p: MatrixPolynomial) -> CompanionPencil:
         c0[_blk(i, n), _blk(i, n)] = (b / a) * eye
         if i + 1 < ell:
             c0[_blk(i, n), _blk(i + 1, n)] = (g / a) * eye
-    return CompanionPencil(c1=c1, c0=c0, n=n, ell=ell, basis=p.basis,
-                           provenance="three_term")
+    return CompanionPencil(c1=c1, c0=c0, n=n, ell=ell, basis=p.basis)
 
 
 def build_bernstein(p: MatrixPolynomial) -> CompanionPencil:
@@ -151,8 +144,7 @@ def build_bernstein(p: MatrixPolynomial) -> CompanionPencil:
     c1[_blk(0, n), _blk(0, n)] = coeff[ell] / ell - coeff[ell - 1]
     for i in range(1, ell):
         c1[_blk(i, n), _blk(i, n)] = ((i + 1.0) / (ell - i)) * eye
-    return CompanionPencil(c1=c1, c0=c0, n=n, ell=ell, basis=p.basis,
-                           provenance="bernstein")
+    return CompanionPencil(c1=c1, c0=c0, n=n, ell=ell, basis=p.basis)
 
 
 def build_lagrange(p: MatrixPolynomial) -> CompanionPencil:
@@ -178,8 +170,7 @@ def build_lagrange(p: MatrixPolynomial) -> CompanionPencil:
         c0[_blk(0, n), _blk(1 + k, n)] = -p.samples[k]
         c0[_blk(1 + k, n), _blk(0, n)] = beta[k] * eye
         c0[_blk(1 + k, n), _blk(1 + k, n)] = tau * eye
-    return CompanionPencil(c1=c1, c0=c0, n=n, ell=ell, basis=p.basis,
-                           provenance="lagrange")
+    return CompanionPencil(c1=c1, c0=c0, n=n, ell=ell, basis=p.basis)
 
 
 def build_hermite(p: MatrixPolynomial) -> CompanionPencil:
@@ -215,30 +206,5 @@ def build_hermite(p: MatrixPolynomial) -> CompanionPencil:
                 c0[_blk(col, n), _blk(col - 1, n)] = eye
         pos += s
         wpos += s
-    return CompanionPencil(c1=c1, c0=c0, n=n, ell=ell, basis=p.basis,
-                           provenance="hermite")
+    return CompanionPencil(c1=c1, c0=c0, n=n, ell=ell, basis=p.basis)
 
-
-def flip(pc: CompanionPencil) -> CompanionPencil:
-    """Conjugate both matrices by the anti-identity (an involution)."""
-    j = sip(pc.size)
-    return CompanionPencil(c1=j @ pc.c1 @ j, c0=j @ pc.c0 @ j, n=pc.n,
-                           ell=pc.ell, basis=pc.basis,
-                           provenance=pc.provenance + "+flip")
-
-
-def transpose(pc: CompanionPencil) -> CompanionPencil:
-    return CompanionPencil(c1=pc.c1.T.copy(), c0=pc.c0.T.copy(), n=pc.n,
-                           ell=pc.ell, basis=pc.basis,
-                           provenance=pc.provenance + "+transpose")
-
-
-def similarity(pc: CompanionPencil, s) -> CompanionPencil:
-    """(S^-1 C1 S, S^-1 C0 S) for nonsingular S; generalized eigenvalues are kept."""
-    s = as_cmatrix(s)
-    if s.shape[0] != pc.size:
-        raise DimensionMismatchError("similarity transform has the wrong size")
-    f = lu_factor(s)
-    return CompanionPencil(c1=lu_solve(f, pc.c1 @ s), c0=lu_solve(f, pc.c0 @ s),
-                           n=pc.n, ell=pc.ell, basis=pc.basis,
-                           provenance=pc.provenance + "+similarity")

@@ -9,7 +9,7 @@ relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,6 +31,7 @@ __all__ = [
     "resolvent",
     "verify_triple",
     "flip_triple",
+    "transpose_triple",
     "similarity_triple",
     "monomial_standard_pair",
     "sample_points",
@@ -49,14 +50,9 @@ class GeneralizedStandardTriple:
 
 
 def make_triple(pc: CompanionPencil) -> GeneralizedStandardTriple:
-    """Attach the universal X and Y to a pencil built by this package."""
+    """Attach the universal X and Y to a pencil as a builder returned it."""
     if pc.basis is None:
-        raise ValueError("pencil carries no basis metadata; build X and Y by hand")
-    if "+" in pc.provenance:
-        raise ValueError(
-            "pencil has been flipped/transposed/transformed; use flip_triple or "
-            "similarity_triple on the original triple instead"
-        )
+        raise ValueError("pencil carries no basis; transform or compose its triple instead")
     n = pc.n
     blocks = pc.size // n
     row = one_coefficients(pc.basis, pc.ell)
@@ -89,24 +85,33 @@ def verify_triple(t: GeneralizedStandardTriple, p: MatrixPolynomial, zs) -> floa
     return worst
 
 
-def flip_triple(t: GeneralizedStandardTriple) -> GeneralizedStandardTriple:
-    """Triple of the flipped pencil: (X J, J (z C1 - C0) J, J Y)."""
-    from .pencils import flip
+def _transformed(t, x, c1, c0, y) -> GeneralizedStandardTriple:
+    pencil = replace(t.pencil, c1=c1, c0=c0, basis=None)
+    return GeneralizedStandardTriple(x=x, pencil=pencil, y=y)
 
-    j = sip(t.pencil.size)
-    return GeneralizedStandardTriple(x=t.x @ j, pencil=flip(t.pencil), y=j @ t.y)
+
+def flip_triple(t: GeneralizedStandardTriple) -> GeneralizedStandardTriple:
+    """Triple of the flipped pencil: (X J, J (z C1 - C0) J, J Y), J the anti-identity."""
+    pc = t.pencil
+    j = sip(pc.size)
+    return _transformed(t, t.x @ j, j @ pc.c1 @ j, j @ pc.c0 @ j, j @ t.y)
+
+
+def transpose_triple(t: GeneralizedStandardTriple) -> GeneralizedStandardTriple:
+    """(Y^T, z C1^T - C0^T, X^T), a triple of P^T: its resolvent is the transpose."""
+    pc = t.pencil
+    return _transformed(t, t.y.T.copy(), pc.c1.T.copy(), pc.c0.T.copy(), t.x.T.copy())
 
 
 def similarity_triple(t: GeneralizedStandardTriple, s) -> GeneralizedStandardTriple:
     """Triple sharing the same resolvent: (X S, S^-1 (z C1 - C0) S, S^-1 Y)."""
-    from .pencils import similarity
-
     s = as_cmatrix(s)
-    return GeneralizedStandardTriple(
-        x=t.x @ s,
-        pencil=similarity(t.pencil, s),
-        y=lu_solve(lu_factor(s), t.y),
-    )
+    pc = t.pencil
+    if s.shape[0] != pc.size:
+        raise DimensionMismatchError("similarity transform has the wrong size")
+    f = lu_factor(s)
+    return _transformed(t, t.x @ s, lu_solve(f, pc.c1 @ s), lu_solve(f, pc.c0 @ s),
+                        lu_solve(f, t.y))
 
 
 def sample_points(pc: CompanionPencil, count, rng, radius=2.0, avoid=()):

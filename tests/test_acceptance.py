@@ -21,7 +21,6 @@ from polypencil import (
     build,
     build_algebraic,
     build_three_term,
-    composed_triple,
     equivalence_degree_graded,
     equivalence_lagrange,
     evaluate,
@@ -179,17 +178,16 @@ def test_criterion_6_algebraic_linearization():
         pb = MatrixPolynomial.from_coefficients(Monomial(), scalar([2, 0, 1]))
         ta, tb = make_triple(build(pa)), make_triple(build(pb))
         c = np.array([[3.0]])
-        al = build_algebraic(ta, tb, c)
-        assert verify_algebraic(al, lambda z: [[z * z + 1.0]],
+        inner_triple = build_algebraic(ta, tb, c)
+        assert verify_algebraic(inner_triple, lambda z: [[z * z + 1.0]],
                                 lambda z: [[z * z + 2.0]], c, zs) <= 1e-7
 
         pmix_a = MatrixPolynomial.from_coefficients(ChebyshevT(), scalar([0.4, -0.7, 1.2]))
         pmix_b = MatrixPolynomial.from_coefficients(Bernstein(grade=2), scalar([0.9, 0.2, -1.1]))
         cm = np.array([[1.0]])
-        al_mixed = build_algebraic(make_triple(build(pmix_a)), make_triple(build(pmix_b)), cm)
-        assert verify_algebraic(al_mixed, pmix_a, pmix_b, cm, zs) <= 1e-7
+        t_mixed = build_algebraic(make_triple(build(pmix_a)), make_triple(build(pmix_b)), cm)
+        assert verify_algebraic(t_mixed, pmix_a, pmix_b, cm, zs) <= 1e-7
 
-        inner_triple = composed_triple(al, ta, tb)
         tb2 = make_triple(build(MatrixPolynomial.from_coefficients(Monomial(), scalar([1, 1]))))
         c2 = np.array([[5.0]])
         outer = build_algebraic(inner_triple, tb2, c2)

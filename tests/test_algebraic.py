@@ -1,9 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import rand_matrix, random_polynomial
 from polypencil import (
-    AlgebraicLinearization,
     Bernstein,
     ChebyshevT,
     DimensionMismatchError,
@@ -11,7 +12,6 @@ from polypencil import (
     Monomial,
     build,
     build_algebraic,
-    composed_triple,
     generalized_eigenvalues,
     make_triple,
     resolvent,
@@ -35,28 +35,25 @@ class TestScalarOracle:
         ta = monomial_triple([1, 0, 1])   # z^2 + 1
         tb = monomial_triple([2, 0, 1])   # z^2 + 2
         c = np.array([[3.0]])
-        al = build_algebraic(ta, tb, c)
-        assert al.dh.shape == (5, 5)
+        t = build_algebraic(ta, tb, c)
+        assert t.pencil.c1.shape == (5, 5)
+        assert t.pencil.basis is None
         # direct expansion is the oracle
         h = lambda z: z * (z * z + 1.0) * (z * z + 2.0) + 3.0
-        spread = verify_algebraic(al, lambda z: [[z * z + 1.0]], lambda z: [[z * z + 2.0]],
+        spread = verify_algebraic(t, lambda z: [[z * z + 1.0]], lambda z: [[z * z + 2.0]],
                                   c, SAMPLES)
         assert spread <= 1e-8
         for z in SAMPLES:
             from polypencil.linalg import det
 
-            ratio = det(z * al.dh - al.eh) / h(z)
+            ratio = det(t.pencil.at(z)) / h(z)
             assert ratio == pytest.approx(1.0, rel=1e-10)
 
     def test_decoupled_case_spectrum(self):
         ta = monomial_triple([1, 0, 1])
         tb = monomial_triple([2, 0, 1])
-        al = build_algebraic(ta, tb, np.zeros((1, 1)))
-        from polypencil.pencils import CompanionPencil
-
-        pc = CompanionPencil(c1=al.dh, c0=al.eh, n=1, ell=al.ell, basis=None,
-                             provenance="algebraic")
-        result = generalized_eigenvalues(pc, rng=np.random.default_rng(5))
+        t = build_algebraic(ta, tb, np.zeros((1, 1)))
+        result = generalized_eigenvalues(t.pencil, rng=np.random.default_rng(5))
         got = sorted((l for l, _ in result.finite), key=lambda v: (round(v.real, 6), v.imag))
         expected = sorted([0.0, 1j, -1j, np.sqrt(2) * 1j, -np.sqrt(2) * 1j],
                           key=lambda v: (round(complex(v).real, 6), complex(v).imag))
@@ -69,8 +66,8 @@ def test_mixed_bases(rng):
     pa = MatrixPolynomial.from_coefficients(ChebyshevT(), scalar([0.3, -0.2, 1.1]))
     pb = MatrixPolynomial.from_coefficients(Bernstein(grade=2), scalar([0.8, 0.1, -0.9]))
     c = np.array([[1.0]])
-    al = build_algebraic(make_triple(build(pa)), make_triple(build(pb)), c)
-    spread = verify_algebraic(al, pa, pb, c, SAMPLES)
+    t = build_algebraic(make_triple(build(pa)), make_triple(build(pb)), c)
+    spread = verify_algebraic(t, pa, pb, c, SAMPLES)
     assert spread <= 1e-7
 
 
@@ -78,10 +75,10 @@ def test_corrupted_coupling_is_detected():
     ta = monomial_triple([1, 0, 1])
     tb = monomial_triple([2, 0, 1])
     c = np.array([[3.0]])
-    al = build_algebraic(ta, tb, c)
-    eh_bad = al.eh.copy()
+    t = build_algebraic(ta, tb, c)
+    eh_bad = t.pencil.c0.copy()
     eh_bad[:2, 3:] *= 2.0  # double the coupling block only
-    bad = AlgebraicLinearization(dh=al.dh, eh=eh_bad, na=al.na, nb=al.nb, n=al.n, ell=al.ell)
+    bad = dataclasses.replace(t, pencil=dataclasses.replace(t.pencil, c0=eh_bad))
     spread = verify_algebraic(bad, lambda z: [[z * z + 1.0]], lambda z: [[z * z + 2.0]],
                               c, SAMPLES)
     assert spread > 1e-3
@@ -91,8 +88,8 @@ def test_block_case(rng):
     pa = random_polynomial("monomial", 2, 2, rng)
     pb = random_polynomial("chebyshev", 2, 2, rng)
     c = rand_matrix(rng, 2)
-    al = build_algebraic(make_triple(build(pa)), make_triple(build(pb)), c)
-    spread = verify_algebraic(al, pa, pb, c, SAMPLES)
+    t = build_algebraic(make_triple(build(pa)), make_triple(build(pb)), c)
+    spread = verify_algebraic(t, pa, pb, c, SAMPLES)
     assert spread <= 1e-7
 
 
@@ -100,8 +97,7 @@ def test_composed_triple_resolvent():
     ta = monomial_triple([1, 0, 1])
     tb = monomial_triple([2, 0, 1])
     c = np.array([[3.0]])
-    al = build_algebraic(ta, tb, c)
-    th = composed_triple(al, ta, tb)
+    th = build_algebraic(ta, tb, c)
     h = lambda z: z * (z * z + 1.0) * (z * z + 2.0) + 3.0
     for z in SAMPLES:
         assert resolvent(th, z)[0, 0] == pytest.approx(1.0 / h(z), rel=1e-10)
@@ -111,16 +107,14 @@ def test_recursive_composition():
     ta = monomial_triple([1, 0, 1])
     tb = monomial_triple([2, 0, 1])
     c1 = np.array([[3.0]])
-    inner = build_algebraic(ta, tb, c1)
-    t_inner = composed_triple(inner, ta, tb)
+    t_inner = build_algebraic(ta, tb, c1)
     tb2 = monomial_triple([1, 1])  # z + 1
     c2 = np.array([[5.0]])
-    outer = build_algebraic(t_inner, tb2, c2)
+    t_outer = build_algebraic(t_inner, tb2, c2)
     h1 = lambda z: z * (z * z + 1.0) * (z * z + 2.0) + 3.0
     h2 = lambda z: z * h1(z) * (z + 1.0) + 5.0
-    spread = verify_algebraic(outer, lambda z: [[h1(z)]], lambda z: [[z + 1.0]], c2, SAMPLES)
+    spread = verify_algebraic(t_outer, lambda z: [[h1(z)]], lambda z: [[z + 1.0]], c2, SAMPLES)
     assert spread <= 1e-7
-    t_outer = composed_triple(outer, t_inner, tb2)
     for z in (0.45, 1.8 - 0.6j):
         assert resolvent(t_outer, z)[0, 0] == pytest.approx(1.0 / h2(z), rel=1e-9)
 

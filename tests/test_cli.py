@@ -282,25 +282,58 @@ class TestDocumentValidation:
         code, _, err = run(capsys, "pencil", write(tmp_path, "d.json", doc))
         assert code == 2 and "coefficient matrices" in err
 
-    def _assert_schema_fault(self, capsys, path, word):
-        code, out, err = run(capsys, "eig", path)
+    def _assert_schema_fault(self, capsys, word, *argv):
+        code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error:") and word in err and "Traceback" not in err
 
     def test_boolean_n_exits_2(self, tmp_path, capsys):
         doc = dict(SQUARE_PLUS_ONE, n=True)
-        self._assert_schema_fault(capsys, write(tmp_path, "d.json", doc), '"n"')
+        self._assert_schema_fault(capsys, '"n"', "eig", write(tmp_path, "d.json", doc))
 
     def test_short_custom_beta_exits_2(self, tmp_path, capsys):
         doc = {"basis": {"kind": "custom",
                          "recurrence": {"alpha": [1, 0.5, 0.5], "beta": [0, 0],
                                         "gamma": [0, 0.5, 0.5]}},
                "n": 1, "coefficients": [[[0.3]], [[-0.7]], [[1.1]], [[0.4]]]}
-        self._assert_schema_fault(capsys, write(tmp_path, "d.json", doc), "beta")
+        self._assert_schema_fault(capsys, "beta", "eig", write(tmp_path, "d.json", doc))
 
     def test_fractional_confluency_exits_2(self, tmp_path, capsys):
         doc = dict(HERMITE_ONE, basis=dict(HERMITE_ONE["basis"], confluencies=[2, 1, 1, 1.7]))
-        self._assert_schema_fault(capsys, write(tmp_path, "d.json", doc), "confluencies")
+        self._assert_schema_fault(capsys, "confluencies", "eig", write(tmp_path, "d.json", doc))
+
+    @pytest.mark.parametrize("command", ["pencil", "eig", "verify"])
+    def test_infinite_shift_exits_2(self, tmp_path, capsys, command):
+        # json writes the float as the bare token Infinity, which Python's reader accepts
+        doc = dict(SQUARE_PLUS_ONE, basis={"kind": "shifted", "shift": float("inf")})
+        self._assert_schema_fault(capsys, "finite", command, write(tmp_path, "d.json", doc))
+
+    def test_infinite_coefficient_exits_2(self, tmp_path, capsys):
+        doc = dict(SQUARE_PLUS_ONE, coefficients=[[[1]], [[float("-inf")]], [[1]]])
+        self._assert_schema_fault(capsys, "finite", "eig", write(tmp_path, "d.json", doc))
+
+    def test_nan_lagrange_node_exits_2(self, tmp_path, capsys):
+        doc = dict(LAGRANGE_EYE, basis={"kind": "lagrange", "nodes": [1, float("nan"), -1]})
+        self._assert_schema_fault(capsys, "finite", "eig", write(tmp_path, "d.json", doc))
+
+    @pytest.mark.parametrize("digits,word", [(400, "finite"), (5000, "not valid JSON")])
+    def test_out_of_range_integer_exits_2(self, tmp_path, capsys, digits, word):
+        # beyond the float range, and beyond the reader's integer length limit
+        text = json.dumps(SQUARE_PLUS_ONE).replace("[[0]]", "[[1" + "0" * digits + "]]")
+        self._assert_schema_fault(capsys, word, "pencil", write(tmp_path, "d.json", text))
+
+    def test_boolean_entry_exits_2(self, tmp_path, capsys):
+        doc = dict(SQUARE_PLUS_ONE, coefficients=[[[True]], [[0]], [[1]]])
+        self._assert_schema_fault(capsys, "number", "eig", write(tmp_path, "d.json", doc))
+
+    def test_non_finite_coupling_matrix_exits_2(self, tmp_path, capsys):
+        a = write(tmp_path, "a.json", SQUARE_PLUS_ONE)
+        c = write(tmp_path, "c.json", {"matrix": [[[0.0, float("nan")]]]})
+        self._assert_schema_fault(capsys, "finite", "alglin", a, a, "--c", c)
+
+    def test_too_few_newton_nodes_exits_2(self, tmp_path, capsys):
+        doc = dict(NEWTON_DOC, basis={"kind": "newton", "nodes": [1, 0.5]})
+        self._assert_schema_fault(capsys, "nodes", "eig", write(tmp_path, "d.json", doc))
 
     def test_hermite_grade_mismatch(self, tmp_path, capsys):
         doc = dict(HERMITE_ONE)

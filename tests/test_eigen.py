@@ -13,7 +13,6 @@ from polypencil import (
     NoConvergenceError,
     build,
     build_algebraic,
-    composed_triple,
     eig,
     eigen_residual,
     evaluate,
@@ -216,8 +215,7 @@ def _mandelbrot_pencil(depth, c):
     one = np.eye(1, dtype=complex)
     triple = make_triple(build(MatrixPolynomial.from_coefficients(Monomial(), [one, one])))
     for _ in range(depth - 1):
-        al = build_algebraic(triple, triple, c * one)
-        triple = composed_triple(al, triple, triple)
+        triple = build_algebraic(triple, triple, c * one)
     return triple.pencil
 
 

@@ -8,12 +8,10 @@ from polypencil.linalg import (
     as_cmatrix,
     det,
     determinant,
-    frobenius_norm,
-    kron,
     lu_factor,
+    lu_solve,
     pivot_ratio,
     sip,
-    solve,
 )
 
 
@@ -58,16 +56,16 @@ class TestLUFactor:
 class TestSolve:
     def test_identity_passthrough(self, rng):
         b = rand(rng, 4, 2)
-        assert np.allclose(solve(np.eye(4), b), b)
+        assert np.allclose(lu_solve(lu_factor(np.eye(4)), b), b)
 
     def test_scaling(self):
-        x = solve(2.0 * np.eye(4), np.ones((4, 1)))
+        x = lu_solve(lu_factor(2.0 * np.eye(4)), np.ones((4, 1)))
         assert np.allclose(x, 0.5 * np.ones((4, 1)))
 
     def test_residual_random(self, rng):
         a = rand(rng, 6) + 3.0 * np.eye(6)  # keep it comfortably nonsingular
         b = rand(rng, 6, 1)
-        x = solve(a, b)
+        x = lu_solve(lu_factor(a), b)
         res = np.linalg.norm(a @ x - b)
         assert res <= 1e-10 * np.linalg.norm(a) * np.linalg.norm(x)
 
@@ -75,7 +73,7 @@ class TestSolve:
         for n in range(1, 13):
             a = rand(rng, n) + (n + 1) * np.eye(n)
             b = rand(rng, n, 1)
-            x = solve(a, b)
+            x = lu_solve(lu_factor(a), b)
             assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(a) * np.linalg.norm(b)
 
 
@@ -98,32 +96,13 @@ class TestDeterminant:
             assert det(a) == pytest.approx(np.linalg.det(a), rel=1e-10)
 
 
-class TestKron:
-    def test_scalar_times_identity(self):
-        assert np.allclose(kron([[2.0]], np.eye(3)), 2.0 * np.eye(3))
-
-    def test_identity_blockdiag(self, rng):
-        m = rand(rng, 2)
-        out = kron(np.eye(2), m)
-        assert np.allclose(out[:2, :2], m)
-        assert np.allclose(out[2:, 2:], m)
-        assert np.count_nonzero(out[:2, 2:]) == 0
-
-    def test_block_swap(self):
-        out = kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
-        expected = np.zeros((4, 4))
-        expected[:2, 2:] = np.eye(2)
-        expected[2:, :2] = np.eye(2)
-        assert np.allclose(out, expected)
-
-
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000), p=st.integers(1, 4), q=st.integers(1, 4))
 def test_kron_determinant_identity(seed, p, q):
     rng = np.random.default_rng(seed)
     a = rand(rng, p) + (p + 1) * np.eye(p)
     b = rand(rng, q) + (q + 1) * np.eye(q)
-    lhs = det(kron(a, b))
+    lhs = det(np.kron(a, b))
     rhs = det(a) ** q * det(b) ** p
     assert abs(lhs - rhs) <= 1e-8 * max(abs(rhs), 1.0)
 
@@ -134,7 +113,7 @@ def test_solve_residual_property(seed, n):
     rng = np.random.default_rng(seed)
     a = rand(rng, n) + (n + 2) * np.eye(n)
     b = rand(rng, n, 1)
-    x = solve(a, b)
+    x = lu_solve(lu_factor(a), b)
     assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(a) * np.linalg.norm(b)
 
 
@@ -150,21 +129,3 @@ def test_pivot_ratio_flags_near_singularity():
     assert healthy == 1.0
     assert sick < 1e-12
 
-
-def test_frobenius_norm():
-    assert frobenius_norm(np.array([[3.0, 4.0]])) == pytest.approx(5.0)
-
-
-def test_arithmetic_helpers_validate_shapes(rng):
-    from polypencil.errors import DimensionMismatchError
-    from polypencil.linalg import add, matmul, scalar_mul, sub
-
-    a, b = rand(rng, 3), rand(rng, 3)
-    assert np.array_equal(add(a, b), a + b)
-    assert np.array_equal(sub(a, b), a - b)
-    assert np.array_equal(matmul(a, b), a @ b)
-    assert np.array_equal(scalar_mul(2.0 - 1.0j, a), (2.0 - 1.0j) * a)
-    with pytest.raises(DimensionMismatchError):
-        add(a, rand(rng, 2))
-    with pytest.raises(DimensionMismatchError):
-        matmul(rand(rng, 3, 2), rand(rng, 3, 2))

@@ -18,11 +18,12 @@ from polypencil import (
     build_lagrange,
     build_three_term,
     evaluate,
-    flip,
-    similarity,
-    transpose,
+    flip_triple,
+    make_triple,
+    similarity_triple,
+    transpose_triple,
 )
-from polypencil.linalg import det, kron, sip
+from polypencil.linalg import det, sip
 
 
 def scalar(values):
@@ -208,12 +209,12 @@ def test_kron_lift_matches_block_build(kind, rng):
             [[m[0, 0] * eye for m in g] for g in p_scalar.hermite_samples])
     pc_scalar = build(p_scalar)
     pc_block = build(p_block)
-    assert np.array_equal(kron(pc_scalar.c1, eye), pc_block.c1)
-    assert np.array_equal(kron(pc_scalar.c0, eye), pc_block.c0)
+    assert np.array_equal(np.kron(pc_scalar.c1, eye), pc_block.c1)
+    assert np.array_equal(np.kron(pc_scalar.c0, eye), pc_block.c0)
 
 
 def test_custom_recurrence_end_to_end(rng):
-    from polypencil import CustomThreeTerm, make_triple, sample_points, verify_triple
+    from polypencil import CustomThreeTerm, sample_points, verify_triple
 
     basis = CustomThreeTerm(alpha=(1.0, 0.6, 0.7, 0.8, 0.9),
                             beta=(0.1, -0.2, 0.05, 0.0, 0.3),
@@ -229,7 +230,7 @@ def test_custom_recurrence_end_to_end(rng):
 
 
 def test_deep_confluency_hermite(rng):
-    from polypencil import make_triple, sample_points, verify_triple
+    from polypencil import sample_points, verify_triple
 
     basis = Hermite(nodes=[0.4, -0.9], confluencies=[5, 1])
     groups = [[rng.standard_normal((1, 1)) for _ in range(5)],
@@ -243,23 +244,27 @@ def test_deep_confluency_hermite(rng):
 
 
 class TestTransforms:
+    """The triple-level transforms, checked on the pencils they produce."""
+
     def test_flip_involution(self, rng):
         p = random_polynomial("chebyshev", 2, 3, rng)
-        pc = build(p)
-        back = flip(flip(pc))
-        assert np.array_equal(back.c1, pc.c1)
-        assert np.array_equal(back.c0, pc.c0)
+        t = make_triple(build(p))
+        back = flip_triple(flip_triple(t))
+        assert np.array_equal(back.pencil.c1, t.pencil.c1)
+        assert np.array_equal(back.pencil.c0, t.pencil.c0)
+        assert np.array_equal(back.x, t.x)
+        assert np.array_equal(back.y, t.y)
 
     def test_flip_reverses_diagonal(self):
         p = MatrixPolynomial.from_coefficients(Monomial(), scalar([1, 2, 3, 4]))
         pc = build(p)
-        flipped = flip(pc)
+        flipped = flip_triple(make_triple(pc)).pencil
         assert np.allclose(np.diag(flipped.c1), np.diag(pc.c1)[::-1])
 
     def test_flip_transpose_chebyshev_band(self, rng):
         coeffs = rng.standard_normal(6)
         p = MatrixPolynomial.from_coefficients(ChebyshevT(), scalar(coeffs))
-        pc = transpose(flip(build(p)))
+        pc = transpose_triple(flip_triple(make_triple(build(p)))).pencil
         # bordered tridiagonal: nonzeros only on the band and the last column
         for i in range(5):
             for j in range(5):
@@ -276,34 +281,33 @@ class TestTransforms:
 
     def test_similarity_identity(self, rng):
         pc = build(random_polynomial("legendre", 2, 3, rng))
-        same = similarity(pc, np.eye(pc.size))
+        same = similarity_triple(make_triple(pc), np.eye(pc.size)).pencil
         assert np.allclose(same.c1, pc.c1)
         assert np.allclose(same.c0, pc.c0)
 
     def test_similarity_by_sip_equals_flip(self, rng):
-        pc = build(random_polynomial("newton", 1, 4, rng))
-        j = sip(pc.size)
-        assert np.allclose(similarity(pc, j).c0, flip(pc).c0)
-        assert np.allclose(similarity(pc, j).c1, flip(pc).c1)
+        t = make_triple(build(random_polynomial("newton", 1, 4, rng)))
+        moved = similarity_triple(t, sip(t.pencil.size))
+        flipped = flip_triple(t)
+        assert np.allclose(moved.pencil.c0, flipped.pencil.c0)
+        assert np.allclose(moved.pencil.c1, flipped.pencil.c1)
 
     def test_similarity_preserves_determinant(self, rng):
         p = random_polynomial("monomial", 2, 3, rng)
         pc = build(p)
         s = np.eye(pc.size) + 0.3 * rng.standard_normal((pc.size, pc.size))
-        moved = similarity(pc, s)
+        moved = similarity_triple(make_triple(pc), s).pencil
         for _ in range(5):
             z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
             assert det(moved.at(z)) == pytest.approx(det(pc.at(z)), rel=1e-8)
 
     def test_transpose_preserves_determinant(self, rng):
         pc = build(random_polynomial("bernstein", 2, 3, rng))
-        moved = transpose(pc)
+        moved = transpose_triple(make_triple(pc)).pencil
         for z in (0.4, -1.3 + 0.2j):
             assert det(moved.at(z)) == pytest.approx(det(pc.at(z)), rel=1e-10)
 
     def test_transformed_pencil_rejects_make_triple(self, rng):
-        from polypencil import make_triple
-
-        pc = build(random_polynomial("chebyshev", 1, 3, rng))
+        t = make_triple(build(random_polynomial("chebyshev", 1, 3, rng)))
         with pytest.raises(ValueError):
-            make_triple(flip(pc))
+            make_triple(flip_triple(t).pencil)

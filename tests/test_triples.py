@@ -15,6 +15,7 @@ from polypencil import (
     NotMonicError,
     SingularPencilError,
     build,
+    build_algebraic,
     evaluate,
     flip_triple,
     make_triple,
@@ -22,6 +23,7 @@ from polypencil import (
     resolvent,
     sample_points,
     similarity_triple,
+    transpose_triple,
     verify_triple,
 )
 
@@ -140,7 +142,7 @@ def test_defining_identity_random(kind, n, ell, rng):
     assert verify_triple(t, p, zs) <= 1e-8
 
 
-@pytest.mark.parametrize("kind", ["monomial", "chebyshev", "bernstein", "lagrange", "hermite"])
+@pytest.mark.parametrize("kind", ALL_KINDS)
 def test_similarity_invariance_of_resolvent(kind, rng):
     p = random_polynomial(kind, 2, 3, rng)
     pc = build(p)
@@ -153,7 +155,7 @@ def test_similarity_invariance_of_resolvent(kind, rng):
             assert np.max(np.abs(resolvent(moved, z) - resolvent(t, z))) <= 1e-9
 
 
-@pytest.mark.parametrize("kind", ["monomial", "newton", "bernstein", "lagrange", "hermite"])
+@pytest.mark.parametrize("kind", ALL_KINDS)
 def test_flip_consistency(kind, rng):
     p = random_polynomial(kind, 2, 3, rng)
     pc = build(p)
@@ -162,6 +164,29 @@ def test_flip_consistency(kind, rng):
     zs = sample_points(pc, 5, rng, avoid=poly_nodes(p))
     for z in zs:
         assert np.max(np.abs(resolvent(flipped, z) - resolvent(t, z))) <= 1e-9
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_transpose_consistency(kind, rng):
+    """(Y^T, z C1^T - C0^T, X^T) is a triple of P^T: its resolvent is R(z)^T."""
+    p = random_polynomial(kind, 2, 3, rng)
+    pc = build(p)
+    t = make_triple(pc)
+    moved = transpose_triple(t)
+    zs = sample_points(pc, 5, rng, avoid=poly_nodes(p))
+    for z in zs:
+        assert np.max(np.abs(resolvent(moved, z) - resolvent(t, z).T)) <= 1e-9
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_transformed_pencils_reject_make_triple(kind, rng):
+    t = make_triple(build(random_polynomial(kind, 2, 3, rng)))
+    s = np.eye(t.pencil.size) + 0.25 * rng.standard_normal((t.pencil.size, t.pencil.size))
+    for moved in (flip_triple(t), transpose_triple(t), similarity_triple(t, s),
+                  build_algebraic(t, t, np.eye(2))):
+        assert moved.pencil.basis is None
+        with pytest.raises(ValueError):
+            make_triple(moved.pencil)
 
 
 class TestMonomialStandardPair:
