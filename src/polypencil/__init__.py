@@ -1,6 +1,7 @@
 """Companion pencils, generalized standard triples, and algebraic linearizations
 for regular matrix polynomials in monomial, orthogonal, Newton, Bernstein,
-Lagrange, and Hermite bases, with a self-contained dense complex eigensolver."""
+Lagrange, and Hermite bases, with eigenvalues from LAPACK (through numpy) and
+a self-contained dense complex QR solver kept as the reference."""
 
 from .algebraic import build_algebraic, composed_triple, verify_algebraic
 from .bases import (
@@ -17,7 +18,6 @@ from .bases import (
     Taylor,
     ThreeTermBasis,
     barycentric_weights,
-    eval_phi,
     node_polynomial,
     null_vector_basis_matrix,
     one_coefficients,
@@ -32,7 +32,6 @@ from .eigen import (
     qr_eigenvalues,
 )
 from .equivalence import (
-    FROM_MONOMIAL,
     TO_MONOMIAL,
     EquivalencePair,
     equivalence_degree_graded,

@@ -6,8 +6,8 @@ Supported families:
   Chebyshev T, Legendre P, and user-supplied recurrences), satisfying
   ``z*phi_k = alpha_k*phi_{k+1} + beta_k*phi_k + gamma_k*phi_{k-1}``;
 * the Bernstein basis of a fixed grade on [0, 1];
-* Lagrange interpolational bases on distinct nodes;
-* Hermite interpolational bases on distinct nodes with confluencies.
+* Hermite interpolational bases on distinct nodes with confluencies, and
+  Lagrange bases, the Hermite bases with every confluency 1.
 
 Coefficient rows and matrices produced here follow one ordering convention
 throughout: polynomial coefficients are listed with the highest power first,
@@ -45,7 +45,6 @@ __all__ = [
     "Hermite",
     "RecurrenceRow",
     "recurrence_row",
-    "eval_phi",
     "phi_rows",
     "one_coefficients",
     "node_polynomial",
@@ -145,10 +144,20 @@ class Bernstein(Basis):
 
 @dataclass(frozen=True)
 class Lagrange(Basis):
+    """Lagrange basis on distinct nodes: the Hermite basis with every confluency 1."""
+
     nodes: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", _check_nodes(self.nodes))
+
+    @property
+    def confluencies(self) -> tuple:
+        return (1,) * len(self.nodes)
+
+    @property
+    def grade(self) -> int:
+        return len(self.nodes) - 1
 
 
 @dataclass(frozen=True)
@@ -210,27 +219,6 @@ def recurrence_row(basis: Basis, k: int) -> RecurrenceRow:
     raise UnsupportedBasisError(f"{type(basis).__name__} has no three-term recurrence")
 
 
-def eval_phi(basis: Basis, k: int, z: complex) -> complex:
-    """Value of the k-th basis function at z (column k of phi_rows, rescaled)."""
-    if k < 0:
-        raise ValueError("basis index must be >= 0")
-    if isinstance(basis, ThreeTermBasis):
-        count = k + 1
-    elif isinstance(basis, Bernstein):
-        count = basis.grade + 1
-    elif isinstance(basis, Lagrange):
-        count = len(basis.nodes)
-    else:
-        raise UnsupportedBasisError(
-            "Hermite basis functions are evaluated through the interpolation formula, "
-            "not individually"
-        )
-    if k >= count:
-        raise ValueError(f"{type(basis).__name__} index {k} exceeds the {count} basis functions")
-    z = complex(z)
-    return complex(phi_rows(basis, count, [z])[0, k] * max(1.0, abs(z)) ** (count - 1))
-
-
 def phi_rows(basis: Basis, count: int, zs) -> np.ndarray:
     """phi_0 .. phi_{count-1} at every z in one pass, one row per point.
 
@@ -263,7 +251,7 @@ def phi_rows(basis: Basis, count: int, zs) -> np.ndarray:
         return binom * (z * inv)[:, None] ** k * ((1.0 - z) * inv)[:, None] ** (ell - k)
     if isinstance(basis, (Lagrange, Hermite)):
         nodes = np.asarray(basis.nodes, dtype=complex)
-        confl = getattr(basis, "confluencies", (1,) * len(nodes))
+        confl = basis.confluencies
         if sum(confl) != count:
             raise ValueError(f"{count} values do not match the {sum(confl)} interpolation data")
         weights = barycentric_weights(basis)
@@ -299,89 +287,57 @@ def one_coefficients(basis: Basis, ell: int) -> np.ndarray:
         if ell != basis.grade:
             raise ValueError(f"grade {ell} does not match Bernstein grade {basis.grade}")
         return np.arange(1, ell + 1, dtype=complex) / ell
-    if isinstance(basis, Lagrange):
-        if ell != len(basis.nodes) - 1:
-            raise ValueError("grade must equal node count minus one")
-        row = np.ones(ell + 2, dtype=complex)
-        row[0] = 0.0
-        return row
-    if isinstance(basis, Hermite):
+    if isinstance(basis, (Lagrange, Hermite)):
         if ell != basis.grade:
-            raise ValueError("grade must equal sum of confluencies minus one")
+            raise ValueError("grade must equal the number of interpolation data minus one")
         row = np.zeros(ell + 2, dtype=complex)
-        pos = 1
-        for s in basis.confluencies:
-            row[pos + s - 1] = 1.0
-            pos += s
+        row[np.cumsum(basis.confluencies)] = 1.0  # the value column of each node
         return row
     raise UnsupportedBasisError(f"unknown basis {type(basis).__name__}")
 
 
 def node_polynomial(basis: Basis) -> np.ndarray:
     """Monic node polynomial, coefficients in descending powers."""
-    if isinstance(basis, Lagrange):
-        pairs = [(t, 1) for t in basis.nodes]
-    elif isinstance(basis, Hermite):
-        pairs = list(zip(basis.nodes, basis.confluencies))
-    else:
+    if not isinstance(basis, (Lagrange, Hermite)):
         raise UnsupportedBasisError("node polynomial needs a Lagrange or Hermite basis")
     poly = np.array([1.0 + 0.0j])
-    for t, s in pairs:
+    for t, s in zip(basis.nodes, basis.confluencies):
         for _ in range(s):
             poly = np.convolve(poly, np.array([1.0, -t], dtype=complex))
     return poly
 
 
-def _taylor_coefficients(desc, tau):
-    """Ascending Taylor coefficients about tau, by repeated synthetic division."""
-    work = list(desc)
-    out = []
-    while work:
-        q = [work[0]]
-        for x in work[1:]:
-            q.append(q[-1] * tau + x)
-        out.append(q.pop())
-        work = q
-    return out
-
-
 def barycentric_weights(basis: Basis) -> np.ndarray:
     """Partial-fraction coefficients of 1/omega(z) over the nodes.
 
-    Lagrange weights come from the product formula.  Hermite weights for node
-    tau_i are the leading Taylor coefficients of 1/g_i about tau_i, where
-    g_i(z) = omega(z)/(z - tau_i)^{s_i}; the flat result lists each node's
-    weights with the derivative order descending, matching the first column
-    of the Hermite pencil.
+    The weights of node tau_i are the leading s_i Taylor coefficients in h of
+    1/g_i(tau_i + h), g_i(z) = prod_{j != i} (z - tau_j)^{s_j}, computed
+    from the differences d = tau_i - tau_j alone as the series of
+    prod_{j != i} d^{-s_j} (1 + h/d)^{-s_j}; the monomial coefficients of
+    g_i never appear.  With unit confluencies this is the Lagrange product
+    formula 1/prod(tau_i - tau_j).  The flat result lists each node's
+    weights with the derivative order descending, matching the first
+    column of the interpolation pencil.
     """
-    if isinstance(basis, Lagrange):
-        nodes = basis.nodes
-        out = np.empty(len(nodes), dtype=complex)
-        for k, tk in enumerate(nodes):
-            prod = 1.0 + 0.0j
-            for j, tj in enumerate(nodes):
-                if j != k:
-                    prod *= tk - tj
-            out[k] = 1.0 / prod
-        return out
-    if isinstance(basis, Hermite):
-        flat = []
-        for i, (ti, si) in enumerate(zip(basis.nodes, basis.confluencies)):
-            g = np.array([1.0 + 0.0j])
-            for j, (tj, sj) in enumerate(zip(basis.nodes, basis.confluencies)):
-                if j == i:
-                    continue
-                for _ in range(sj):
-                    g = np.convolve(g, np.array([1.0, -tj], dtype=complex))
-            d = _taylor_coefficients(g, ti)
-            d = (d + [0.0j] * si)[:si]
-            c = [1.0 / d[0]]  # g(tau_i) != 0 because the nodes are distinct
+    if not isinstance(basis, (Lagrange, Hermite)):
+        raise UnsupportedBasisError("barycentric weights need a Lagrange or Hermite basis")
+    nodes, confl = basis.nodes, basis.confluencies
+    # one entry per linear factor (z - tau_j) of omega, tagged with its node
+    factors = [(tj, j) for j, (tj, sj) in enumerate(zip(nodes, confl)) for _ in range(sj)]
+    flat = []
+    for i, (ti, si) in enumerate(zip(nodes, confl)):
+        diffs = [ti - tj for tj, j in factors if j != i]
+        prod = 1.0 + 0.0j
+        for d in diffs:
+            prod *= d
+        series = [1.0 + 0.0j] + [0.0j] * (si - 1)
+        for d in diffs if si > 1 else ():  # divide by 1 + h/d (a no-op when s_i = 1)
             for k in range(1, si):
-                acc = sum(d[m] * c[k - m] for m in range(1, k + 1))
-                c.append(-acc / d[0])
-            flat.extend(c)
-        return np.asarray(flat, dtype=complex)
-    raise UnsupportedBasisError("barycentric weights need a Lagrange or Hermite basis")
+                series[k] -= series[k - 1] / d
+        lead = 1.0 / prod
+        flat.append(lead)
+        flat.extend(lead * c for c in series[1:])
+    return np.asarray(flat, dtype=complex)
 
 
 def monomial_rows(basis: ThreeTermBasis, count: int) -> np.ndarray:

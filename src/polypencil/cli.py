@@ -26,6 +26,7 @@ from .documents import (
     scalar_to_json,
 )
 from .equivalence import (
+    TO_MONOMIAL,
     equivalence_degree_graded,
     equivalence_lagrange,
     monomial_form,
@@ -151,7 +152,7 @@ def cmd_equiv(args):
     _emit({
         "E": matrix_to_json(pair.e),
         "F": matrix_to_json(pair.f),
-        "direction": pair.direction,
+        "direction": TO_MONOMIAL,
         "deviation": deviation,
         "pass": ok,
     }, args.pretty)
@@ -175,10 +176,18 @@ def cmd_bary(args):
     return EXIT_OK
 
 
+def positive_int(text):
+    """argparse type for counts: an integer >= 1 (a count of 0 checks nothing)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=1e-8, help="verification tolerance")
-    common.add_argument("--samples", type=int, default=10, help="number of sample points")
+    common.add_argument("--samples", type=positive_int, default=10, help="number of sample points")
     common.add_argument("--seed", type=int, default=0, help="RNG seed for samples and shifts")
     common.add_argument("--pretty", action="store_true", help="indent JSON output")
 

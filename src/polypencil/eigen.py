@@ -49,7 +49,7 @@ from .errors import (
     SingularMatrixError,
     SingularPencilEverywhereError,
 )
-from .linalg import as_cmatrix, lu_factor, lu_solve, pivot_ratio
+from .linalg import PIVOT_GUARD, as_cmatrix, lu_factor, lu_solve, pivot_ratio
 from .matpoly import MatrixPolynomial
 from .pencils import CompanionPencil
 
@@ -234,7 +234,7 @@ def _accepted_shift(pc: CompanionPencil, rng):
             f = lu_factor(candidate * pc.c1 - pc.c0)
         except SingularMatrixError:
             continue
-        if pivot_ratio(f) >= 1e-12:
+        if pivot_ratio(f) >= PIVOT_GUARD:
             return candidate, f
     raise SingularPencilEverywhereError(
         f"no acceptable shift among {MAX_SHIFT_TRIES} tries; pencil may be singular"

@@ -37,7 +37,6 @@ from .pencils import CompanionPencil, build_three_term
 
 __all__ = [
     "TO_MONOMIAL",
-    "FROM_MONOMIAL",
     "EquivalencePair",
     "equivalence_degree_graded",
     "equivalence_lagrange",
@@ -45,15 +44,13 @@ __all__ = [
     "monomial_form",
 ]
 
-TO_MONOMIAL = "to_monomial"      # E @ C_phi @ F == C_monomial
-FROM_MONOMIAL = "from_monomial"  # E @ C_monomial @ F == C_phi
+TO_MONOMIAL = "to_monomial"  # every pair satisfies E @ C_phi @ F == C_monomial
 
 
 @dataclass(frozen=True)
 class EquivalencePair:
     e: np.ndarray
     f: np.ndarray
-    direction: str
 
 
 def _right_div(x, a):
@@ -128,7 +125,7 @@ def equivalence_degree_graded(p: MatrixPolynomial) -> EquivalencePair:
         raise SingularC0Error("constant term of the basis pencil is singular") from exc
     scale = float(np.max(np.abs(pc_m.c1)))
     _check_pair(e, f, pc_phi.c1, pc_phi.c0, pc_m.c1, pc_m.c0, scale)
-    return EquivalencePair(e=e, f=f, direction=TO_MONOMIAL)
+    return EquivalencePair(e=e, f=f)
 
 
 def equivalence_lagrange(p: MatrixPolynomial) -> EquivalencePair:
@@ -161,20 +158,14 @@ def equivalence_lagrange(p: MatrixPolynomial) -> EquivalencePair:
     first = float(np.max(np.abs(e @ pc_phi.c0 @ f - pc_m.c0)))
     if first > 1e-6 * scale:
         raise EquivalenceCheckError(f"Lagrange equivalence violates the C0 equation by {first:.3e}")
-    return EquivalencePair(e=e, f=f, direction=TO_MONOMIAL)
+    return EquivalencePair(e=e, f=f)
 
 
 def verify_equivalence(pair: EquivalencePair, pencil_phi: CompanionPencil,
                        pencil_m: CompanionPencil) -> float:
-    """Max entrywise deviation over the two defining equations of the pair."""
+    """Max entrywise deviation over E C_phi F = C_monomial for both members."""
     if pencil_phi.size != pair.e.shape[0] or pencil_m.size != pair.e.shape[0]:
         raise DimensionMismatchError("pencils do not match the equivalence pair size")
-    if pair.direction == TO_MONOMIAL:
-        d0 = np.max(np.abs(pair.e @ pencil_phi.c0 @ pair.f - pencil_m.c0))
-        d1 = np.max(np.abs(pair.e @ pencil_phi.c1 @ pair.f - pencil_m.c1))
-    elif pair.direction == FROM_MONOMIAL:
-        d0 = np.max(np.abs(pair.e @ pencil_m.c0 @ pair.f - pencil_phi.c0))
-        d1 = np.max(np.abs(pair.e @ pencil_m.c1 @ pair.f - pencil_phi.c1))
-    else:
-        raise ValueError(f"unknown direction {pair.direction!r}")
+    d0 = np.max(np.abs(pair.e @ pencil_phi.c0 @ pair.f - pencil_m.c0))
+    d1 = np.max(np.abs(pair.e @ pencil_phi.c1 @ pair.f - pencil_m.c1))
     return float(max(d0, d1))

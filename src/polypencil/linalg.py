@@ -1,10 +1,12 @@
 """Dense complex matrix kernels: LU with partial pivoting, solves, determinants.
 
 Everything operates on plain ``numpy.ndarray`` values with dtype complex128.
-Matrices are small (pencil sizes at desk scale stay well under ~100), so the
-factorizations below favour clarity over BLAS-grade performance.  numpy is
-used as the array substrate; the factorization and substitution loops are
-written out so that pivot information stays available to callers.
+Pencils reach a few hundred rows (N up to 200 in the benchmark), but these
+loops factor only the matrices whose pivots a caller inspects or whose count
+per pencil is small (shifts, sample points, determinants, equivalence
+solves); eigenvalues come from LAPACK.  So the factorizations favour clarity
+over BLAS-grade performance: elimination and substitution are written out so
+that pivot information stays available to callers.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ __all__ = [
     "determinant",
     "det",
     "pivot_ratio",
+    "PIVOT_GUARD",
 ]
 
 
@@ -127,6 +130,11 @@ def det(a) -> complex:
         return determinant(lu_factor(a))
     except SingularMatrixError:
         return 0.0 + 0.0j
+
+
+# Pivot ratio below which a factored pencil matrix counts as numerically
+# singular: a sample point or a shift that close to the spectrum is redrawn.
+PIVOT_GUARD = 1e-12
 
 
 def pivot_ratio(f: LUFactors) -> float:

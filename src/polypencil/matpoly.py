@@ -12,23 +12,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .bases import (
-    Basis,
-    Bernstein,
-    Hermite,
-    Lagrange,
-    ThreeTermBasis,
-    barycentric_weights,
-    node_polynomial,
-    phi_rows,
-)
+from .bases import Basis, Bernstein, Hermite, Lagrange, ThreeTermBasis, phi_rows
 from .errors import DimensionMismatchError, UnsupportedBasisError
 from .linalg import as_cmatrix
 
 __all__ = ["MatrixPolynomial", "evaluate", "degree_defect"]
 
-# |z - tau| below this (relative) snaps evaluation to the stored node data;
-# the barycentric formulas are singular at the nodes themselves.
+# |z - tau| below this (relative) snaps evaluation to the stored node data,
+# which the interpolation formula reproduces only to rounding.
 NODE_SNAP = 1e-12
 
 
@@ -82,7 +73,7 @@ class MatrixPolynomial:
         vals, n = _payload(samples)
         if len(vals) != len(basis.nodes):
             raise ValueError("need exactly one sample matrix per node")
-        return cls(basis=basis, n=n, grade=len(vals) - 1, samples=vals)
+        return cls(basis=basis, n=n, grade=basis.grade, samples=vals)
 
     @classmethod
     def from_hermite_samples(cls, basis, samples_per_node):
@@ -115,48 +106,20 @@ def _near(z, tau):
 
 
 def evaluate(p: MatrixPolynomial, z) -> np.ndarray:
-    """P(z) as an n x n complex matrix.
+    """P(z) as an n x n complex matrix: the payload summed against phi_rows.
 
-    Coefficient payloads are summed against the basis values of phi_rows.
-    Lagrange and Hermite evaluation keeps the first barycentric form, which
-    returns the stored data exactly at (or numerically on top of) a node;
-    the product form of phi_rows only agrees there to rounding.
+    For interpolation data this is the product form of phi_rows, with no
+    omega(z)/(z - tau) division; on (or numerically on top of) a node the
+    stored value is returned exactly.
     """
     z = complex(z)
-    basis = p.basis
-    if p.coefficients is not None:
-        phi = phi_rows(basis, p.grade + 1, [z]) * max(1.0, abs(z)) ** p.grade
-        return (phi @ p.payload.reshape(p.grade + 1, -1)).reshape(p.n, p.n)
-    if p.samples is not None:
-        nodes = basis.nodes
-        for k, tau in enumerate(nodes):
+    if p.coefficients is None:
+        starts = np.cumsum((0,) + p.basis.confluencies[:-1])
+        for tau, start in zip(p.basis.nodes, starts):
             if _near(z, tau):
-                return p.samples[k].copy()
-        beta = barycentric_weights(basis)
-        omega = np.polyval(node_polynomial(basis), z)
-        out = np.zeros((p.n, p.n), dtype=complex)
-        for k, tau in enumerate(nodes):
-            out += (beta[k] / (z - tau)) * p.samples[k]
-        return omega * out
-    if p.hermite_samples is not None:
-        nodes = basis.nodes
-        confl = basis.confluencies
-        for i, tau in enumerate(nodes):
-            if _near(z, tau):
-                return p.hermite_samples[i][0].copy()
-        flat = barycentric_weights(basis)
-        omega = np.polyval(node_polynomial(basis), z)
-        out = np.zeros((p.n, p.n), dtype=complex)
-        pos = 0
-        for i, (tau, s) in enumerate(zip(nodes, confl)):
-            rho = p.hermite_samples[i]
-            for j in range(s):
-                bij = flat[pos + s - 1 - j]  # flat stores j descending
-                for k in range(j + 1):
-                    out += bij * rho[k] * (z - tau) ** (k - j - 1)
-            pos += s
-        return omega * out
-    raise ValueError("matrix polynomial has no payload")
+                return p.payload[start].copy()
+    phi = phi_rows(p.basis, p.grade + 1, [z]) * max(1.0, abs(z)) ** p.grade
+    return (phi @ p.payload.reshape(p.grade + 1, -1)).reshape(p.n, p.n)
 
 
 def degree_defect(p: MatrixPolynomial) -> int:

@@ -148,63 +148,45 @@ def build_bernstein(p: MatrixPolynomial) -> CompanionPencil:
 
 
 def build_lagrange(p: MatrixPolynomial) -> CompanionPencil:
-    """Arrowhead companion pencil for Lagrange interpolation data.
-
-    The data row, the barycentric-weight column, and the node diagonal give
-    det(tau_k C1 - C0) = det(rho_k) at each node; size is (ell+2) blocks.
-    """
+    """Arrowhead companion pencil for Lagrange interpolation data."""
     if not isinstance(p.basis, Lagrange) or p.samples is None:
         raise UnsupportedBasisError("build_lagrange needs a Lagrange sample polynomial")
-    nodes = p.basis.nodes
-    if len(nodes) < 2:
-        raise GradeTooSmallError("Lagrange pencil needs at least two nodes")
-    n = p.n
-    ell = len(nodes) - 1
-    beta = barycentric_weights(p.basis)
-    N = (ell + 2) * n
-    eye = np.eye(n, dtype=complex)
-    c1 = np.eye(N, dtype=complex)
-    c1[_blk(0, n), _blk(0, n)] = 0.0
-    c0 = np.zeros((N, N), dtype=complex)
-    for k, tau in enumerate(nodes):
-        c0[_blk(0, n), _blk(1 + k, n)] = -p.samples[k]
-        c0[_blk(1 + k, n), _blk(0, n)] = beta[k] * eye
-        c0[_blk(1 + k, n), _blk(1 + k, n)] = tau * eye
-    return CompanionPencil(c1=c1, c0=c0, n=n, ell=ell, basis=p.basis)
+    return _build_interpolational(p)
 
 
 def build_hermite(p: MatrixPolynomial) -> CompanionPencil:
-    """Companion pencil for confluent (Hermite) interpolation data.
-
-    Like the Lagrange pencil but each node block is a transposed Jordan-like
-    block of its confluency, the data row lists scaled derivatives in
-    descending order per node, and the weight column carries the confluent
-    partial-fraction coefficients.
-    """
+    """Arrowhead companion pencil for confluent (Hermite) interpolation data."""
     if not isinstance(p.basis, Hermite) or p.hermite_samples is None:
         raise UnsupportedBasisError("build_hermite needs a Hermite sample polynomial")
-    nodes = p.basis.nodes
-    confl = p.basis.confluencies
-    n = p.n
-    ell = p.basis.grade
+    return _build_interpolational(p)
+
+
+def _build_interpolational(p: MatrixPolynomial) -> CompanionPencil:
+    """The arrowhead pencil of Lagrange and Hermite data; Lagrange is confluency 1.
+
+    The data row lists each node's scaled derivatives in descending order,
+    the weight column carries the barycentric weights, and each node block
+    is tau on the diagonal with identities below it (a transposed Jordan
+    block of the node's confluency).  det(tau C1 - C0) = det P(tau) at every
+    node; size is (ell+2) blocks.
+    """
+    ell, n = p.grade, p.n
+    if ell < 1:
+        raise GradeTooSmallError("interpolation pencil needs grade >= 1")
     beta = barycentric_weights(p.basis)
     N = (ell + 2) * n
     eye = np.eye(n, dtype=complex)
     c1 = np.eye(N, dtype=complex)
     c1[_blk(0, n), _blk(0, n)] = 0.0
     c0 = np.zeros((N, N), dtype=complex)
-    pos = 1  # current block column within the tail
-    wpos = 0
-    for i, (tau, s) in enumerate(zip(nodes, confl)):
-        rho = p.hermite_samples[i]
+    start = 0  # the node's payload offset; its block columns are start+1 .. start+s
+    for tau, s in zip(p.basis.nodes, p.basis.confluencies):
         for j in range(s):
-            col = pos + j
-            c0[_blk(0, n), _blk(col, n)] = -rho[s - 1 - j]
-            c0[_blk(col, n), _blk(0, n)] = beta[wpos + j] * eye
+            col = start + 1 + j
+            c0[_blk(0, n), _blk(col, n)] = -p.payload[start + s - 1 - j]
+            c0[_blk(col, n), _blk(0, n)] = beta[start + j] * eye
             c0[_blk(col, n), _blk(col, n)] = tau * eye
             if j > 0:
                 c0[_blk(col, n), _blk(col - 1, n)] = eye
-        pos += s
-        wpos += s
+        start += s
     return CompanionPencil(c1=c1, c0=c0, n=n, ell=ell, basis=p.basis)
-

@@ -20,7 +20,7 @@ from .errors import (
     SingularMatrixError,
     SingularPencilError,
 )
-from .linalg import as_cmatrix, lu_factor, lu_solve, pivot_ratio, sip
+from .linalg import PIVOT_GUARD, as_cmatrix, lu_factor, lu_solve, pivot_ratio, sip
 from .matpoly import MatrixPolynomial, evaluate
 from .pencils import CompanionPencil, build_three_term
 
@@ -36,11 +36,6 @@ __all__ = [
     "monomial_standard_pair",
     "sample_points",
 ]
-
-# LU pivot ratio below which a sample point counts as (numerically) on the
-# spectrum and gets resampled rather than reported as a failure.
-PIVOT_GUARD = 1e-12
-
 
 @dataclass(frozen=True)
 class GeneralizedStandardTriple:

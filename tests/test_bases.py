@@ -20,12 +20,12 @@ from polypencil import (
     Taylor,
     UnsupportedBasisError,
     barycentric_weights,
-    eval_phi,
     node_polynomial,
     null_vector_basis_matrix,
     one_coefficients,
     recurrence_row,
 )
+from polypencil.bases import phi_rows
 
 
 class TestRecurrenceRow:
@@ -56,25 +56,32 @@ class TestRecurrenceRow:
             recurrence_row(Bernstein(grade=3), 1)
 
 
+def phi_value(basis, count, k, z):
+    """phi_k(z) from a count-column phi_rows row, undoing its max(1, |z|) scaling."""
+    return complex(phi_rows(basis, count, [z])[0, k] * max(1.0, abs(z)) ** (count - 1))
+
+
 class TestEvalPhi:
+    """Single basis function values, read off phi_rows."""
+
     def test_chebyshev_t2(self):
         expected = math.cos(2.0 * math.acos(0.5))
-        assert eval_phi(ChebyshevT(), 2, 0.5) == pytest.approx(expected)
+        assert phi_value(ChebyshevT(), 3, 2, 0.5) == pytest.approx(expected)
         assert expected == pytest.approx(-0.5)
 
     def test_monomial_cube(self):
-        assert eval_phi(Monomial(), 3, 2.0) == pytest.approx(8.0)
+        assert phi_value(Monomial(), 4, 3, 2.0) == pytest.approx(8.0)
 
     def test_bernstein_binomial(self):
         expected = 3.0 * (1 / 3) * (2 / 3) ** 2
-        assert eval_phi(Bernstein(grade=3), 1, 1 / 3) == pytest.approx(expected)
+        assert phi_value(Bernstein(grade=3), 4, 1, 1 / 3) == pytest.approx(expected)
         assert expected == pytest.approx(4 / 9)
 
     def test_chebyshev_cosine_identity(self, rng):
         for _ in range(10):
             theta = rng.uniform(0.0, math.pi)
             k = int(rng.integers(0, 11))
-            value = eval_phi(ChebyshevT(), k, math.cos(theta))
+            value = phi_value(ChebyshevT(), k + 1, k, math.cos(theta))
             assert abs(value - math.cos(k * theta)) <= 1e-12
 
     def test_newton_vanishes_at_earlier_nodes(self, rng):
@@ -82,18 +89,14 @@ class TestEvalPhi:
         basis = Newton(nodes=nodes)
         for k in range(1, 5):
             for j in range(min(k, 4)):
-                assert abs(eval_phi(basis, k, nodes[j])) <= 1e-12
+                assert abs(phi_value(basis, k + 1, k, nodes[j])) <= 1e-12
 
     def test_lagrange_cardinal(self):
         basis = Lagrange(nodes=[1.0, 0.0, -1.0])
         for k, tau in enumerate(basis.nodes):
             for j, other in enumerate(basis.nodes):
                 expected = 1.0 if j == k else 0.0
-                assert eval_phi(basis, k, other) == pytest.approx(expected, abs=1e-14)
-
-    def test_hermite_not_supported(self):
-        with pytest.raises(UnsupportedBasisError):
-            eval_phi(Hermite(nodes=[0.0], confluencies=[2]), 0, 0.5)
+                assert phi_value(basis, 3, k, other) == pytest.approx(expected, abs=1e-14)
 
 
 class TestOneCoefficients:
@@ -195,6 +198,16 @@ class TestBarycentricWeights:
         computed = barycentric_weights(
             Hermite(nodes=[float(t) for t in nodes], confluencies=confl))
         assert np.max(np.abs(computed - np.array([float(v) for v in exact]))) <= 1e-12
+
+    def test_hermite_clustered_nodes_against_exact_rational_oracle(self):
+        # nodes k/50, 0.06 to 0.14 apart; every weight to full relative accuracy
+        nodes = [F(k, 50) for k in (-20, -13, -9, -4, 0, 3, 7, 11)]
+        confl = [2, 3, 1, 3, 2, 1, 3, 2]
+        exact = exact_hermite_weights(nodes, confl, probes=range(2, 2 + sum(confl)))
+        exact = np.array([float(v) for v in exact])
+        computed = barycentric_weights(
+            Hermite(nodes=[float(t) for t in nodes], confluencies=confl))
+        assert np.max(np.abs(computed - exact) / np.abs(exact)) <= 1e-13
 
     def test_lagrange_partial_fraction_identity(self, rng):
         basis = Lagrange(nodes=[1.0, 0.2, -0.4, -1.3])

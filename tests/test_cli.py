@@ -93,6 +93,14 @@ class TestPencilCommand:
         assert code == 3
         assert "duplicate node" in err
 
+    @pytest.mark.parametrize("command", ["pencil", "eig", "verify"])
+    def test_grade_zero_hermite_exits_3(self, tmp_path, capsys, command):
+        doc = {"basis": {"kind": "hermite", "nodes": [0.5], "confluencies": [1]}, "n": 1,
+               "hermite_samples": [[[[2.0]]]]}
+        code, out, err = run(capsys, command, write(tmp_path, "d.json", doc))
+        assert code == 3 and out == ""
+        assert "grade" in err
+
     def test_basis_validate_only(self, tmp_path, capsys):
         path = write(tmp_path, "doc.json", SQUARE_PLUS_ONE)
         code, out, _ = run(capsys, "pencil", path, "--basis-validate")
@@ -199,6 +207,18 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", path, "--tol", "1e-30")
         assert code == 5
         assert json.loads(out)["pass"] is False
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_no_samples_is_a_usage_error(self, tmp_path, capsys, count):
+        # a verification at no sample point would check nothing and pass
+        a = write(tmp_path, "a.json", SQUARE_PLUS_ONE)
+        c = write(tmp_path, "c.json", [[1.0]])
+        for argv in (["verify", a], ["alglin", a, a, "--c", c]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--samples", count])
+            captured = capsys.readouterr()
+            assert exc.value.code == 2 and captured.out == ""
+            assert "--samples" in captured.err and "Traceback" not in captured.err
 
 
 class TestAlglinCommand:

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction as F
 
 import numpy as np
@@ -19,7 +18,6 @@ from polypencil import (
     monomial_form,
     verify_equivalence,
 )
-from polypencil.equivalence import FROM_MONOMIAL
 
 
 def scalar(values):
@@ -123,18 +121,6 @@ class TestLagrange:
         pm = build_three_term(monomial_form(p))
         assert pm.size == 5
         assert np.allclose(pm.c1, np.diag([0, 1, 1, 1, 1]))
-
-
-def test_mismatched_direction_reports_large_deviation(rng):
-    p = MatrixPolynomial.from_coefficients(ChebyshevT(),
-                                           scalar(rng.standard_normal(4) + 1.5))
-    pair = equivalence_degree_graded(p)
-    pm = build_three_term(monomial_form(p))
-    flipped = dataclasses.replace(pair, direction=FROM_MONOMIAL)
-    honest = verify_equivalence(pair, build(p), pm)
-    wrong = verify_equivalence(flipped, build(p), pm)
-    assert honest <= 1e-10
-    assert wrong > 1e-3
 
 
 def test_degree_graded_c1_transform_shape(rng):

@@ -112,6 +112,17 @@ class TestVerifyTriple:
             zs = sample_points(pc, 10, rng, radius=1.0, avoid=poly_nodes(p))
             assert verify_triple(t, p, zs) <= 1e-9
 
+    def test_hermite_clustered_nodes(self, rng):
+        # nodes 0.03-0.04 apart away from the origin, where monomial expansions
+        # of the node polynomial lose every digit of the weights
+        nodes, confl = [0.72, 0.75, 0.79, 0.82, 0.86], [2, 3, 1, 3, 2]
+        groups = [[rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+                   for _ in range(s)] for s in confl]
+        p = MatrixPolynomial.from_hermite_samples(Hermite(nodes=nodes, confluencies=confl),
+                                                  groups)
+        zs = [0.788 + 0.1 * np.exp(2j * np.pi * k / 10) for k in range(10)]
+        assert verify_triple(make_triple(build(p)), p, zs) <= 1e-8
+
     def test_zeroed_y_is_detected(self, rng):
         p = random_polynomial("legendre", 2, 3, rng)
         pc = build(p)
