@@ -18,6 +18,7 @@ descending inside each block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from numbers import Integral
 from typing import NamedTuple
@@ -142,8 +143,35 @@ class Bernstein(Basis):
             raise ValueError("Bernstein grade must be >= 1")
 
 
+class _Interpolating(Basis):
+    """Shared by Lagrange and Hermite: the barycentric weights, computed once per basis."""
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """barycentric_weights of this basis, read-only."""
+        nodes, confl = self.nodes, self.confluencies
+        # one entry per linear factor (z - tau_j) of omega, tagged with its node
+        factors = [(tj, j) for j, (tj, sj) in enumerate(zip(nodes, confl)) for _ in range(sj)]
+        flat = []
+        for i, (ti, si) in enumerate(zip(nodes, confl)):
+            diffs = [ti - tj for tj, j in factors if j != i]
+            prod = 1.0 + 0.0j
+            for d in diffs:
+                prod *= d
+            series = [1.0 + 0.0j] + [0.0j] * (si - 1)
+            for d in diffs if si > 1 else ():  # divide by 1 + h/d (a no-op when s_i = 1)
+                for k in range(1, si):
+                    series[k] -= series[k - 1] / d
+            lead = 1.0 / prod
+            flat.append(lead)
+            flat.extend(lead * c for c in series[1:])
+        w = np.asarray(flat, dtype=complex)
+        w.flags.writeable = False
+        return w
+
+
 @dataclass(frozen=True)
-class Lagrange(Basis):
+class Lagrange(_Interpolating):
     """Lagrange basis on distinct nodes: the Hermite basis with every confluency 1."""
 
     nodes: tuple = ()
@@ -161,7 +189,7 @@ class Lagrange(Basis):
 
 
 @dataclass(frozen=True)
-class Hermite(Basis):
+class Hermite(_Interpolating):
     nodes: tuple = ()
     confluencies: tuple = ()
 
@@ -317,27 +345,12 @@ def barycentric_weights(basis: Basis) -> np.ndarray:
     g_i never appear.  With unit confluencies this is the Lagrange product
     formula 1/prod(tau_i - tau_j).  The flat result lists each node's
     weights with the derivative order descending, matching the first
-    column of the interpolation pencil.
+    column of the interpolation pencil.  The array is cached on the
+    basis and read-only.
     """
     if not isinstance(basis, (Lagrange, Hermite)):
         raise UnsupportedBasisError("barycentric weights need a Lagrange or Hermite basis")
-    nodes, confl = basis.nodes, basis.confluencies
-    # one entry per linear factor (z - tau_j) of omega, tagged with its node
-    factors = [(tj, j) for j, (tj, sj) in enumerate(zip(nodes, confl)) for _ in range(sj)]
-    flat = []
-    for i, (ti, si) in enumerate(zip(nodes, confl)):
-        diffs = [ti - tj for tj, j in factors if j != i]
-        prod = 1.0 + 0.0j
-        for d in diffs:
-            prod *= d
-        series = [1.0 + 0.0j] + [0.0j] * (si - 1)
-        for d in diffs if si > 1 else ():  # divide by 1 + h/d (a no-op when s_i = 1)
-            for k in range(1, si):
-                series[k] -= series[k - 1] / d
-        lead = 1.0 / prod
-        flat.append(lead)
-        flat.extend(lead * c for c in series[1:])
-    return np.asarray(flat, dtype=complex)
+    return basis.weights
 
 
 def monomial_rows(basis: ThreeTermBasis, count: int) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -59,8 +60,8 @@ def _load_polynomial(path) -> MatrixPolynomial:
 
 
 def _emit(payload, pretty):
-    json.dump(payload, sys.stdout, indent=2 if pretty else None)
-    sys.stdout.write("\n")
+    # json.dumps reaches the C encoder; json.dump streams through the Python one
+    sys.stdout.write(json.dumps(payload, indent=2 if pretty else None) + "\n")
 
 
 def _pencil_payload(triple):
@@ -184,11 +185,29 @@ def positive_int(text):
     return value
 
 
+def non_negative_int(text):
+    """argparse type for seeds: numpy's default_rng takes integers >= 0 only."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
+def positive_float(text):
+    """argparse type for tolerances: finite and > 0 (NaN prints invalid JSON, <= 0 fails all)."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return value
+
+
 def _parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-8, help="verification tolerance")
+    common.add_argument("--tol", type=positive_float, default=1e-8,
+                        help="verification tolerance")
     common.add_argument("--samples", type=positive_int, default=10, help="number of sample points")
-    common.add_argument("--seed", type=int, default=0, help="RNG seed for samples and shifts")
+    common.add_argument("--seed", type=non_negative_int, default=0,
+                        help="RNG seed for samples and shifts")
     common.add_argument("--pretty", action="store_true", help="indent JSON output")
 
     ap = argparse.ArgumentParser(prog="polypencil",

@@ -80,8 +80,9 @@ def scalar_to_json(z) -> list:
 
 
 def matrix_to_json(m) -> list:
+    """Rows of [re, im] pairs of Python floats, as scalar_to_json gives entry by entry."""
     m = np.atleast_2d(np.asarray(m, dtype=complex))
-    return [[scalar_to_json(v) for v in row] for row in m]
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def parse_basis(desc, grade):

@@ -226,7 +226,7 @@ def _pencil_backward_errors(pc: CompanionPencil, lams, vectors) -> np.ndarray:
 
 
 def _accepted_shift(pc: CompanionPencil, rng):
-    """(sigma, LU of sigma*C1 - C0) for the first shift with a healthy pivot ratio."""
+    """(sigma, (sigma C1 - C0)^-1 C1) for the first shift with a healthy pivot ratio."""
     for _ in range(MAX_SHIFT_TRIES):
         angle = rng.uniform(0.0, 2.0 * np.pi)
         candidate = SHIFT_RADIUS * complex(np.cos(angle), np.sin(angle))
@@ -235,7 +235,7 @@ def _accepted_shift(pc: CompanionPencil, rng):
         except SingularMatrixError:
             continue
         if pivot_ratio(f) >= PIVOT_GUARD:
-            return candidate, f
+            return candidate, lu_solve(f, pc.c1)
     raise SingularPencilEverywhereError(
         f"no acceptable shift among {MAX_SHIFT_TRIES} tries; pencil may be singular"
     )
@@ -260,8 +260,7 @@ def generalized_eigenvalues(pc: CompanionPencil, p: MatrixPolynomial = None,
     without the polynomial they are taken against the pencil.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    sigma, factors = _accepted_shift(pc, rng)
-    a = lu_solve(factors, pc.c1)
+    sigma, a = _accepted_shift(pc, rng)
     try:
         thetas, vectors = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:

@@ -62,8 +62,8 @@ class CompanionPencil:
         return self.c1.shape[0]
 
     def at(self, z) -> np.ndarray:
-        """The pencil matrix z*C1 - C0."""
-        return complex(z) * self.c1 - self.c0
+        """The pencil matrix z*C1 - C0; an array of z gives the stack of them."""
+        return np.asarray(z, dtype=complex)[..., None, None] * self.c1 - self.c0
 
 
 def _blk(i, n):

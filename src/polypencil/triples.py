@@ -20,7 +20,7 @@ from .errors import (
     SingularMatrixError,
     SingularPencilError,
 )
-from .linalg import PIVOT_GUARD, as_cmatrix, lu_factor, lu_solve, pivot_ratio, sip
+from .linalg import PIVOT_GUARD, as_cmatrix, sip
 from .matpoly import MatrixPolynomial, evaluate
 from .pencils import CompanionPencil, build_three_term
 
@@ -59,24 +59,38 @@ def make_triple(pc: CompanionPencil) -> GeneralizedStandardTriple:
     return GeneralizedStandardTriple(x=x, pencil=pc, y=y)
 
 
+# sample points per stacked LAPACK call: bounds each stack at _CHUNK * N^2
+# entries whatever the sample count
+_CHUNK = 64
+
+
+def _resolvents(t: GeneralizedStandardTriple, zs: np.ndarray) -> np.ndarray:
+    """X (z C1 - C0)^-1 Y at every z of a 1-D array, from one stacked LAPACK solve.
+
+    The right-hand side goes in as a (1, N, n) stack: NumPy < 2 reads a 2-D
+    one against a 3-D matrix stack as a stack of vectors.
+    """
+    try:
+        return t.x @ np.linalg.solve(t.pencil.at(zs), t.y[None])
+    except np.linalg.LinAlgError as exc:
+        z = complex(zs[0]) if len(zs) == 1 else None  # a stack does not say which member failed
+        raise SingularPencilError(f"pencil is singular at z in {zs.tolist()}", z=z) from exc
+
+
 def resolvent(t: GeneralizedStandardTriple, z) -> np.ndarray:
     """X (z C1 - C0)^-1 Y; raises SingularPencilError on the spectrum."""
-    z = complex(z)
-    try:
-        f = lu_factor(t.pencil.at(z))
-    except SingularMatrixError as exc:
-        raise SingularPencilError(f"pencil is singular at z={z}", z=z) from exc
-    return t.x @ lu_solve(f, t.y)
+    return _resolvents(t, np.array([complex(z)]))[0]
 
 
 def verify_triple(t: GeneralizedStandardTriple, p: MatrixPolynomial, zs) -> float:
-    """max over the samples of ||resolvent(z) P(z) - I||_F."""
-    n = t.pencil.n
-    eye = np.eye(n, dtype=complex)
+    """max over the samples of ||resolvent(z) P(z) - I||_F, solved _CHUNK points at a time."""
+    zs = np.array([complex(z) for z in zs], dtype=complex)
+    eye = np.eye(t.pencil.n, dtype=complex)
     worst = 0.0
-    for z in zs:
-        r = resolvent(t, z) @ evaluate(p, z) - eye
-        worst = max(worst, float(np.linalg.norm(r)))
+    for i in range(0, len(zs), _CHUNK):
+        chunk = zs[i:i + _CHUNK]
+        for z, r in zip(chunk, _resolvents(t, chunk)):
+            worst = max(worst, float(np.linalg.norm(r @ evaluate(p, complex(z)) - eye)))
     return worst
 
 
@@ -104,36 +118,41 @@ def similarity_triple(t: GeneralizedStandardTriple, s) -> GeneralizedStandardTri
     pc = t.pencil
     if s.shape[0] != pc.size:
         raise DimensionMismatchError("similarity transform has the wrong size")
-    f = lu_factor(s)
-    return _transformed(t, t.x @ s, lu_solve(f, pc.c1 @ s), lu_solve(f, pc.c0 @ s),
-                        lu_solve(f, t.y))
+    size = pc.size
+    try:
+        moved = np.linalg.solve(s, np.hstack([pc.c1 @ s, pc.c0 @ s, t.y]))
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError("similarity transform is singular") from exc
+    return _transformed(t, t.x @ s, moved[:, :size], moved[:, size:2 * size],
+                        moved[:, 2 * size:])
 
 
 def sample_points(pc: CompanionPencil, count, rng, radius=2.0, avoid=()):
     """Random sample points for resolvent checks, guarded against the spectrum.
 
-    Draws z uniformly on the disk |z| <= radius and discards any draw whose
-    pencil LU looks singular (pivot ratio below PIVOT_GUARD) or that lands
-    on an avoided point (interpolation nodes, typically).
+    Draws z uniformly on the disk |z| <= radius, discarding draws that land
+    on an avoided point (interpolation nodes, typically), and candidates
+    where rcond = 1 / (||M||_F ||M^-1||_F) of M = z C1 - C0 is below
+    PIVOT_GUARD.  Each round draws just enough candidates to complete the
+    count, at most _CHUNK, and tests them with one batched inverse; rejected
+    ones are replaced in the next round, so the accepted points and the RNG
+    state are those of testing every draw as it comes.  At most 200 * count
+    draws are made.
     """
     out = []
-    attempts = 0
+    budget = 200 * count
     while len(out) < count:
-        attempts += 1
-        if attempts > 200 * count:
+        if budget == 0:
             raise SingularPencilError("could not find enough well-conditioned sample points")
-        z = complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))
-        if abs(z) > radius:
-            continue
-        if any(abs(z - a) < 1e-3 for a in avoid):
-            continue
-        try:
-            f = lu_factor(pc.at(z))
-        except SingularMatrixError:
-            continue
-        if pivot_ratio(f) < PIVOT_GUARD:
-            continue
-        out.append(z)
+        pending = []
+        while budget and len(out) + len(pending) < count and len(pending) < _CHUNK:
+            budget -= 1
+            z = complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))
+            if abs(z) <= radius and not any(abs(z - a) < 1e-3 for a in avoid):
+                pending.append(z)
+        # cond maps an exactly singular member to inf, so only that one is dropped
+        rcond = 1.0 / np.linalg.cond(pc.at(pending), "fro")
+        out.extend(z for z, ok in zip(pending, rcond >= PIVOT_GUARD) if ok)
     return out
 
 
@@ -179,5 +198,5 @@ def monomial_standard_pair(p: MatrixPolynomial) -> StandardPair:
         raise ArithmeticError("standard pair identity sum P_k X T^k = 0 failed")
     rhs = np.zeros((n * ell, n), dtype=complex)
     rhs[(ell - 1) * n:, :] = eye
-    y = lu_solve(lu_factor(q), rhs)
+    y = np.linalg.solve(q, rhs)
     return StandardPair(x=x, t=t, q=q, y=y)

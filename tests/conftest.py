@@ -4,6 +4,7 @@ import pytest
 from polypencil import (
     Bernstein,
     ChebyshevT,
+    CustomThreeTerm,
     Hermite,
     Lagrange,
     LegendreP,
@@ -16,6 +17,8 @@ from polypencil import (
 
 COEFF_KINDS = ("monomial", "shifted", "taylor", "newton", "chebyshev", "legendre", "bernstein")
 ALL_KINDS = COEFF_KINDS + ("lagrange", "hermite")
+# every basis kind a document can name: ALL_KINDS plus a user-supplied recurrence
+TEN_KINDS = ALL_KINDS + ("custom",)
 
 
 def rand_matrix(rng, n):
@@ -47,6 +50,10 @@ def make_basis(kind, ell, rng):
         return LegendreP()
     if kind == "bernstein":
         return Bernstein(grade=ell)
+    if kind == "custom":
+        return CustomThreeTerm(alpha=tuple(rng.uniform(0.5, 1.5, ell)),
+                               beta=tuple(0.2 * rng.standard_normal(ell)),
+                               gamma=tuple(0.2 * rng.standard_normal(ell)))
     if kind == "lagrange":
         return Lagrange(nodes=spread_nodes(rng, ell + 1))
     if kind == "hermite":
@@ -64,7 +71,7 @@ def make_basis(kind, ell, rng):
 def random_polynomial(kind, n, ell, rng):
     """Random test polynomial, normalized to unit max payload norm."""
     basis = make_basis(kind, ell, rng)
-    if kind in COEFF_KINDS:
+    if kind in COEFF_KINDS + ("custom",):
         coeffs = [rand_matrix(rng, n) for _ in range(ell + 1)]
         scale = max(np.linalg.norm(c) for c in coeffs)
         return MatrixPolynomial.from_coefficients(basis, [c / scale for c in coeffs])

@@ -180,6 +180,29 @@ class TestBarycentricWeights:
         basis = Lagrange(nodes=[1.0, 0.0, -1.0])
         assert np.allclose(barycentric_weights(basis), [0.5, -1.0, 0.5], atol=1e-15)
 
+    def test_cached_once_per_basis_and_read_only(self):
+        basis = Hermite(nodes=golden.HERMITE_SCALAR_NODES,
+                        confluencies=golden.HERMITE_SCALAR_CONFL)
+        w = barycentric_weights(basis)
+        assert barycentric_weights(basis) is w
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+        twin = Hermite(nodes=golden.HERMITE_SCALAR_NODES,
+                       confluencies=golden.HERMITE_SCALAR_CONFL)
+        assert barycentric_weights(twin) is not w
+        assert np.array_equal(barycentric_weights(twin), w)
+
+    def test_lagrange_bitwise_product_formula(self, rng):
+        nodes = [complex(t) for t in rng.standard_normal(7) + 1j * rng.standard_normal(7)]
+        expected = []
+        for i, ti in enumerate(nodes):
+            prod = 1.0 + 0.0j
+            for j, tj in enumerate(nodes):
+                if j != i:
+                    prod *= ti - tj
+            expected.append(1.0 / prod)
+        assert barycentric_weights(Lagrange(nodes=nodes)).tolist() == expected
+
     def test_single_node(self):
         assert np.allclose(barycentric_weights(Lagrange(nodes=[5.0])), [1.0])
 

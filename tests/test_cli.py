@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -6,8 +7,8 @@ import numpy as np
 import pytest
 
 import golden
-from polypencil.cli import main
-from polypencil.documents import parse_scalar
+from polypencil.cli import _emit, main
+from polypencil.documents import matrix_to_json, parse_scalar, scalar_to_json
 
 
 def write(tmp_path, name, payload):
@@ -219,6 +220,64 @@ class TestVerifyCommand:
             captured = capsys.readouterr()
             assert exc.value.code == 2 and captured.out == ""
             assert "--samples" in captured.err and "Traceback" not in captured.err
+
+
+def test_large_sample_count_runs(tmp_path, capsys):
+    # sampling and verifying go in bounded stacks, so memory does not grow with --samples
+    path = write(tmp_path, "doc.json", NEWTON_DOC)
+    code, out, _ = run(capsys, "verify", path, "--samples", "500")
+    assert code == 0 and json.loads(out)["samples"] == 500
+
+
+class TestOptionContract:
+    """--seed and --tol are checked at parse time: a bad value is a usage error, exit 2."""
+
+    def usage_error(self, capsys, argv, option):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert option in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", ["verify", "eig"])
+    def test_negative_seed(self, tmp_path, capsys, command):
+        path = write(tmp_path, "doc.json", SQUARE_PLUS_ONE)
+        self.usage_error(capsys, [command, path, "--seed", "-1"], "--seed")
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    def test_tolerance_must_be_finite_and_positive(self, tmp_path, capsys, tol):
+        path = write(tmp_path, "doc.json", SQUARE_PLUS_ONE)
+        self.usage_error(capsys, ["verify", path, "--tol", tol], "--tol")
+
+    def test_zero_seed_and_small_tolerance_still_run(self, tmp_path, capsys):
+        path = write(tmp_path, "doc.json", BERNSTEIN_MONIC)
+        code, out, _ = run(capsys, "verify", path, "--seed", "0", "--tol", "1e-300")
+        assert code == 5 and json.loads(out)["tol"] == 1e-300
+
+
+class TestWriter:
+    """The C-encoder writer prints what the streaming json.dump printed."""
+
+    EDGE = np.array([[-0.0, 5e-324, 1e308, 3.0],
+                     [-0.0 - 0.0j, 1j * 5e-324, -1e308 + 2j, 1 - 2.5e-17j]])
+
+    def test_matrix_to_json_matches_entrywise_floats(self):
+        out = matrix_to_json(self.EDGE)
+        old = [[scalar_to_json(v) for v in row] for row in self.EDGE]
+        assert repr(out) == repr(old)  # repr tells -0.0 from 0.0
+        assert all(type(x) is float for row in out for pair in row for x in pair)
+
+    def test_matrix_to_json_of_a_scalar(self):
+        assert matrix_to_json(2.5) == [[[2.5, 0.0]]]
+
+    @pytest.mark.parametrize("pretty", [False, True])
+    def test_emit_matches_json_dump(self, capsys, pretty):
+        payload = {"E": matrix_to_json(self.EDGE), "deviation": 1.25e-13, "pass": True,
+                   "direction": "to_monomial", "N": 4, "empty": []}
+        expected = io.StringIO()
+        json.dump(payload, expected, indent=2 if pretty else None)
+        _emit(payload, pretty)
+        assert capsys.readouterr().out == expected.getvalue() + "\n"
 
 
 class TestAlglinCommand:

@@ -8,6 +8,7 @@ from polypencil import (
     Bernstein,
     ChebyshevT,
     Lagrange,
+    LegendreP,
     MatrixPolynomial,
     Monomial,
     SingularC0Error,
@@ -77,6 +78,15 @@ class TestDegreeGraded:
     def test_singular_constant_term(self):
         # p(z) = z^2 makes the constant pencil term singular
         p = MatrixPolynomial.from_coefficients(Monomial(), scalar([0, 0, 1]))
+        with pytest.raises(SingularC0Error):
+            equivalence_degree_graded(p)
+
+    def test_singular_constant_term_block(self, rng):
+        # the second diagonal entry is L_1(z) = z, so P(0) and with it C0 are
+        # singular; the LAPACK solve's failure must surface as SingularC0Error
+        coeffs = [np.diag([rng.standard_normal() + 3.0, b]) for b in (0.0, 1.0, 0.0)]
+        p = MatrixPolynomial.from_coefficients(LegendreP(), coeffs)
+        assert np.linalg.matrix_rank(build(p).c0) < build(p).size
         with pytest.raises(SingularC0Error):
             equivalence_degree_graded(p)
 

@@ -1,11 +1,14 @@
+import copy
+
 import numpy as np
 import pytest
 
 import golden
-from conftest import ALL_KINDS, poly_nodes, random_polynomial
+from conftest import ALL_KINDS, TEN_KINDS, poly_nodes, random_polynomial
 from polypencil import (
     Bernstein,
     ChebyshevT,
+    CompanionPencil,
     GeneralizedStandardTriple,
     Hermite,
     Lagrange,
@@ -13,6 +16,7 @@ from polypencil import (
     Monomial,
     Newton,
     NotMonicError,
+    SingularMatrixError,
     SingularPencilError,
     build,
     build_algebraic,
@@ -26,6 +30,7 @@ from polypencil import (
     transpose_triple,
     verify_triple,
 )
+from polypencil.triples import _CHUNK
 
 
 def scalar(values):
@@ -77,6 +82,20 @@ class TestResolvent:
         for z in (0.4, 2.0 + 1.0j, -1.7, 3.3 - 0.2j):
             expected = golden.hermite_matrix_resolvent(z)
             assert np.max(np.abs(resolvent(t, z) - expected)) <= 1e-10
+
+    @pytest.mark.parametrize("n,ell", [(2, 3), (3, 1)])
+    def test_matches_explicit_inverse(self, rng, n, ell):
+        # covers n < N and n == N, where a solve that took Y for a stack of
+        # vectors would fail or return (M^-1 Y^T)^T
+        size = n * ell
+        c1, c0 = (rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+                  for _ in range(2))
+        pc = CompanionPencil(c1=c1, c0=c0, n=n, ell=ell)
+        t = GeneralizedStandardTriple(x=rng.standard_normal((n, size)) + 0j, pencil=pc,
+                                      y=rng.standard_normal((size, n)) + 1j)
+        z = 0.3 - 0.8j
+        expected = t.x @ np.linalg.inv(pc.at(z)) @ t.y
+        assert np.allclose(resolvent(t, z), expected, rtol=1e-12, atol=1e-12)
 
     def test_raises_on_spectrum(self):
         p = MatrixPolynomial.from_coefficients(Monomial(), scalar([-1, 0, 1]))
@@ -141,6 +160,72 @@ class TestVerifyTriple:
         s = np.eye(pc.size) + 0.2 * rng.standard_normal((pc.size, pc.size))
         moved = similarity_triple(t, s)
         assert abs(verify_triple(moved, p, zs) - base) <= 1e-9
+
+
+@pytest.mark.parametrize("kind", TEN_KINDS)
+def test_stacked_verify_matches_pointwise_resolvents(kind, rng):
+    """The one stacked solve gives the residual of solving point by point."""
+    p = random_polynomial(kind, 2, 4, rng)
+    t = make_triple(build(p))
+    zs = sample_points(t.pencil, 8, rng, avoid=poly_nodes(p))
+    eye = np.eye(p.n)
+    pointwise = max(np.linalg.norm(resolvent(t, z) @ evaluate(p, z) - eye) for z in zs)
+    assert verify_triple(t, p, zs) == pytest.approx(pointwise, rel=1e-12, abs=0.0)
+
+
+def test_large_sample_counts_use_bounded_stacks(rng, monkeypatch):
+    """Sampling and verifying go _CHUNK points per LAPACK call, whatever the count."""
+    p = random_polynomial("chebyshev", 2, 3, rng)
+    t = make_triple(build(p))
+    stacks = []
+    for name in ("solve", "cond"):
+        def spy(a, *args, _real=getattr(np.linalg, name), **kwargs):
+            stacks.append(len(a))
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    count = 3 * _CHUNK + 5
+    zs = sample_points(t.pencil, count, rng)
+    residual = verify_triple(t, p, zs)
+    monkeypatch.undo()
+    assert len(zs) == count and max(stacks) == _CHUNK
+    eye = np.eye(p.n)
+    pointwise = max(np.linalg.norm(resolvent(t, z) @ evaluate(p, z) - eye) for z in zs)
+    assert residual == pytest.approx(pointwise, rel=1e-12, abs=0.0)
+
+
+class TestSamplePoints:
+    def test_drops_only_the_exactly_singular_candidate(self, rng):
+        # z I - diag(z0, 1) is exactly singular at the first draw z0; the other
+        # candidates tested in the same batch must survive
+        twin = copy.deepcopy(rng)
+        draws = [complex(twin.uniform(-2, 2), twin.uniform(-2, 2)) for _ in range(40)]
+        disk = [z for z in draws if abs(z) <= 2.0]
+        z0 = disk[0]
+        pc = CompanionPencil(c1=np.eye(2, dtype=complex), c0=np.diag([z0, 1.0]), n=2, ell=1)
+        assert np.linalg.matrix_rank(pc.at(z0)) == 1
+        zs = sample_points(pc, 3, rng)
+        assert zs == disk[1:4]
+
+    def test_singular_everywhere_raises(self, rng):
+        flat = np.diag([1.0, 0.0]).astype(complex)
+        pc = CompanionPencil(c1=flat, c0=flat, n=2, ell=1)
+        with pytest.raises(SingularPencilError):
+            sample_points(pc, 3, rng)
+
+    def test_rejects_candidates_below_the_rcond_guard(self, rng):
+        # scaling one row by 1e-14 puts rcond near 1e-14 < PIVOT_GUARD at every z
+        c1 = np.diag([1.0, 1e-14]).astype(complex)
+        pc = CompanionPencil(c1=c1, c0=c1 * 3.0, n=2, ell=1)
+        with pytest.raises(SingularPencilError):
+            sample_points(pc, 2, rng)
+
+
+def test_similarity_with_singular_transform_raises(rng):
+    t = make_triple(build(random_polynomial("chebyshev", 2, 3, rng)))
+    s = np.eye(t.pencil.size, dtype=complex)
+    s[:, 0] = 0.0
+    with pytest.raises(SingularMatrixError):
+        similarity_triple(t, s)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
