@@ -10,6 +10,7 @@ tolerance.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -22,6 +23,7 @@ from .bases import Hermite, Lagrange, barycentric_weights, node_polynomial
 from .documents import (
     DocumentError,
     matrix_to_json,
+    parse_basis,
     parse_document,
     parse_matrix,
     scalar_to_json,
@@ -93,8 +95,9 @@ def cmd_eig(args):
     _emit({
         "finite": [scalar_to_json(lam) for lam, _ in result.finite],
         "residuals": [res for _, res in result.finite],
-        # spurious values are perturbed infinities, counted in infinite_count;
-        # magnitude and residual stay reported
+        # spurious lists the perturbed infinities only (the pencil alone decides
+        # finite vs infinite); they count in infinite_count, and magnitude and
+        # residual stay reported
         "spurious": [{"value": scalar_to_json(lam), "magnitude": abs(lam), "residual": res}
                      for lam, res in result.spurious],
         "infinite_count": result.infinite_count,
@@ -164,8 +167,6 @@ def cmd_bary(args):
     doc = _load_json(args.input)
     if not isinstance(doc, dict) or "basis" not in doc:
         raise DocumentError('document is missing the "basis" key')
-    from .documents import parse_basis
-
     basis = parse_basis(doc["basis"], doc.get("grade"))
     if not isinstance(basis, (Lagrange, Hermite)):
         raise DocumentError("bary needs a lagrange or hermite basis")
@@ -201,7 +202,9 @@ def positive_float(text):
     return value
 
 
+@functools.cache
 def _parser():
+    """The argparse tree, built on first use and shared by every main call."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=positive_float, default=1e-8,
                         help="verification tolerance")

@@ -176,6 +176,9 @@ def parse_document(doc) -> MatrixPolynomial:
             raise DocumentError("samples must be a nonempty list of matrices")
         if grade is not None and len(mats) != grade + 1:
             raise DocumentError(f"grade {grade} needs {grade + 1} sample matrices")
+        if isinstance(basis, Lagrange) and len(mats) != len(basis.nodes):
+            raise DocumentError(f"{len(basis.nodes)} nodes need {len(basis.nodes)} sample "
+                                f"matrices, got {len(mats)}")
         return MatrixPolynomial.from_samples(basis, [parse_matrix(m, n) for m in mats])
     groups = doc[key]
     if not isinstance(groups, list) or not all(isinstance(g, list) for g in groups):
@@ -183,6 +186,10 @@ def parse_document(doc) -> MatrixPolynomial:
     if grade is not None and grade != basis.grade:
         raise DocumentError(
             f"grade {grade} does not match the confluencies (sum - 1 = {basis.grade})")
+    sizes = [len(g) for g in groups]
+    if isinstance(basis, Hermite) and sizes != list(basis.confluencies):
+        raise DocumentError(f"hermite_samples group sizes {sizes} do not match the "
+                            f"confluencies {list(basis.confluencies)}")
     return MatrixPolynomial.from_hermite_samples(
         basis, [[parse_matrix(m, n) for m in g] for g in groups]
     )

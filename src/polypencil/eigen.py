@@ -14,6 +14,10 @@ so kappa bounds nothing there and the bound is N * u * ||A||_F alone.
 Those infinite values with |theta| > N * u * ||A||_F are perturbed
 infinities (interpolation pencils surface their structural infinities this
 way); they are returned apart, as ``spurious``, and counted as infinite.
+This rule, which reads the pencil alone, is the whole classification: the
+triples make det(z C1 - C0) = det P(z), so being finite is a property of
+the pencil, and the polynomial only chooses which backward error is
+reported.
 
 Every residual is a normwise backward error, computed for all eigenvalues at
 once with no factorization per eigenvalue:
@@ -23,14 +27,6 @@ once with no factorization per eigenvalue:
 * from the polynomial P = sum_k P_k phi_k (Tisseur, LAA 2000),
   eta = sigma_min(P(lambda)) / sum_k |phi_k(lambda)| ||P_k||_2, which is
   the reported residual.
-
-eta may not perturb a zero P_k at all, so a root at 0 of a polynomial with
-P_0 = 0, computed as 1e-16, has eta of order one.  The filter therefore uses
-the absolute-weight error eta_abs, with every ||P_k||_2 replaced by
-max_j ||P_j||_2: it never exceeds eta, is what a backward-stable pencil
-solve keeps small, and a finite value with eta_abs > SPURIOUS_RESIDUAL is
-spurious as well.  Without P there is no filter, because the pencil error
-of a backward-stable solve is small for perturbed infinities too.
 
 Householder reduction to Hessenberg form followed by single-shift
 (Wilkinson) QR, complex throughout, is kept as the self-contained reference
@@ -66,18 +62,14 @@ SHIFT_RADIUS = 1.37
 MAX_SHIFT_TRIES = 8
 MACHINE_EPSILON = np.finfo(float).eps
 
-# absolute-weight backward error above which a finite eigenvalue of the
-# supplied polynomial is classed spurious (a numerically perturbed infinity)
-SPURIOUS_RESIDUAL = 1e-6
-
 
 @dataclass(frozen=True)
 class EigenResult:
     """Eigenvalues as (lambda, backward error) pairs, plus the count classed infinite.
 
-    ``spurious`` holds the perturbed infinities and the values that fail the
-    backward-error filter; ``infinite_count`` includes them.  ``finite`` and
-    ``spurious`` are sorted by real, then imaginary part.
+    ``spurious`` holds the perturbed infinities only; ``infinite_count``
+    includes them.  ``finite`` and ``spurious`` are sorted by real, then
+    imaginary part.
     """
 
     finite: tuple
@@ -198,25 +190,23 @@ def eig(a) -> np.ndarray:
     return qr_eigenvalues(hessenberg(a))
 
 
-def _polynomial_backward_errors(p: MatrixPolynomial, lams):
-    """(eta, eta_abs) for every lambda: P_k weighted by ||P_k||_2, and by max_j ||P_j||_2.
+def _polynomial_backward_errors(p: MatrixPolynomial, lams) -> np.ndarray:
+    """eta for every lambda, from one batched SVD over the stacked P(lambda).
 
-    One batched SVD over the stacked P(lambda); the basis values come from a
-    single phi_rows pass, whose per-point scaling cancels in the quotients.
+    The basis values come from a single phi_rows pass, whose per-point
+    scaling cancels in the quotient.
     """
     data = p.payload
     phi = phi_rows(p.basis, data.shape[0], lams)
     smallest = np.linalg.svd(np.tensordot(phi, data, axes=1), compute_uv=False)[:, -1]
-    norms = np.linalg.svd(data, compute_uv=False)[:, 0]
-    magnitude = np.abs(phi)
+    scale = np.abs(phi) @ np.linalg.svd(data, compute_uv=False)[:, 0]
     # a zero denominator means P(lambda) = 0, which is exactly singular
-    return tuple(np.divide(smallest, scale, out=np.zeros_like(smallest), where=scale > 0)
-                 for scale in (magnitude @ norms, magnitude.sum(axis=1) * norms.max()))
+    return np.divide(smallest, scale, out=np.zeros_like(smallest), where=scale > 0)
 
 
 def eigen_residual(p: MatrixPolynomial, lam) -> float:
     """Normwise backward error of lambda as an eigenvalue of P (Tisseur, LAA 2000)."""
-    return float(_polynomial_backward_errors(p, [lam])[0][0])
+    return float(_polynomial_backward_errors(p, [lam])[0])
 
 
 def _pencil_backward_errors(pc: CompanionPencil, lams, vectors) -> np.ndarray:
@@ -254,10 +244,9 @@ def generalized_eigenvalues(pc: CompanionPencil, p: MatrixPolynomial = None,
     factors with a healthy pivot ratio (at most 8 tries).  theta and the
     eigenvectors of A = (sigma C1 - C0)^-1 C1 come from numpy.linalg.eig, and
     theta is classed infinite, perturbed infinite or finite by its error
-    bound (module docstring).  Backward errors are taken against the
-    polynomial when it is supplied, and then a finite value whose
-    absolute-weight error exceeds SPURIOUS_RESIDUAL is spurious as well;
-    without the polynomial they are taken against the pencil.
+    bound (module docstring), which reads the pencil alone: the split is the
+    same with or without p.  Backward errors are taken against the
+    polynomial when it is supplied, and against the pencil otherwise.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     sigma, a = _accepted_shift(pc, rng)
@@ -283,11 +272,8 @@ def generalized_eigenvalues(pc: CompanionPencil, p: MatrixPolynomial = None,
     shown = ~infinite | (modulus > tol)
     lams = sigma - 1.0 / thetas[shown]
     finite = ~infinite[shown]
-    if p is not None:
-        residuals, absolute = _polynomial_backward_errors(p, lams)
-        finite &= absolute <= SPURIOUS_RESIDUAL
-    else:
-        residuals = _pencil_backward_errors(pc, lams, vectors[:, shown])
+    residuals = (_pencil_backward_errors(pc, lams, vectors[:, shown]) if p is None
+                 else _polynomial_backward_errors(p, lams))
     return EigenResult(finite=_pairs(lams[finite], residuals[finite]),
-                       infinite_count=thetas.size - int(finite.sum()), shift_used=complex(sigma),
+                       infinite_count=int(infinite.sum()), shift_used=complex(sigma),
                        spurious=_pairs(lams[~finite], residuals[~finite]))

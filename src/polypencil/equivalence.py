@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedBasisError,
 )
 from .matpoly import MatrixPolynomial
-from .pencils import CompanionPencil, build_three_term
+from .pencils import CompanionPencil, build, build_lagrange, build_three_term
 
 __all__ = [
     "TO_MONOMIAL",
@@ -110,8 +110,6 @@ def equivalence_degree_graded(p: MatrixPolynomial) -> EquivalencePair:
         raise UnsupportedBasisError("degree-graded equivalence needs coefficient data")
     if p.grade < 2:
         raise ValueError("equivalence needs grade >= 2")
-    from .pencils import build
-
     pc_phi = build(p)
     pc_m = build_three_term(monomial_form(p))
     f_small = null_vector_basis_matrix(p.basis, p.grade)
@@ -146,8 +144,6 @@ def equivalence_lagrange(p: MatrixPolynomial) -> EquivalencePair:
     f_small = null_vector_basis_matrix(p.basis, ell)
     e = np.kron(e_small, np.eye(n, dtype=complex))
     f = np.kron(f_small, np.eye(n, dtype=complex))
-    from .pencils import build_lagrange
-
     pc_phi = build_lagrange(p)
     pc_m = build_three_term(monomial_form(p))
     scale = float(np.max(np.abs(pc_m.c0))) + 1.0

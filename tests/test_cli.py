@@ -1,12 +1,15 @@
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import golden
+from polypencil import cli
 from polypencil.cli import _emit, main
 from polypencil.documents import matrix_to_json, parse_scalar, scalar_to_json
 
@@ -419,6 +422,50 @@ class TestDocumentValidation:
         doc["grade"] = 5
         code, _, err = run(capsys, "pencil", write(tmp_path, "d.json", doc))
         assert code == 2 and "confluencies" in err
+
+    @pytest.mark.parametrize("doc, word", [
+        (dict(LAGRANGE_EYE, samples=LAGRANGE_EYE["samples"][:2]), "sample matrices"),
+        (dict(LAGRANGE_EYE, samples=LAGRANGE_EYE["samples"] * 2), "sample matrices"),
+        (dict(HERMITE_ONE, hermite_samples=HERMITE_ONE["hermite_samples"][:3]), "confluencies"),
+        (dict(HERMITE_ONE, hermite_samples=[[[[1]]]] + HERMITE_ONE["hermite_samples"][1:]),
+         "confluencies"),
+    ], ids=["lagrange-short", "lagrange-long", "hermite-groups", "hermite-group-size"])
+    def test_payload_shape_disagreement_exits_2(self, tmp_path, capsys, doc, word):
+        # no grade is given, so the payload disagrees with the basis alone
+        self._assert_schema_fault(capsys, word, "eig", write(tmp_path, "d.json", doc))
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    path = write(tmp_path, "doc.json", BERNSTEIN_MONIC)
+    calls = (["verify", path, "--seed", "-1"], ["verify", path, "--seed", "3"])
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(outcome(argv))
+    cli._parser.cache_clear()
+    reused = [outcome(argv) for argv in calls]
+    assert cli._parser.cache_info().misses == 1
+    assert [code for code, _, _ in fresh] == [2, 0]
+    assert reused == fresh
+
+
+def test_runtime_imports_numpy_only():
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = ("import sys, polypencil, polypencil.cli; "
+              "print(sorted({'scipy', 'mpmath', 'hypothesis'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_entry_point(tmp_path):

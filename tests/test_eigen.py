@@ -21,7 +21,6 @@ from polypencil import (
     make_triple,
     qr_eigenvalues,
 )
-from polypencil.eigen import SPURIOUS_RESIDUAL
 from polypencil.linalg import det
 
 
@@ -202,12 +201,44 @@ class TestClassification:
         pc = build(p)
         result = generalized_eigenvalues(pc, p)
         assert result.infinite_count == 0 and len(result.finite) == 40
-        assert all(res <= SPURIOUS_RESIDUAL for _, res in result.finite)
+        assert all(res <= 1e-6 for _, res in result.finite)
         reference = np.linalg.eigvals(np.linalg.solve(pc.c1, pc.c0))
         large = [lam for lam, _ in result.finite if abs(lam) > 5.0]
         assert large
         for lam in large:
             assert np.min(np.abs(reference - lam)) <= 1e-8 * abs(lam)
+
+    def test_clustered_hermite_keeps_every_eigenvalue(self):
+        # confluent nodes close together make eta of order 1e-6 to 1e-3 (the
+        # noise of evaluating P there), yet all 36 eigenvalues are genuine
+        p = random_polynomial("hermite", 2, 18, np.random.default_rng(302))
+        pc = build(p)
+        result = generalized_eigenvalues(pc, p)
+        assert len(result.finite) == 36 and result.spurious == ()
+        assert result.infinite_count == pc.size - 36
+        sigma = result.shift_used
+        thetas = np.linalg.eigvals(np.linalg.solve(sigma * pc.c1 - pc.c0, pc.c1))
+        thetas = thetas[np.abs(thetas) > 1e-8 * np.abs(thetas).max()]
+        reference = sigma - 1.0 / thetas
+        ours = np.array([lam for lam, _ in result.finite])
+        assert len(reference) == 36
+        dist = np.abs(ours[:, None] - reference[None, :]) / np.maximum(1.0, np.abs(ours))[:, None]
+        assert dist.min(axis=1).max() <= 1e-8
+        assert dist.min(axis=0).max() <= 1e-8
+
+    @pytest.mark.parametrize("kind", ["lagrange", "hermite"])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_split_comes_from_the_pencil_alone(self, kind, seed):
+        n = 2
+        p = random_polynomial(kind, n, 10, np.random.default_rng(seed))
+        pc = build(p)
+        with_p = generalized_eigenvalues(pc, p, rng=np.random.default_rng(seed))
+        without_p = generalized_eigenvalues(pc, None, rng=np.random.default_rng(seed))
+        # an interpolation pencil has exactly 2n eigenvalues at infinity
+        assert len(with_p.finite) == pc.size - 2 * n
+        assert [lam for lam, _ in with_p.finite] == [lam for lam, _ in without_p.finite]
+        assert [lam for lam, _ in with_p.spurious] == [lam for lam, _ in without_p.spurious]
+        assert with_p.infinite_count == without_p.infinite_count
 
 
 def _mandelbrot_pencil(depth, c):
