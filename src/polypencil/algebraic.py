@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import DimensionMismatchError, SingularPencilError
 from .linalg import as_cmatrix, det
-from .matpoly import MatrixPolynomial, evaluate
 from .pencils import CompanionPencil
 from .triples import GeneralizedStandardTriple
 
@@ -66,9 +65,7 @@ def composed_triple(t: GeneralizedStandardTriple, ta=None, tb=None) -> Generaliz
 
 
 def _value(poly, z):
-    if callable(poly) and not isinstance(poly, MatrixPolynomial):
-        return np.atleast_2d(np.asarray(poly(z), dtype=complex))
-    return evaluate(poly, z)
+    return np.atleast_2d(np.asarray(poly(z), dtype=complex))
 
 
 def verify_algebraic(t: GeneralizedStandardTriple, a, b, c, zs) -> float:

@@ -252,8 +252,8 @@ def phi_rows(basis: Basis, count: int, zs) -> np.ndarray:
 
     Row i is divided by max(1, |z_i|)^(count-1), so no entry overflows however
     large z_i is; quotients homogeneous of degree zero in a row (the
-    polynomial backward error) are unaffected.  Columns follow the payload
-    order of MatrixPolynomial: coefficients by ascending index, Lagrange
+    polynomial backward error) are unaffected.  Columns follow the order of
+    MatrixPolynomial.data: coefficients by ascending index, Lagrange
     samples by node, and Hermite data per node, value then scaled
     derivatives ascending.  Interpolation rows use the product form
     omega(z) * sum_j b_ij (z - tau_i)^(k-j-1), which is exact on the nodes.

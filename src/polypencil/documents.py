@@ -117,6 +117,9 @@ def parse_basis(desc, grade):
         if not all(isinstance(row, list) for row in rows):
             raise DocumentError("custom recurrence alpha/beta/gamma must be lists")
         alpha, beta, gamma = (tuple(parse_scalar(v) for v in row) for row in rows)
+        if grade is not None and len(alpha) < grade:
+            raise DocumentError(f"custom recurrence of grade {grade} needs {grade} alpha values, "
+                                f"got {len(alpha)}")
         try:
             return CustomThreeTerm(alpha=alpha, beta=beta, gamma=gamma)
         except ValueError as exc:
@@ -163,6 +166,10 @@ def parse_document(doc) -> MatrixPolynomial:
             raise DocumentError("coefficients must be a nonempty list of matrices")
         grade = len(doc[key]) - 1
     basis = parse_basis(doc["basis"], grade)
+    takes = ("samples" if isinstance(basis, Lagrange)
+             else "hermite_samples" if isinstance(basis, Hermite) else "coefficients")
+    if key != takes:
+        raise DocumentError(f"a {doc['basis']['kind']} basis takes {takes}, not {key}")
     if key == "coefficients":
         mats = doc[key]
         if not isinstance(mats, list) or not mats:
@@ -176,7 +183,7 @@ def parse_document(doc) -> MatrixPolynomial:
             raise DocumentError("samples must be a nonempty list of matrices")
         if grade is not None and len(mats) != grade + 1:
             raise DocumentError(f"grade {grade} needs {grade + 1} sample matrices")
-        if isinstance(basis, Lagrange) and len(mats) != len(basis.nodes):
+        if len(mats) != len(basis.nodes):
             raise DocumentError(f"{len(basis.nodes)} nodes need {len(basis.nodes)} sample "
                                 f"matrices, got {len(mats)}")
         return MatrixPolynomial.from_samples(basis, [parse_matrix(m, n) for m in mats])
@@ -187,7 +194,7 @@ def parse_document(doc) -> MatrixPolynomial:
         raise DocumentError(
             f"grade {grade} does not match the confluencies (sum - 1 = {basis.grade})")
     sizes = [len(g) for g in groups]
-    if isinstance(basis, Hermite) and sizes != list(basis.confluencies):
+    if sizes != list(basis.confluencies):
         raise DocumentError(f"hermite_samples group sizes {sizes} do not match the "
                             f"confluencies {list(basis.confluencies)}")
     return MatrixPolynomial.from_hermite_samples(

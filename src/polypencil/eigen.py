@@ -196,7 +196,7 @@ def _polynomial_backward_errors(p: MatrixPolynomial, lams) -> np.ndarray:
     The basis values come from a single phi_rows pass, whose per-point
     scaling cancels in the quotient.
     """
-    data = p.payload
+    data = p.data
     phi = phi_rows(p.basis, data.shape[0], lams)
     smallest = np.linalg.svd(np.tensordot(phi, data, axes=1), compute_uv=False)[:, -1]
     scale = np.abs(phi) @ np.linalg.svd(data, compute_uv=False)[:, 0]

@@ -63,28 +63,27 @@ def monomial_form(p: MatrixPolynomial) -> MatrixPolynomial:
     ell + 2) so its companion pencil matches the Lagrange pencil size.
     """
     n = p.n
-    if p.coefficients is not None and isinstance(p.basis, ThreeTermBasis):
+    if isinstance(p.basis, ThreeTermBasis):
         rows = monomial_rows(p.basis, p.grade + 1)  # rows phi_grade .. phi_0
         coeffs = [np.zeros((n, n), dtype=complex) for _ in range(p.grade + 1)]
-        for k, ck in enumerate(p.coefficients):
+        for k, ck in enumerate(p.data):
             row = rows[p.grade - k]
             for j in range(p.grade + 1):  # row is descending: j=0 is z^grade
                 if row[j] != 0:
                     coeffs[p.grade - j] = coeffs[p.grade - j] + row[j] * ck
         return MatrixPolynomial.from_coefficients(Monomial(), coeffs)
-    if p.coefficients is not None and isinstance(p.basis, Bernstein):
+    if isinstance(p.basis, Bernstein):
         ell = p.grade
         coeffs = [np.zeros((n, n), dtype=complex) for _ in range(ell + 1)]
-        for k, ck in enumerate(p.coefficients):
+        for k, ck in enumerate(p.data):
             for j in range(ell - k + 1):
                 coeffs[k + j] = coeffs[k + j] + comb(ell, k) * comb(ell - k, j) * (-1.0) ** j * ck
         return MatrixPolynomial.from_coefficients(Monomial(), coeffs)
-    if p.samples is not None:
+    if isinstance(p.basis, Lagrange):
         nodes = p.basis.nodes
         ell = len(nodes) - 1
         vand = np.array([[t**(ell - j) for j in range(ell + 1)] for t in nodes], dtype=complex)
-        rhs = np.stack([s.reshape(-1) for s in p.samples])
-        desc = np.linalg.solve(vand, rhs)
+        desc = np.linalg.solve(vand, p.data.reshape(len(nodes), -1))
         coeffs = [desc[ell - k].reshape(n, n) for k in range(ell + 1)]
         coeffs += [np.zeros((n, n), dtype=complex)] * 2
         return MatrixPolynomial.from_coefficients(Monomial(), coeffs)
@@ -106,7 +105,7 @@ def equivalence_degree_graded(p: MatrixPolynomial) -> EquivalencePair:
     E is solved from the constant-term equation and then checked against the
     leading-term equation.
     """
-    if p.coefficients is None or not isinstance(p.basis, (ThreeTermBasis, Bernstein)):
+    if not isinstance(p.basis, (ThreeTermBasis, Bernstein)):
         raise UnsupportedBasisError("degree-graded equivalence needs coefficient data")
     if p.grade < 2:
         raise ValueError("equivalence needs grade >= 2")
@@ -130,7 +129,7 @@ def equivalence_lagrange(p: MatrixPolynomial) -> EquivalencePair:
     inverse of the node set; F stacks the node polynomial over the monomial
     expansions of the Lagrange basis polynomials.
     """
-    if p.samples is None or not isinstance(p.basis, Lagrange):
+    if not isinstance(p.basis, Lagrange):
         raise UnsupportedBasisError("Lagrange equivalence needs sample data")
     nodes = p.basis.nodes
     ell = len(nodes) - 1

@@ -1,14 +1,15 @@
-"""Matrix polynomials: square coefficient matrices (or interpolation data) in a basis.
+"""Matrix polynomials P(z) = sum_k P_k phi_k(z): a basis and one stacked array.
 
-The grade is a declared upper bound on the degree and is authoritative:
-leading zero coefficients are kept, because they are what puts eigenvalues
-at infinity in the pencils built from the polynomial.
+The basis fixes what the matrices P_k mean; ``data`` holds them in the
+column order of ``bases.phi_rows``.  The grade is a declared upper bound on
+the degree and is authoritative: leading zero coefficients are kept, because
+they are what puts eigenvalues at infinity in the pencils built from the
+polynomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -23,111 +24,93 @@ __all__ = ["MatrixPolynomial", "evaluate", "degree_defect"]
 NODE_SNAP = 1e-12
 
 
-def _payload(matrices, n=None):
-    out = []
-    for m in matrices:
-        mm = as_cmatrix(m, name="coefficient")
-        if mm.shape[0] != mm.shape[1]:
-            raise DimensionMismatchError("coefficient matrices must be square")
-        if n is None:
-            n = mm.shape[0]
-        elif mm.shape[0] != n:
-            raise DimensionMismatchError("all coefficient matrices must share one dimension")
-        out.append(mm)
-    if not out:
-        raise ValueError("empty payload")
-    return tuple(out), n
-
-
 @dataclass(frozen=True)
 class MatrixPolynomial:
     """An n x n matrix polynomial of declared grade in some basis.
 
-    Exactly one payload is set: ``coefficients`` (three-term and Bernstein
-    bases, ascending basis index), ``samples`` (Lagrange: one value matrix
-    per node), or ``hermite_samples`` (per node, the scaled derivative
-    values P(tau), P'/1!, P''/2!, ... ascending).
+    ``data`` is a read-only complex (grade + 1, n, n) array in phi_rows
+    order: coefficients by ascending basis index (three-term and Bernstein
+    bases), one value matrix per node (Lagrange), or per node the scaled
+    derivative values P(tau), P'/1!, P''/2!, ... ascending (Hermite).
     """
 
     basis: Basis
-    n: int
-    grade: int
-    coefficients: tuple = None
-    samples: tuple = None
-    hermite_samples: tuple = None
+    data: np.ndarray
+
+    def __post_init__(self):
+        mats = [as_cmatrix(m, name="coefficient") for m in self.data]
+        if not mats:
+            raise ValueError("empty payload")
+        n = mats[0].shape[0]
+        if any(m.shape != (n, n) for m in mats):
+            raise DimensionMismatchError("coefficient matrices must be square and share one size")
+        basis = self.basis
+        if isinstance(basis, (Bernstein, Lagrange, Hermite)) and len(mats) != basis.grade + 1:
+            raise ValueError(f"{len(mats)} matrices do not match the grade {basis.grade} "
+                             f"of the {type(basis).__name__} basis")
+        data = np.stack(mats)
+        data.flags.writeable = False
+        object.__setattr__(self, "data", data)
+
+    @property
+    def n(self) -> int:
+        return self.data.shape[1]
+
+    @property
+    def grade(self) -> int:
+        return self.data.shape[0] - 1
 
     @classmethod
     def from_coefficients(cls, basis, coefficients):
         if not isinstance(basis, (ThreeTermBasis, Bernstein)):
             raise UnsupportedBasisError("coefficient payload needs a three-term or Bernstein basis")
-        coeffs, n = _payload(coefficients)
-        grade = len(coeffs) - 1
-        if isinstance(basis, Bernstein) and grade != basis.grade:
-            raise ValueError(f"{len(coeffs)} coefficients do not match Bernstein grade {basis.grade}")
-        return cls(basis=basis, n=n, grade=grade, coefficients=coeffs)
+        return cls(basis, coefficients)
 
     @classmethod
     def from_samples(cls, basis, samples):
         if not isinstance(basis, Lagrange):
             raise UnsupportedBasisError("sample payload needs a Lagrange basis")
-        vals, n = _payload(samples)
-        if len(vals) != len(basis.nodes):
-            raise ValueError("need exactly one sample matrix per node")
-        return cls(basis=basis, n=n, grade=basis.grade, samples=vals)
+        return cls(basis, samples)
 
     @classmethod
     def from_hermite_samples(cls, basis, samples_per_node):
         if not isinstance(basis, Hermite):
             raise UnsupportedBasisError("derivative payload needs a Hermite basis")
-        if len(samples_per_node) != len(basis.nodes):
-            raise ValueError("need one sample group per node")
-        groups = []
-        n = None
-        for s, group in zip(basis.confluencies, samples_per_node):
-            vals, n = _payload(group, n)
-            if len(vals) != s:
-                raise ValueError("sample group size must equal the node confluency")
-            groups.append(vals)
-        return cls(basis=basis, n=n, grade=basis.grade, hermite_samples=tuple(groups))
+        if [len(group) for group in samples_per_node] != list(basis.confluencies):
+            raise ValueError("need one sample group per node, its size the node confluency")
+        return cls(basis, [m for group in samples_per_node for m in group])
 
     def __call__(self, z):
         return evaluate(self, z)
 
-    @cached_property
-    def payload(self) -> np.ndarray:
-        """The payload matrices stacked as (count, n, n), in the column order of phi_rows."""
-        if self.hermite_samples is not None:
-            return np.stack([m for group in self.hermite_samples for m in group])
-        return np.stack(self.coefficients or self.samples)
-
-
-def _near(z, tau):
-    return abs(z - tau) < NODE_SNAP * (1.0 + abs(tau))
-
 
 def evaluate(p: MatrixPolynomial, z) -> np.ndarray:
-    """P(z) as an n x n complex matrix: the payload summed against phi_rows.
+    """P(z): the data summed against phi_rows; (n, n) for a scalar z, (k, n, n) for k of them.
 
     For interpolation data this is the product form of phi_rows, with no
     omega(z)/(z - tau) division; on (or numerically on top of) a node the
-    stored value is returned exactly.
+    stored value is returned exactly.  The sum is an einsum contraction, not
+    BLAS, so each point's value is bitwise the same alone or in a batch.
     """
-    z = complex(z)
-    if p.coefficients is None:
-        starts = np.cumsum((0,) + p.basis.confluencies[:-1])
-        for tau, start in zip(p.basis.nodes, starts):
-            if _near(z, tau):
-                return p.payload[start].copy()
-    phi = phi_rows(p.basis, p.grade + 1, [z]) * max(1.0, abs(z)) ** p.grade
-    return (phi @ p.payload.reshape(p.grade + 1, -1)).reshape(p.n, p.n)
+    zs = np.asarray(z, dtype=complex)
+    flat = zs.reshape(-1)
+    phi = phi_rows(p.basis, p.grade + 1, flat) * np.maximum(1.0, np.abs(flat))[:, None] ** p.grade
+    out = np.einsum("kc,cij->kij", phi, p.data)
+    if isinstance(p.basis, (Lagrange, Hermite)):
+        nodes = np.asarray(p.basis.nodes)
+        near = np.abs(flat[:, None] - nodes) < NODE_SNAP * (1.0 + np.abs(nodes))
+        hit = near.any(axis=1)
+        starts = np.cumsum(p.basis.confluencies) - p.basis.confluencies
+        out[hit] = p.data[starts[near[hit].argmax(axis=1)]]
+    return out.reshape(zs.shape + out.shape[1:])
 
 
 def degree_defect(p: MatrixPolynomial) -> int:
     """Number of exactly zero leading coefficient matrices (grade excess)."""
-    if p.coefficients is None:
+    if not isinstance(p.basis, (ThreeTermBasis, Bernstein)):
         raise UnsupportedBasisError("degree defect is defined for coefficient payloads only")
     count = 0
-    for ck in reversed(p.coefficients):
+    for ck in reversed(p.data):
         if np.count_nonzero(ck) == 0:
             count += 1
         else:

@@ -94,12 +94,12 @@ def build_three_term(p: MatrixPolynomial) -> CompanionPencil:
     up to the product of the alphas.  Grade 1 degenerates to the
     single-block pencil (P_1/alpha_0, (beta_0/alpha_0) P_1 - P_0).
     """
-    if not isinstance(p.basis, ThreeTermBasis) or p.coefficients is None:
+    if not isinstance(p.basis, ThreeTermBasis):
         raise UnsupportedBasisError("build_three_term needs a three-term coefficient polynomial")
     ell, n = p.grade, p.n
     if ell < 1:
         raise GradeTooSmallError("three-term pencil needs grade >= 1")
-    coeff = p.coefficients
+    coeff = p.data
     if ell == 1:
         a0, b0, _ = recurrence_row(p.basis, 0)
         c1 = coeff[1] / a0
@@ -127,12 +127,12 @@ def build_three_term(p: MatrixPolynomial) -> CompanionPencil:
 
 def build_bernstein(p: MatrixPolynomial) -> CompanionPencil:
     """Companion pencil for a Bernstein-basis coefficient polynomial."""
-    if not isinstance(p.basis, Bernstein) or p.coefficients is None:
+    if not isinstance(p.basis, Bernstein):
         raise UnsupportedBasisError("build_bernstein needs a Bernstein coefficient polynomial")
     ell, n = p.grade, p.n
     if ell < 2:
         raise GradeTooSmallError("Bernstein pencil needs grade >= 2")
-    coeff = p.coefficients
+    coeff = p.data
     N = ell * n
     eye = np.eye(n, dtype=complex)
     c0 = np.zeros((N, N), dtype=complex)
@@ -149,14 +149,14 @@ def build_bernstein(p: MatrixPolynomial) -> CompanionPencil:
 
 def build_lagrange(p: MatrixPolynomial) -> CompanionPencil:
     """Arrowhead companion pencil for Lagrange interpolation data."""
-    if not isinstance(p.basis, Lagrange) or p.samples is None:
+    if not isinstance(p.basis, Lagrange):
         raise UnsupportedBasisError("build_lagrange needs a Lagrange sample polynomial")
     return _build_interpolational(p)
 
 
 def build_hermite(p: MatrixPolynomial) -> CompanionPencil:
     """Arrowhead companion pencil for confluent (Hermite) interpolation data."""
-    if not isinstance(p.basis, Hermite) or p.hermite_samples is None:
+    if not isinstance(p.basis, Hermite):
         raise UnsupportedBasisError("build_hermite needs a Hermite sample polynomial")
     return _build_interpolational(p)
 
@@ -183,7 +183,7 @@ def _build_interpolational(p: MatrixPolynomial) -> CompanionPencil:
     for tau, s in zip(p.basis.nodes, p.basis.confluencies):
         for j in range(s):
             col = start + 1 + j
-            c0[_blk(0, n), _blk(col, n)] = -p.payload[start + s - 1 - j]
+            c0[_blk(0, n), _blk(col, n)] = -p.data[start + s - 1 - j]
             c0[_blk(col, n), _blk(0, n)] = beta[start + j] * eye
             c0[_blk(col, n), _blk(col, n)] = tau * eye
             if j > 0:

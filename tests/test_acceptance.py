@@ -168,7 +168,7 @@ def test_criterion_5_equivalence_goldens():
                                                          scalar(rho)))
         expected = golden.lagrange_monomial_coefficients([float(v) for v in rho])
         for k in range(4):
-            assert abs(pm.coefficients[k][0, 0] - float(expected[k])) <= 1e-12
+            assert abs(pm.data[k][0, 0] - float(expected[k])) <= 1e-12
 
 
 def test_criterion_6_algebraic_linearization():

@@ -434,6 +434,25 @@ class TestDocumentValidation:
         # no grade is given, so the payload disagrees with the basis alone
         self._assert_schema_fault(capsys, word, "eig", write(tmp_path, "d.json", doc))
 
+    @pytest.mark.parametrize("doc, word", [
+        (dict(SQUARE_PLUS_ONE, basis=LAGRANGE_EYE["basis"]), "takes samples"),
+        (dict(LAGRANGE_EYE, basis={"kind": "chebyshev"}), "takes coefficients"),
+        (dict(LAGRANGE_EYE, basis=HERMITE_ONE["basis"]), "takes hermite_samples"),
+        (dict(HERMITE_ONE, basis={"kind": "lagrange", "nodes": [1, 0.5, -0.5, -1]}),
+         "takes samples"),
+        (dict(HERMITE_ONE, basis={"kind": "chebyshev"}), "takes coefficients"),
+    ], ids=["coefficients-lagrange", "samples-chebyshev", "samples-hermite",
+            "hermite_samples-lagrange", "hermite_samples-chebyshev"])
+    def test_payload_key_the_basis_cannot_take_exits_2(self, tmp_path, capsys, doc, word):
+        self._assert_schema_fault(capsys, word, "pencil", write(tmp_path, "d.json", doc))
+
+    @pytest.mark.parametrize("command", ["pencil", "eig", "verify"])
+    def test_custom_recurrence_shorter_than_the_grade_exits_2(self, tmp_path, capsys, command):
+        doc = {"basis": {"kind": "custom",
+                         "recurrence": {"alpha": [1.0], "beta": [0.0], "gamma": [0.0]}},
+               "n": 1, "coefficients": [[[0.3]], [[-0.7]], [[1.1]], [[0.4]]]}
+        self._assert_schema_fault(capsys, "alpha", command, write(tmp_path, "d.json", doc))
+
 
 def test_parser_is_built_once_and_reused(tmp_path, capsys):
     path = write(tmp_path, "doc.json", BERNSTEIN_MONIC)

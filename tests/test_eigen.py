@@ -196,7 +196,7 @@ class TestClassification:
         p = random_polynomial("chebyshev", 2, 20, rng)
         # a small leading coefficient pushes eigenvalues out past |z| = 5,
         # where T_20 is about 1e19
-        coeffs = list(p.coefficients[:-1]) + [0.1 * p.coefficients[-1]]
+        coeffs = list(p.data[:-1]) + [0.1 * p.data[-1]]
         p = MatrixPolynomial.from_coefficients(ChebyshevT(), coeffs)
         pc = build(p)
         result = generalized_eigenvalues(pc, p)

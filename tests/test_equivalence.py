@@ -42,7 +42,7 @@ class TestDegreeGraded:
     def test_bernstein_reference_monomial_coefficients(self):
         # a = [1..5] collapses to the degree-1 polynomial 1 + 4z
         pm = monomial_form(bernstein_reference_poly())
-        coeffs = [c[0, 0].real for c in pm.coefficients]
+        coeffs = [c[0, 0].real for c in pm.data]
         assert coeffs == pytest.approx([1.0, 4.0, 0.0, 0.0, 0.0], abs=1e-12)
 
     def test_monomial_basis_gives_identity(self, rng):
@@ -111,15 +111,15 @@ class TestLagrange:
             p = MatrixPolynomial.from_samples(
                 Lagrange(nodes=ascending), scalar([float(r) for r in rho]))
             pm = monomial_form(p)
-            got = [pm.coefficients[k][0, 0].real for k in range(4)]
+            got = [pm.data[k][0, 0].real for k in range(4)]
             assert got == pytest.approx([float(a) for a in expected], abs=1e-12)
-            assert np.allclose(pm.coefficients[4], 0.0) and np.allclose(pm.coefficients[5], 0.0)
+            assert np.allclose(pm.data[4], 0.0) and np.allclose(pm.data[5], 0.0)
 
     def test_constant_one(self):
         nodes = golden.EQUIV_LAGRANGE_NODES
         p = MatrixPolynomial.from_samples(Lagrange(nodes=nodes), scalar([1, 1, 1, 1]))
         pm = monomial_form(p)
-        coeffs = [c[0, 0].real for c in pm.coefficients]
+        coeffs = [c[0, 0].real for c in pm.data]
         assert coeffs == pytest.approx([1, 0, 0, 0, 0, 0], abs=1e-12)
         pair = equivalence_lagrange(p)
         assert verify_equivalence(pair, build(p), build_three_term(pm)) <= 1e-12
@@ -140,7 +140,7 @@ def test_degree_graded_c1_transform_shape(rng):
     coeffs[0] += 3.0 * np.eye(2)
     p = MatrixPolynomial.from_coefficients(ChebyshevT(), coeffs)
     pair = equivalence_degree_graded(p)
-    lead = monomial_form(p).coefficients[-1]
+    lead = monomial_form(p).data[-1]
     out = pair.e @ build(p).c1 @ pair.f
     expected = np.eye(6, dtype=complex)
     expected[:2, :2] = lead

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import golden
-from conftest import ALL_KINDS, poly_nodes, random_polynomial
+from conftest import ALL_KINDS, TEN_KINDS, poly_nodes, random_polynomial
 from polypencil import (
+    Bernstein,
     ChebyshevT,
     Hermite,
     Lagrange,
@@ -125,6 +126,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             MatrixPolynomial.from_hermite_samples(basis, [[np.eye(1)]])
 
+    def test_count_must_match_the_bernstein_grade(self):
+        with pytest.raises(ValueError):
+            MatrixPolynomial(Bernstein(grade=3), [np.eye(2), np.eye(2)])
+
+    def test_data_is_read_only(self, rng):
+        p = random_polynomial("chebyshev", 2, 3, rng)
+        assert not p.data.flags.writeable
+        with pytest.raises(ValueError):
+            p.data[0, 0, 0] = 1.0
+
     def test_scalar_shorthand(self):
         p = MatrixPolynomial.from_coefficients(Monomial(), [[[1.0]], [[0.0]], [[1.0]]])
         assert p.n == 1 and p.grade == 2
@@ -135,8 +146,8 @@ class TestValidation:
 def test_phi_rows_agree_with_evaluate(kind, rng):
     p = random_polynomial(kind, 2, 4, rng)
     zs = [0.3 - 0.2j, -1.1 + 0.4j, 25.0j, *poly_nodes(p)[:2]]
-    rows = phi_rows(p.basis, p.payload.shape[0], zs)
-    for z, values in zip(zs, np.tensordot(rows, p.payload, axes=1)):
+    rows = phi_rows(p.basis, p.data.shape[0], zs)
+    for z, values in zip(zs, np.tensordot(rows, p.data, axes=1)):
         expected = evaluate(p, z)
         got = values * max(1.0, abs(z)) ** p.grade
         assert np.linalg.norm(got - expected) <= 1e-12 * max(1.0, np.linalg.norm(expected))
@@ -145,3 +156,25 @@ def test_phi_rows_agree_with_evaluate(kind, rng):
 def test_phi_rows_stay_finite_far_out():
     rows = phi_rows(ChebyshevT(), 21, [1e200, -3e150j])
     assert np.all(np.isfinite(rows)) and np.allclose(np.abs(rows[:, -1]), 2.0 ** 19)
+
+
+@pytest.mark.parametrize("kind", TEN_KINDS)
+def test_batch_rows_equal_single_points_bitwise(kind, rng):
+    p = random_polynomial(kind, 3, 6, rng)
+    zs = np.array([0.3 - 0.2j, -1.1 + 0.4j, 25.0j, *poly_nodes(p)[:2], 1.7 + 1.9j])
+    values = evaluate(p, zs)
+    assert values.shape == (len(zs), 3, 3)
+    for z, value in zip(zs, values):
+        assert np.array_equal(value, evaluate(p, z))
+
+
+@pytest.mark.parametrize("kind", ["lagrange", "hermite"])
+def test_batch_snaps_to_the_stored_node_data(kind, rng):
+    p = random_polynomial(kind, 2, 5, rng)
+    nodes = p.basis.nodes
+    starts = np.cumsum(p.basis.confluencies) - p.basis.confluencies
+    zs = [nodes[0], nodes[-1] * (1.0 + 0.5 * NODE_SNAP), 0.1 + 0.2j]
+    values = evaluate(p, zs)
+    assert np.array_equal(values[0], p.data[starts[0]])
+    assert np.array_equal(values[1], p.data[starts[-1]])
+    assert not np.array_equal(values[2], p.data[starts[0]])

@@ -197,16 +197,7 @@ def test_kron_lift_matches_block_build(kind, rng):
     n, ell = 2, 3
     p_scalar = random_polynomial(kind, 1, ell, rng)
     eye = np.eye(n, dtype=complex)
-    if p_scalar.coefficients is not None:
-        p_block = MatrixPolynomial.from_coefficients(
-            p_scalar.basis, [c[0, 0] * eye for c in p_scalar.coefficients])
-    elif p_scalar.samples is not None:
-        p_block = MatrixPolynomial.from_samples(
-            p_scalar.basis, [s[0, 0] * eye for s in p_scalar.samples])
-    else:
-        p_block = MatrixPolynomial.from_hermite_samples(
-            p_scalar.basis,
-            [[m[0, 0] * eye for m in g] for g in p_scalar.hermite_samples])
+    p_block = MatrixPolynomial(p_scalar.basis, p_scalar.data[:, :1, :1] * eye)
     pc_scalar = build(p_scalar)
     pc_block = build(p_block)
     assert np.array_equal(np.kron(pc_scalar.c1, eye), pc_block.c1)

@@ -305,7 +305,7 @@ class TestMonomialStandardPair:
         pair = monomial_standard_pair(p)
         acc = np.zeros((1, 3), dtype=complex)
         power = pair.x.copy()
-        for ck in p.coefficients:  # brute-force Horner on T
+        for ck in p.data:  # brute-force Horner on T
             acc = acc + ck @ power
             power = power @ pair.t
         assert np.linalg.norm(acc) <= 1e-10
