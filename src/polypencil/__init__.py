@@ -44,7 +44,6 @@ from .errors import (
     DimensionMismatchError,
     DocumentError,
     DuplicateNodesError,
-    EquivalenceCheckError,
     GradeTooSmallError,
     NoConvergenceError,
     NotMonicError,

@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, SingularPencilError
 from .linalg import as_cmatrix, det
+from .matpoly import MatrixPolynomial, evaluate
 from .pencils import CompanionPencil
 from .triples import GeneralizedStandardTriple
 
@@ -64,8 +65,12 @@ def composed_triple(t: GeneralizedStandardTriple, ta=None, tb=None) -> Generaliz
     return t
 
 
-def _value(poly, z):
-    return np.atleast_2d(np.asarray(poly(z), dtype=complex))
+def _values(poly, zs):
+    """poly at every z of zs, one matrix per point: a single batched evaluate for a
+    MatrixPolynomial, one call per point for a plain callable."""
+    if isinstance(poly, MatrixPolynomial):
+        return evaluate(poly, zs)
+    return [np.atleast_2d(np.asarray(poly(z), dtype=complex)) for z in zs]
 
 
 def verify_algebraic(t: GeneralizedStandardTriple, a, b, c, zs) -> float:
@@ -78,10 +83,10 @@ def verify_algebraic(t: GeneralizedStandardTriple, a, b, c, zs) -> float:
     structure and is not normalized away).
     """
     c = as_cmatrix(c)
+    zs = [complex(z) for z in zs]
     ratios = []
-    for z in zs:
-        z = complex(z)
-        hz = z * (_value(a, z) @ _value(b, z)) + c
+    for z, az, bz in zip(zs, _values(a, zs), _values(b, zs)):
+        hz = z * (az @ bz) + c
         dh = det(hz)
         if dh == 0:
             raise SingularPencilError(f"H(z) is singular at sample z={z}", z=z)

@@ -353,9 +353,37 @@ def barycentric_weights(basis: Basis) -> np.ndarray:
     return basis.weights
 
 
-def monomial_rows(basis: ThreeTermBasis, count: int) -> np.ndarray:
-    """Rows phi_{count-1} .. phi_0 in descending monomial coefficients."""
+def monomial_rows(basis: Basis, count: int) -> np.ndarray:
+    """Rows phi_{count-1} .. phi_0 in descending monomial coefficients.
+
+    The one change of basis to the monomials: the three-term recurrence run
+    on coefficient vectors, B_k = sum_j C(ell, k) C(ell - k, j) (-1)^j z^(k+j)
+    in exact integer products, and beta_k prod_{j != k} (z - tau_j) for
+    Lagrange.  Hermite bases have none.
+    """
+    ell = count - 1
     rows = np.zeros((count, count), dtype=complex)
+    if isinstance(basis, Bernstein):
+        if ell != basis.grade:
+            raise ValueError(f"{count} rows do not match Bernstein grade {basis.grade}")
+        for k in range(count):
+            for j in range(count - k):  # z^(k+j) sits in column ell - k - j
+                rows[ell - k, ell - k - j] = comb(ell, k) * comb(ell - k, j) * (-1) ** j
+        return rows
+    if isinstance(basis, Lagrange):
+        nodes = basis.nodes
+        if count != len(nodes):
+            raise ValueError(f"{count} rows do not match {len(nodes)} Lagrange nodes")
+        beta = barycentric_weights(basis)
+        for k in range(len(nodes)):
+            lk = np.array([beta[k]], dtype=complex)
+            for j, tj in enumerate(nodes):
+                if j != k:
+                    lk = np.convolve(lk, np.array([1.0, -tj], dtype=complex))
+            rows[ell - k] = lk
+        return rows
+    if not isinstance(basis, ThreeTermBasis):
+        raise UnsupportedBasisError(f"no monomial expansion for the {type(basis).__name__} basis")
     prev = np.zeros(count, dtype=complex)
     cur = np.zeros(count, dtype=complex)
     cur[-1] = 1.0  # phi_0 = 1
@@ -395,18 +423,10 @@ def null_vector_basis_matrix(basis: Basis, ell: int) -> np.ndarray:
             out[k] = np.concatenate([comb(ell, k + 1) * poly, np.zeros(pad, dtype=complex)])
         return out
     if isinstance(basis, Lagrange):
-        nodes = basis.nodes
-        if ell != len(nodes) - 1:
+        if ell != len(basis.nodes) - 1:
             raise ValueError("grade must equal node count minus one")
-        size = ell + 2
-        beta = barycentric_weights(basis)
-        out = np.zeros((size, size), dtype=complex)
+        out = np.zeros((ell + 2, ell + 2), dtype=complex)
         out[0] = node_polynomial(basis)
-        for k in range(len(nodes)):
-            lk = np.array([beta[k]], dtype=complex)
-            for j, tj in enumerate(nodes):
-                if j != k:
-                    lk = np.convolve(lk, np.array([1.0, -tj], dtype=complex))
-            out[1 + k, 1:] = lk
+        out[1:, 1:] = monomial_rows(basis, ell + 1)[::-1]
         return out
     raise UnsupportedBasisError("no change-of-basis matrix for the Hermite pencil")

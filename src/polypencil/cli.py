@@ -32,12 +32,11 @@ from .equivalence import (
     TO_MONOMIAL,
     equivalence_degree_graded,
     equivalence_lagrange,
-    monomial_form,
     verify_equivalence,
 )
 from .errors import NoConvergenceError, PolyPencilError
 from .matpoly import MatrixPolynomial
-from .pencils import build, build_three_term
+from .pencils import build
 from .triples import make_triple, sample_points, verify_triple
 
 EXIT_OK = 0
@@ -149,9 +148,7 @@ def cmd_equiv(args):
         pair = equivalence_lagrange(p)
     else:
         pair = equivalence_degree_graded(p)
-    pc_phi = build(p)
-    pc_m = build_three_term(monomial_form(p))
-    deviation = verify_equivalence(pair, pc_phi, pc_m)
+    deviation = verify_equivalence(pair)
     ok = deviation <= args.tol
     _emit({
         "E": matrix_to_json(pair.e),

@@ -53,10 +53,6 @@ class NoConvergenceError(PolyPencilError):
     """The eigenvalue iteration exhausted its sweep budget."""
 
 
-class EquivalenceCheckError(PolyPencilError):
-    """The second defining equation of a strict equivalence failed to hold."""
-
-
 class DocumentError(PolyPencilError):
     """A polynomial document failed schema validation."""
 

@@ -25,7 +25,7 @@ from polypencil import (
     one_coefficients,
     recurrence_row,
 )
-from polypencil.bases import phi_rows
+from polypencil.bases import monomial_rows, phi_rows
 
 
 class TestRecurrenceRow:
@@ -295,6 +295,20 @@ class TestNullVectorBasisMatrix:
     def test_hermite_unsupported(self):
         with pytest.raises(UnsupportedBasisError):
             null_vector_basis_matrix(Hermite(nodes=[0.0], confluencies=[3]), 2)
+
+
+@pytest.mark.parametrize("kind", ["bernstein", "lagrange"])
+def test_monomial_rows_expand_phi(kind, rng):
+    from conftest import spread_nodes
+
+    basis = Bernstein(grade=6) if kind == "bernstein" else Lagrange(nodes=spread_nodes(rng, 8))
+    count = 7 if kind == "bernstein" else 8
+    rows = monomial_rows(basis, count)  # phi_{count-1} .. phi_0, descending powers
+    zs = rng.uniform(0, 1, 5) * np.exp(2j * np.pi * rng.uniform(size=5))
+    phi = phi_rows(basis, count, zs)  # |z| <= 1: no scaling applied
+    for z, row in zip(zs, phi):
+        got = [np.polyval(rows[count - 1 - k], z) for k in range(count)]
+        assert np.max(np.abs(got - row)) <= 1e-12 * np.max(np.abs(row))
 
 
 @pytest.mark.parametrize("kind", ["monomial", "shifted", "taylor", "newton",

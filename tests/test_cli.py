@@ -309,6 +309,13 @@ class TestEquivCommand:
         assert np.max(np.abs(e - golden.EQUIV_BERNSTEIN_E)) <= 1e-12
         assert payload["deviation"] <= 1e-12
 
+    def test_hermite_is_a_construction_error(self, tmp_path, capsys):
+        path = write(tmp_path, "doc.json", HERMITE_ONE)
+        code, out, err = run(capsys, "equiv", path)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestBaryCommand:
     def test_lagrange_weights(self, tmp_path, capsys):

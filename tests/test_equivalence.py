@@ -4,21 +4,26 @@ import numpy as np
 import pytest
 
 import golden
+from conftest import COEFF_KINDS, random_polynomial
 from polypencil import (
     Bernstein,
     ChebyshevT,
+    Hermite,
     Lagrange,
     LegendreP,
     MatrixPolynomial,
     Monomial,
     SingularC0Error,
+    UnsupportedBasisError,
     build,
     build_three_term,
     equivalence_degree_graded,
     equivalence_lagrange,
+    evaluate,
     monomial_form,
     verify_equivalence,
 )
+from polypencil.bases import monomial_rows
 
 
 def scalar(values):
@@ -36,8 +41,7 @@ class TestDegreeGraded:
         pair = equivalence_degree_graded(p)
         assert np.max(np.abs(pair.e - golden.EQUIV_BERNSTEIN_E)) <= 1e-12
         assert np.max(np.abs(pair.f - golden.EQUIV_BERNSTEIN_F)) <= 1e-12
-        pm = build_three_term(monomial_form(p))
-        assert verify_equivalence(pair, build(p), pm) <= 1e-12
+        assert verify_equivalence(pair) <= 1e-12
 
     def test_bernstein_reference_monomial_coefficients(self):
         # a = [1..5] collapses to the degree-1 polynomial 1 + 4z
@@ -55,8 +59,7 @@ class TestDegreeGraded:
         p = MatrixPolynomial.from_coefficients(ChebyshevT(),
                                                scalar(rng.standard_normal(4) + 1.0))
         pair = equivalence_degree_graded(p)
-        pm = build_three_term(monomial_form(p))
-        assert verify_equivalence(pair, build(p), pm) <= 1e-10
+        assert verify_equivalence(pair) <= 1e-10
 
     def test_block_case_uses_tensor_lift(self, rng):
         coeffs = [rng.standard_normal((2, 2)) for _ in range(4)]
@@ -64,16 +67,14 @@ class TestDegreeGraded:
         p = MatrixPolynomial.from_coefficients(ChebyshevT(), coeffs)
         pair = equivalence_degree_graded(p)
         assert pair.e.shape == (6, 6)
-        pm = build_three_term(monomial_form(p))
-        assert verify_equivalence(pair, build(p), pm) <= 1e-10
+        assert verify_equivalence(pair) <= 1e-10
 
     def test_block_bernstein(self, rng):
         coeffs = [rng.standard_normal((2, 2)) for _ in range(4)]
         coeffs[0] += 3.0 * np.eye(2)
         p = MatrixPolynomial.from_coefficients(Bernstein(grade=3), coeffs)
         pair = equivalence_degree_graded(p)
-        pm = build_three_term(monomial_form(p))
-        assert verify_equivalence(pair, build(p), pm) <= 1e-10
+        assert verify_equivalence(pair) <= 1e-10
 
     def test_singular_constant_term(self):
         # p(z) = z^2 makes the constant pencil term singular
@@ -99,8 +100,7 @@ class TestLagrange:
         pair = equivalence_lagrange(p)
         assert np.max(np.abs(pair.e - golden.EQUIV_LAGRANGE_E)) <= 1e-12
         assert np.max(np.abs(pair.f - golden.EQUIV_LAGRANGE_F)) <= 1e-12
-        pm = build_three_term(monomial_form(p))
-        assert verify_equivalence(pair, build(p), pm) <= 1e-12
+        assert verify_equivalence(pair) <= 1e-12
 
     def test_monomial_coefficient_forms(self, rng):
         # values at the ascending nodes [-1, -1/2, 1/2, 1]
@@ -122,7 +122,7 @@ class TestLagrange:
         coeffs = [c[0, 0].real for c in pm.data]
         assert coeffs == pytest.approx([1, 0, 0, 0, 0, 0], abs=1e-12)
         pair = equivalence_lagrange(p)
-        assert verify_equivalence(pair, build(p), build_three_term(pm)) <= 1e-12
+        assert verify_equivalence(pair) <= 1e-12
 
     def test_padded_pencil_shape(self, rng):
         nodes = golden.EQUIV_LAGRANGE_NODES
@@ -164,3 +164,40 @@ def test_pair_matrices_are_nonsingular(rng):
     for pair in pairs:
         assert abs(det(pair.e)) > 1e-12
         assert abs(det(pair.f)) > 1e-12
+
+
+@pytest.mark.parametrize("kind", COEFF_KINDS + ("custom", "lagrange"))
+@pytest.mark.parametrize("seed", range(5))
+def test_monomial_form_is_the_same_polynomial(kind, seed):
+    # bound: rounding of the change of basis, sum_k ||P_k|| sum_m |R_km| |z|^m
+    rng = np.random.default_rng(seed)
+    p = random_polynomial(kind, 2, 8, rng)
+    rows = np.abs(monomial_rows(p.basis, p.grade + 1)[::-1, ::-1])  # [k, m]: z^m in phi_k
+    norms = np.linalg.norm(p.data, axis=(1, 2))
+    pm = monomial_form(p)
+    for z in rng.uniform(0, 1, 5) * np.exp(2j * np.pi * rng.uniform(size=5)):
+        scale = norms @ rows @ abs(z) ** np.arange(p.grade + 1)
+        assert np.linalg.norm(evaluate(pm, z) - evaluate(p, z)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_lagrange_grade_23_pair_holds(seed):
+    p = random_polynomial("lagrange", 4, 23, np.random.default_rng(seed))
+    assert verify_equivalence(equivalence_lagrange(p)) <= 1e-4
+
+
+def test_pair_carries_the_pencils_it_relates(rng):
+    cheb = MatrixPolynomial.from_coefficients(ChebyshevT(), scalar(rng.standard_normal(5) + 2.0))
+    lag = MatrixPolynomial.from_samples(Lagrange(nodes=golden.EQUIV_LAGRANGE_NODES),
+                                        scalar(rng.standard_normal(4)))
+    for p, pair in ((cheb, equivalence_degree_graded(cheb)), (lag, equivalence_lagrange(lag))):
+        pm = build_three_term(monomial_form(p))
+        for got, want in ((pair.phi, build(p)), (pair.monomial, pm)):
+            assert np.array_equal(got.c1, want.c1) and np.array_equal(got.c0, want.c0)
+
+
+def test_monomial_form_of_hermite_is_unsupported():
+    p = MatrixPolynomial.from_hermite_samples(Hermite(nodes=[0.0, 1.0], confluencies=[2, 1]),
+                                              [scalar([1, 0]), scalar([1])])
+    with pytest.raises(UnsupportedBasisError):
+        monomial_form(p)
