@@ -36,6 +36,7 @@ __all__ = [
     "scalar_to_json",
     "matrix_to_json",
     "parse_basis",
+    "parse_header",
     "parse_document",
 ]
 
@@ -144,19 +145,25 @@ def parse_basis(desc, grade):
         raise DocumentError(str(exc)) from exc
 
 
-def parse_document(doc) -> MatrixPolynomial:
-    """Validate a parsed JSON object and build the matrix polynomial."""
+def parse_header(doc, *keys):
+    """Check that doc is an object holding keys; return its grade, None when absent."""
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
-    for key in ("basis", "n"):
+    for key in keys:
         if key not in doc:
             raise DocumentError(f'document is missing the "{key}" key')
-    n = doc["n"]
-    if not is_integer(n) or n < 1:
-        raise DocumentError('"n" must be a positive integer')
     grade = doc.get("grade")
     if grade is not None and (not is_integer(grade) or grade < 0):
         raise DocumentError('"grade" must be a nonnegative integer')
+    return grade
+
+
+def parse_document(doc) -> MatrixPolynomial:
+    """Validate a parsed JSON object and build the matrix polynomial."""
+    grade = parse_header(doc, "basis", "n")
+    n = doc["n"]
+    if not is_integer(n) or n < 1:
+        raise DocumentError('"n" must be a positive integer')
     payload_keys = [k for k in ("coefficients", "samples", "hermite_samples") if k in doc]
     if len(payload_keys) != 1:
         raise DocumentError("document needs exactly one of coefficients | samples | hermite_samples")

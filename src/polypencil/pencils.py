@@ -91,8 +91,8 @@ def build_three_term(p: MatrixPolynomial) -> CompanionPencil:
     band below it.  Each band row is divided by its alpha_k, which leaves
     the resolvent triple untouched (the scaling never reaches the first
     block row) and makes det(z*C1 - C0) equal det P(z) exactly instead of
-    up to the product of the alphas.  Grade 1 degenerates to the
-    single-block pencil (P_1/alpha_0, (beta_0/alpha_0) P_1 - P_0).
+    up to the product of the alphas.  At grade 1 this is the single-block
+    pencil (P_1/alpha_0, (beta_0/alpha_0) P_1 - P_0).
     """
     if not isinstance(p.basis, ThreeTermBasis):
         raise UnsupportedBasisError("build_three_term needs a three-term coefficient polynomial")
@@ -100,11 +100,6 @@ def build_three_term(p: MatrixPolynomial) -> CompanionPencil:
     if ell < 1:
         raise GradeTooSmallError("three-term pencil needs grade >= 1")
     coeff = p.data
-    if ell == 1:
-        a0, b0, _ = recurrence_row(p.basis, 0)
-        c1 = coeff[1] / a0
-        c0 = (b0 / a0) * coeff[1] - coeff[0]
-        return CompanionPencil(c1=c1.copy(), c0=c0, n=n, ell=1, basis=p.basis)
     N = ell * n
     eye = np.eye(n, dtype=complex)
     a_top, b_top, g_top = recurrence_row(p.basis, ell - 1)
@@ -112,7 +107,8 @@ def build_three_term(p: MatrixPolynomial) -> CompanionPencil:
     c1[_blk(0, n), _blk(0, n)] = coeff[ell] / a_top
     c0 = np.zeros((N, N), dtype=complex)
     c0[_blk(0, n), _blk(0, n)] = (b_top / a_top) * coeff[ell] - coeff[ell - 1]
-    c0[_blk(0, n), _blk(1, n)] = (g_top / a_top) * coeff[ell] - coeff[ell - 2]
+    if ell > 1:
+        c0[_blk(0, n), _blk(1, n)] = (g_top / a_top) * coeff[ell] - coeff[ell - 2]
     for j in range(2, ell):
         c0[_blk(0, n), _blk(j, n)] = -coeff[ell - 1 - j]
     for i in range(1, ell):

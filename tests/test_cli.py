@@ -1,3 +1,5 @@
+import contextlib
+import copy
 import io
 import json
 import os
@@ -252,6 +254,13 @@ class TestOptionContract:
         path = write(tmp_path, "doc.json", SQUARE_PLUS_ONE)
         self.usage_error(capsys, ["verify", path, "--tol", tol], "--tol")
 
+    @pytest.mark.parametrize("argv", [["pencil", "--seed", "1"], ["eig", "--tol", "1e-3"],
+                                      ["equiv", "--samples", "3"], ["bary", "--seed", "1"],
+                                      ["verify", "--basis-validate"]])
+    def test_option_the_command_does_not_read(self, tmp_path, capsys, argv):
+        path = write(tmp_path, "doc.json", LAGRANGE_EYE)
+        self.usage_error(capsys, [argv[0], path, *argv[1:]], argv[1])
+
     def test_zero_seed_and_small_tolerance_still_run(self, tmp_path, capsys):
         path = write(tmp_path, "doc.json", BERNSTEIN_MONIC)
         code, out, _ = run(capsys, "verify", path, "--seed", "0", "--tol", "1e-300")
@@ -459,6 +468,105 @@ class TestDocumentValidation:
                          "recurrence": {"alpha": [1.0], "beta": [0.0], "gamma": [0.0]}},
                "n": 1, "coefficients": [[[0.3]], [[-0.7]], [[1.1]], [[0.4]]]}
         self._assert_schema_fault(capsys, "alpha", command, write(tmp_path, "d.json", doc))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFiniteOutput:
+    """stdout is strict JSON: an overflow or a NaN/Infinity in the result exits 3."""
+
+    PHI_2 = {"n": 1, "coefficients": [[[0]], [[0]], [[1]]]}
+
+    @pytest.mark.parametrize("command, doc", [
+        ("equiv", dict(PHI_2, basis={"kind": "custom", "recurrence": {
+            "alpha": [1, 1], "beta": [1e308, 0], "gamma": [0, 0.5]}})),
+        ("equiv", dict(PHI_2, basis={"kind": "newton", "nodes": [1e308, 1]})),
+        ("bary", {"basis": {"kind": "hermite", "nodes": [1, 1e308], "confluencies": [2, 1]}}),
+    ], ids=["equiv-custom", "equiv-newton", "bary-hermite"])
+    def test_non_finite_output_exits_3(self, tmp_path, capsys, command, doc):
+        code, out, err = run(capsys, command, write(tmp_path, "d.json", doc))
+        assert code == 3 and out == ""
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "non-finite" in errors[0]
+
+    def test_overflow_exits_3(self, tmp_path, capsys):
+        # the node power tau ** ell overflows while building E
+        doc = dict(LAGRANGE_EYE, n=1, samples=[[[1]], [[2]], [[3]]],
+                   basis={"kind": "lagrange", "nodes": [1e308, 0, -1]})
+        code, out, err = run(capsys, "equiv", write(tmp_path, "d.json", doc))
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+
+SWEEP_DOCS = [
+    {"basis": {"kind": "chebyshev"}, "n": 1, "grade": 2, "coefficients": [[[1]], [[0.5]], [[2]]]},
+    {"basis": {"kind": "bernstein"}, "n": 1, "grade": 2, "coefficients": [[[1]], [[-1]], [[2]]]},
+    {"basis": {"kind": "newton", "nodes": [1, -1]}, "n": 1, "grade": 2,
+     "coefficients": [[[1]], [[0.5]], [[2]]]},
+    {"basis": {"kind": "custom",
+               "recurrence": {"alpha": [1, 0.5], "beta": [0, 0], "gamma": [0, 0.5]}},
+     "n": 1, "grade": 2, "coefficients": [[[1]], [[0.5]], [[2]]]},
+    {"basis": {"kind": "shifted", "shift": 0.5}, "n": 1, "coefficients": [[[1]], [[2]], [[0.5]]]},
+    {"basis": {"kind": "lagrange", "nodes": [1, 0, -1]}, "n": 1, "samples": [[[1]], [[2]], [[3]]]},
+    {"basis": {"kind": "hermite", "nodes": [1, -1], "confluencies": [2, 1]}, "n": 1,
+     "hermite_samples": [[[[1]], [[0]]], [[[2]]]]},
+]
+SWEEP_VALUES = ["x", [1], {"a": 1}, True, None, -3, 2.5, 0, 1e308, [], [[1]], float("nan")]
+
+
+def key_paths(node, prefix=()):
+    """Every key path of a JSON value, down to the first two entries of each list."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node[:2]) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from key_paths(child, prefix + (key,))
+
+
+def substituted(doc, path, value):
+    out = copy.deepcopy(doc)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+def reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflows on 1e308 entries
+def test_exit_contract_holds_on_mutated_documents(tmp_path):
+    """Exit 0/2/3/4/5, no traceback, and strict JSON on 0 and 5, whatever a key holds."""
+    doc_path, c_path = str(tmp_path / "d.json"), write(tmp_path, "c.json", [[1]])
+    commands = [["pencil", doc_path], ["eig", doc_path], ["verify", doc_path],
+                ["alglin", doc_path, doc_path, "--c", c_path], ["equiv", doc_path],
+                ["bary", doc_path]]
+    calls, violations = 0, []
+    for doc in SWEEP_DOCS:
+        for path in key_paths(doc):
+            for value in SWEEP_VALUES:
+                Path(doc_path).write_text(json.dumps(substituted(doc, path, value)))
+                for argv in commands:
+                    calls += 1
+                    out, err = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                        try:
+                            code = main(argv)
+                        except Exception as exc:  # the traceback main let through
+                            code, err = 1, io.StringIO(f"Traceback: {exc!r}")
+                    fault = None
+                    if code not in (0, 2, 3, 4, 5) or "Traceback" in err.getvalue():
+                        fault = f"exit {code}: {err.getvalue()[-200:]}"
+                    elif code in (0, 5):
+                        try:
+                            json.loads(out.getvalue(), parse_constant=reject_constant)
+                        except ValueError as exc:
+                            fault = f"exit {code} with {exc}"
+                    if fault:
+                        violations.append((doc["basis"]["kind"], path, value, argv[0], fault))
+    assert calls == 7344
+    assert violations == []
 
 
 def test_parser_is_built_once_and_reused(tmp_path, capsys):

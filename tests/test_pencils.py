@@ -20,6 +20,7 @@ from polypencil import (
     evaluate,
     flip_triple,
     make_triple,
+    recurrence_row,
     similarity_triple,
     transpose_triple,
 )
@@ -67,6 +68,16 @@ class TestThreeTerm:
         assert pc.size == 1
         for z in (0.0, 0.7, -2.1):
             assert det(pc.at(z)) == pytest.approx(2.0 * z + 3.0)
+
+    @pytest.mark.parametrize("kind", ["monomial", "shifted", "taylor", "newton", "chebyshev",
+                                      "legendre", "custom"])
+    def test_grade_one_is_the_single_block_pencil(self, kind, rng):
+        # the Mandelbrot base level p_1 = z + 1 is the monomial case
+        p = random_polynomial(kind, 2, 1, rng)
+        a0, b0, _ = recurrence_row(p.basis, 0)
+        pc = build_three_term(p)
+        assert np.array_equal(pc.c1, p.data[1] / a0)
+        assert np.array_equal(pc.c0, (b0 / a0) * p.data[1] - p.data[0])
 
     def test_grade_zero_rejected(self):
         p = MatrixPolynomial.from_coefficients(Monomial(), scalar([4]))
