@@ -46,6 +46,7 @@ from .errors import (
     DuplicateNodesError,
     GradeTooSmallError,
     NoConvergenceError,
+    NonFiniteError,
     NotMonicError,
     PolyPencilError,
     SingularC0Error,

@@ -4,20 +4,21 @@ Given generalized standard triples for A and B (in any bases, possibly
 different) and a constant coupling matrix C, build_algebraic returns a triple
 of H whose pencil z*DH - EH linearizes H.  The composition only touches the
 triples' X/Y/C1/C0 blocks, so its output can be fed back in as a component,
-one level after another.
+one level after another.  verify_algebraic checks the identity that makes
+this work, XH (z DH - EH)^-1 YH = H^-1(z), on LAPACK alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError, SingularPencilError
-from .linalg import as_cmatrix, det
+from .errors import DimensionMismatchError, NonFiniteError
+from .linalg import as_cmatrix
 from .matpoly import MatrixPolynomial, evaluate
 from .pencils import CompanionPencil
-from .triples import GeneralizedStandardTriple
+from .triples import GeneralizedStandardTriple, verify_triple
 
-__all__ = ["build_algebraic", "composed_triple", "verify_algebraic"]
+__all__ = ["build_algebraic", "composed_triple", "verify_algebraic", "ratio_spread"]
 
 
 def build_algebraic(ta: GeneralizedStandardTriple, tb: GeneralizedStandardTriple,
@@ -66,33 +67,55 @@ def composed_triple(t: GeneralizedStandardTriple, ta=None, tb=None) -> Generaliz
 
 
 def _values(poly, zs):
-    """poly at every z of zs, one matrix per point: a single batched evaluate for a
+    """poly at every z of zs, stacked: a single batched evaluate for a
     MatrixPolynomial, one call per point for a plain callable."""
     if isinstance(poly, MatrixPolynomial):
         return evaluate(poly, zs)
-    return [np.atleast_2d(np.asarray(poly(z), dtype=complex)) for z in zs]
+    return np.array([np.atleast_2d(np.asarray(poly(z), dtype=complex)) for z in zs])
+
+
+def _h_values(a, b, c, zs):
+    """H(z) = z A(z) B(z) + C at every z of the 1-D array zs, stacked.
+
+    An overflow anywhere in A, B or H raises NonFiniteError naming the first
+    point it hit, with numpy's warnings off: a non-finite H(z) would make
+    every check downstream read NaN.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = zs[:, None, None] * (_values(a, zs) @ _values(b, zs)) + as_cmatrix(c)
+    finite = np.isfinite(h).all(axis=(1, 2))
+    if not finite.all():
+        z = complex(zs[np.argmin(finite)])
+        raise NonFiniteError(f"H(z) overflows at sample z={z}", z=z)
+    return h
 
 
 def verify_algebraic(t: GeneralizedStandardTriple, a, b, c, zs) -> float:
-    """Relative spread of det(z DH - EH) / det(z A(z) B(z) + C) over the samples.
+    """max over the samples of ||XH (z DH - EH)^-1 YH H(z) - I||_F.
 
     ``t`` is the triple build_algebraic returned for A, B and C; ``a`` and
-    ``b`` are MatrixPolynomials or plain callables z -> matrix.
-    The ratio should be a z-independent constant (reported implicitly via the
-    spread; the constant itself depends on the component pencils' leading
-    structure and is not normalized away).
+    ``b`` are MatrixPolynomials or plain callables z -> matrix.  This is the
+    identity XH (z DH - EH)^-1 YH = H^-1(z) that lets ``t`` be a component of
+    the next level, and verify_triple checks it as it checks any triple:
+    H(z) = z A(z) B(z) + C comes from one evaluation of A and of B at all the
+    samples, and the resolvents from one stacked LAPACK solve.  Unlike the
+    ratio det(z DH - EH) / det H(z), it sees a wrong XH or YH.
     """
-    c = as_cmatrix(c)
-    zs = [complex(z) for z in zs]
-    ratios = []
-    for z, az, bz in zip(zs, _values(a, zs), _values(b, zs)):
-        hz = z * (az @ bz) + c
-        dh = det(hz)
-        if dh == 0:
-            raise SingularPencilError(f"H(z) is singular at sample z={z}", z=z)
-        ratios.append(det(t.pencil.at(z)) / dh)
-    ratios = np.asarray(ratios)
+    zs = np.asarray(zs, dtype=complex)
+    return verify_triple(t, _h_values(a, b, c, zs), zs)
+
+
+def ratio_spread(t: GeneralizedStandardTriple, a, b, c, zs) -> float:
+    """Relative spread of det(z DH - EH) / det H(z) over the samples.
+
+    Both determinants come from one batched ``np.linalg.slogdet`` each.  This
+    is the check verify_algebraic replaced; ``alglin`` still reports it under
+    ``ratio_spread`` beside the new ``residual``, until the benchmark's alglin
+    check reads ``residual``.
+    """
+    zs = np.asarray(zs, dtype=complex)
+    sign_t, log_t = np.linalg.slogdet(t.pencil.at(zs))
+    sign_h, log_h = np.linalg.slogdet(_h_values(a, b, c, zs))
+    ratios = sign_t * sign_h.conj() * np.exp(log_t - log_h)  # a sign has modulus 1
     mean = ratios.mean()
-    if mean == 0:
-        raise SingularPencilError("composed pencil vanished at every sample")
     return float(np.max(np.abs(ratios - mean)) / abs(mean))

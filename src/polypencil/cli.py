@@ -122,13 +122,14 @@ def cmd_alglin(args):
     t = alg.build_algebraic(ta, tb, c)
     rng = np.random.default_rng(args.seed)
     zs = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(args.samples)]
-    spread = alg.verify_algebraic(t, pa, pb, c, zs)
-    ok = spread <= args.tol
+    residual = alg.verify_algebraic(t, pa, pb, c, zs)
+    ok = residual <= args.tol
     return {
         "DH": matrix_to_json(t.pencil.c1),
         "EH": matrix_to_json(t.pencil.c0),
         "N": t.pencil.size,
-        "ratio_spread": spread,
+        "residual": residual,
+        "ratio_spread": alg.ratio_spread(t, pa, pb, c, zs),
         "pass": ok,
     }, ok
 
@@ -205,7 +206,7 @@ COMMANDS = {
     "eig": (cmd_eig, "generalized eigenvalues with residuals", ("input",), ("--seed",)),
     "verify": (cmd_verify, "check the resolvent identity at random samples",
                ("input",), ("--tol", "--samples", "--seed")),
-    "alglin": (cmd_alglin, "compose the pencil of z*A(z)*B(z) + C",
+    "alglin": (cmd_alglin, "compose the pencil of z*A(z)*B(z) + C and check its triple",
                ("a", "b"), ("--c", "--tol", "--samples", "--seed")),
     "equiv": (cmd_equiv, "strict equivalence to the monomial pencil", ("input",), ("--tol",)),
     "bary": (cmd_bary, "barycentric weights and node polynomial", ("input",), ()),

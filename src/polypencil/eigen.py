@@ -1,10 +1,15 @@
 """Generalized eigenvalues of companion pencils, with normwise backward errors.
 
-Eigenvalues of z*C1 - C0 come from shift-and-invert: with M = sigma*C1 - C0
-nonsingular, the eigenvalues theta of A = M^-1 C1 map to pencil eigenvalues
-lambda = sigma - 1/theta, and theta near zero means an eigenvalue at
-infinity.  One LAPACK call through ``numpy.linalg.eig`` returns theta and the
-right eigenvectors V of A, which are eigenvectors of the pencil as well.
+When C1 is exactly the identity, the eigenvalues of z*C1 - C0 are those of
+C0, all finite, and one LAPACK call through ``numpy.linalg.eig`` on C0
+returns them with their eigenvectors; nothing is inverted and nothing is
+classified.  Every other pencil goes through shift-and-invert: with
+M = sigma*C1 - C0 nonsingular, the eigenvalues theta of A = M^-1 C1 map to
+pencil eigenvalues lambda = sigma - 1/theta, and theta near zero means an
+eigenvalue at infinity.  One LAPACK call through ``numpy.linalg.eig``
+returns theta and the right eigenvectors V of A, which are eigenvectors of
+the pencil as well.  The shift is accepted on the pivots of the
+hand-written LU of M (``linalg``).
 
 A theta is classed infinite when zero lies within its first-order error
 bound, |theta| <= kappa(theta) * N * u * ||A||_F, where kappa(theta) is the
@@ -215,6 +220,21 @@ def _pencil_backward_errors(pc: CompanionPencil, lams, vectors) -> np.ndarray:
     return residual / (scale * np.linalg.norm(vectors, axis=0))
 
 
+def _backward_errors(pc: CompanionPencil, p, lams, vectors) -> np.ndarray:
+    """Against the polynomial when there is one, else against the pencil."""
+    if p is None:
+        return _pencil_backward_errors(pc, lams, vectors)
+    return _polynomial_backward_errors(p, lams)
+
+
+def _eig(a):
+    """Eigenvalues and right eigenvectors of a from one LAPACK call."""
+    try:
+        return np.linalg.eig(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"LAPACK eigensolver did not converge: {exc}") from exc
+
+
 def _accepted_shift(pc: CompanionPencil, rng):
     """(sigma, (sigma C1 - C0)^-1 C1) for the first shift with a healthy pivot ratio."""
     for _ in range(MAX_SHIFT_TRIES):
@@ -238,22 +258,30 @@ def _pairs(lams, residuals):
 
 def generalized_eigenvalues(pc: CompanionPencil, p: MatrixPolynomial = None,
                             rng=None) -> EigenResult:
-    """Eigenvalues of the pencil z*C1 - C0 by shift-and-invert.
+    """Eigenvalues of the pencil z*C1 - C0, with a backward error each.
 
-    Shifts are drawn on the circle |sigma| = 1.37 until sigma*C1 - C0
-    factors with a healthy pivot ratio (at most 8 tries).  theta and the
+    A pencil whose C1 is exactly the identity (every monic monomial pencil
+    and every Mandelbrot level) is the standard problem for C0: its values
+    come from numpy.linalg.eig(C0) alone, all finite, with no shift
+    (``shift_used`` is 0, and with sigma = 0, lambda = sigma - 1/theta for
+    the thetas of A = (sigma C1 - C0)^-1 C1 still holds).
+
+    Any other pencil goes through shift-and-invert.  Shifts are drawn on
+    the circle |sigma| = 1.37 until sigma*C1 - C0 factors with a healthy
+    pivot ratio (at most 8 tries).  theta and the
     eigenvectors of A = (sigma C1 - C0)^-1 C1 come from numpy.linalg.eig, and
     theta is classed infinite, perturbed infinite or finite by its error
     bound (module docstring), which reads the pencil alone: the split is the
     same with or without p.  Backward errors are taken against the
     polynomial when it is supplied, and against the pencil otherwise.
     """
+    if np.array_equal(pc.c1, np.eye(pc.size)):
+        lams, vectors = _eig(pc.c0)
+        return EigenResult(finite=_pairs(lams, _backward_errors(pc, p, lams, vectors)),
+                           infinite_count=0, shift_used=0j)
     rng = np.random.default_rng(0) if rng is None else rng
     sigma, a = _accepted_shift(pc, rng)
-    try:
-        thetas, vectors = np.linalg.eig(a)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"LAPACK eigensolver did not converge: {exc}") from exc
+    thetas, vectors = _eig(a)
     try:
         left = np.linalg.inv(vectors)
     except np.linalg.LinAlgError:
@@ -272,8 +300,7 @@ def generalized_eigenvalues(pc: CompanionPencil, p: MatrixPolynomial = None,
     shown = ~infinite | (modulus > tol)
     lams = sigma - 1.0 / thetas[shown]
     finite = ~infinite[shown]
-    residuals = (_pencil_backward_errors(pc, lams, vectors[:, shown]) if p is None
-                 else _polynomial_backward_errors(p, lams))
+    residuals = _backward_errors(pc, p, lams, vectors[:, shown])
     return EigenResult(finite=_pairs(lams[finite], residuals[finite]),
                        infinite_count=int(infinite.sum()), shift_used=complex(sigma),
                        spurious=_pairs(lams[~finite], residuals[~finite]))

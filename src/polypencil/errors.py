@@ -17,6 +17,13 @@ class SingularPencilError(PolyPencilError):
         self.z = z
 
 
+class NonFiniteError(SingularPencilError):
+    """A pencil or a polynomial value overflowed: it holds an infinity or a NaN.
+
+    ``z`` names the sample point whose value overflowed, when there is one.
+    """
+
+
 class SingularPencilEverywhereError(PolyPencilError):
     """No acceptable shift could be found; the pencil looks singular for all z."""
 

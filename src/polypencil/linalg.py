@@ -1,22 +1,22 @@
 """Dense complex matrix kernels: LU with partial pivoting, solves, determinants.
 
 Everything operates on plain ``numpy.ndarray`` values with dtype complex128.
-Every factorization that only needs a solve calls LAPACK through
-``numpy.linalg``, stacked over sample points where there are several.  The
-hand-written elimination here is kept for the two callers that need more
-than a solve:
+Every factorization that only needs a solve or a determinant calls LAPACK
+through ``numpy.linalg``, stacked over sample points where there are
+several.  The hand-written elimination here has one runtime caller left:
 
 * ``eigen._accepted_shift`` reads the pivots of sigma*C1 - C0 to accept a
   shift (``pivot_ratio``) and solves with the same factors, which keeps the
-  eigenvalues bit for bit; the benchmark's span tracer also names it there;
-* ``algebraic.verify_algebraic`` needs determinants (``det``).  numpy's
-  ``det`` and ``slogdet`` form sign * exp(sum log|u_ii|), which loses digits:
-  on the depth-7 Mandelbrot pencil (N = 127, c near 1, |z| <= 1.5 * sqrt 2)
-  the product of the pivots stays within 4.2e-15 of a 50-digit mpmath
-  determinant, numpy's det errs by up to 4.9e-14.
+  eigenvalues bit for bit; the benchmark's span tracer also names it there.
+  A pencil with C1 = I (every Mandelbrot level) never reaches it.
+
+``det`` has no runtime caller: ``algebraic.verify_algebraic`` checks the
+resolvent identity with LAPACK instead of a determinant ratio.  It stays
+only because ``bench/spans.TRACED`` and ``bench/test_bench.py`` name it, and
+it goes with the benchmark refresh (ROADMAP item 1).
 
 Elimination and substitution are written out so that pivot information stays
-available to those callers.
+available to the shift search.
 """
 
 from __future__ import annotations

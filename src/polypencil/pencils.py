@@ -2,7 +2,11 @@
 
 Each builder assembles the pair (C1, C0) so that det(z*C1 - C0) = det P(z)
 for every z, which is the executable form of the linearization property and
-is what the test suite checks.  Sizes: N = n*ell for three-term and
+is what the test suite checks.  A finite document whose arithmetic overflows
+(a recurrence coefficient near the largest float, say) yields a non-finite
+pencil; the builders run with numpy's overflow warnings off, and
+CompanionPencil rejects such a pencil itself with NonFiniteError, the one
+check every caller meets.  Sizes: N = n*ell for three-term and
 Bernstein bases, N = n*(ell+2) for Lagrange and Hermite bases (those carry
 spurious eigenvalues at infinity; no deflation is attempted).
 """
@@ -25,6 +29,7 @@ from .bases import (
 from .errors import (
     DimensionMismatchError,
     GradeTooSmallError,
+    NonFiniteError,
     UnsupportedBasisError,
 )
 from .matpoly import MatrixPolynomial
@@ -56,6 +61,8 @@ class CompanionPencil:
     def __post_init__(self):
         if self.c1.shape != self.c0.shape or self.c1.shape[0] != self.c1.shape[1]:
             raise DimensionMismatchError("C1 and C0 must be square with equal shapes")
+        if not (np.isfinite(self.c1).all() and np.isfinite(self.c0).all()):
+            raise NonFiniteError("pencil has non-finite entries: building it overflowed")
 
     @property
     def size(self) -> int:
@@ -83,6 +90,11 @@ def build(p: MatrixPolynomial) -> CompanionPencil:
     raise UnsupportedBasisError(f"no pencil builder for {type(p.basis).__name__}")
 
 
+# overflow in a builder surfaces as CompanionPencil's NonFiniteError instead
+_quiet = np.errstate(over="ignore", invalid="ignore")
+
+
+@_quiet
 def build_three_term(p: MatrixPolynomial) -> CompanionPencil:
     """Companion pencil for a coefficient polynomial in a three-term basis.
 
@@ -121,6 +133,7 @@ def build_three_term(p: MatrixPolynomial) -> CompanionPencil:
     return CompanionPencil(c1=c1, c0=c0, n=n, ell=ell, basis=p.basis)
 
 
+@_quiet
 def build_bernstein(p: MatrixPolynomial) -> CompanionPencil:
     """Companion pencil for a Bernstein-basis coefficient polynomial."""
     if not isinstance(p.basis, Bernstein):
@@ -157,6 +170,7 @@ def build_hermite(p: MatrixPolynomial) -> CompanionPencil:
     return _build_interpolational(p)
 
 
+@_quiet
 def _build_interpolational(p: MatrixPolynomial) -> CompanionPencil:
     """The arrowhead pencil of Lagrange and Hermite data; Lagrange is confluency 1.
 

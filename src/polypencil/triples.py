@@ -82,18 +82,20 @@ def resolvent(t: GeneralizedStandardTriple, z) -> np.ndarray:
     return _resolvents(t, np.array([complex(z)]))[0]
 
 
-def verify_triple(t: GeneralizedStandardTriple, p: MatrixPolynomial, zs) -> float:
+def verify_triple(t: GeneralizedStandardTriple, p, zs) -> float:
     """max over the samples of ||resolvent(z) P(z) - I||_F.
 
-    The resolvents come from one stacked solve and P from one evaluate call
-    per chunk of _CHUNK points.
+    ``p`` is a MatrixPolynomial, evaluated at all the samples in one call,
+    or P's values already stacked over the samples, one (n, n) matrix per
+    point (verify_algebraic passes H(z) so).  The resolvents come from one
+    stacked solve per chunk of _CHUNK points.
     """
     zs = np.array([complex(z) for z in zs], dtype=complex)
+    values = evaluate(p, zs) if isinstance(p, MatrixPolynomial) else np.asarray(p)
     eye = np.eye(t.pencil.n, dtype=complex)
     worst = 0.0
     for i in range(0, len(zs), _CHUNK):
-        chunk = zs[i:i + _CHUNK]
-        residuals = _resolvents(t, chunk) @ evaluate(p, chunk) - eye
+        residuals = _resolvents(t, zs[i:i + _CHUNK]) @ values[i:i + _CHUNK] - eye
         worst = max(worst, float(np.linalg.norm(residuals, axis=(1, 2)).max()))
     return worst
 

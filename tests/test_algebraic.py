@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from polypencil import (
     DimensionMismatchError,
     MatrixPolynomial,
     Monomial,
+    NonFiniteError,
     build,
     build_algebraic,
     generalized_eigenvalues,
@@ -17,6 +19,8 @@ from polypencil import (
     resolvent,
     verify_algebraic,
 )
+from polypencil import eigen, linalg
+from polypencil.algebraic import ratio_spread
 
 
 def scalar(values):
@@ -124,3 +128,83 @@ def test_dimension_mismatch():
     tb = monomial_triple([2, 0, 1])
     with pytest.raises(DimensionMismatchError):
         build_algebraic(ta, tb, np.zeros((2, 2)))
+
+
+def _block_case():
+    rng = np.random.default_rng(3)
+    pa = random_polynomial("monomial", 2, 2, rng)
+    pb = random_polynomial("chebyshev", 2, 2, rng)
+    c = rand_matrix(rng, 2)
+    return build_algebraic(make_triple(build(pa)), make_triple(build(pb)), c), pa, pb, c
+
+
+@pytest.mark.parametrize("field", ["x", "y"])
+def test_perturbed_xh_or_yh_fails_where_the_determinant_ratio_passes(field):
+    t, pa, pb, c = _block_case()
+    assert verify_algebraic(t, pa, pb, c, SAMPLES) <= 1e-12
+    m = getattr(t, field).copy()
+    m[np.unravel_index(np.argmax(np.abs(m)), m.shape)] *= 1.0 + 1e-6
+    bad = dataclasses.replace(t, **{field: m})
+    assert verify_algebraic(bad, pa, pb, c, SAMPLES) > 1e-8
+    # the old check reads the pencil alone, which the perturbation leaves intact
+    ratios = np.array([np.linalg.det(bad.pencil.at(z))
+                       / np.linalg.det(z * pa(z) @ pb(z) + c) for z in SAMPLES])
+    assert np.max(np.abs(ratios - ratios.mean())) / abs(ratios.mean()) <= 1e-8
+    assert ratio_spread(bad, pa, pb, c, SAMPLES) <= 1e-8
+
+
+def test_ratio_spread_sees_a_wrong_coupling():
+    t, pa, pb, c = _block_case()
+    assert ratio_spread(t, pa, pb, c, SAMPLES) <= 1e-12
+    assert ratio_spread(t, pa, pb, 2.0 * c, SAMPLES) > 1e-3
+
+
+def _mandelbrot(depth, c):
+    """The triple of p_depth (p_1 = z + 1, p_{k+1} = z p_k^2 + c) and p_{depth-1}."""
+    one = np.eye(1, dtype=complex)
+    triple = make_triple(build(MatrixPolynomial.from_coefficients(Monomial(), [one, one])))
+    for _ in range(depth - 1):
+        triple = build_algebraic(triple, triple, c * one)
+
+    def inner(z):
+        value = z + 1.0
+        for _ in range(depth - 2):
+            value = z * value * value + c
+        return [[value]]
+
+    return triple, inner
+
+
+MANDELBROT_SAMPLES = [complex(x, y) for x, y in
+                      np.random.default_rng(7).uniform(-1.5, 1.5, size=(8, 2))]
+
+
+@pytest.mark.parametrize("depth", range(2, 9))
+@pytest.mark.parametrize("c", [1.0 + 0.05j, -1.0])
+def test_mandelbrot_levels_satisfy_the_identity(depth, c):
+    triple, inner = _mandelbrot(depth, c)
+    assert verify_algebraic(triple, inner, inner, [[c]], MANDELBROT_SAMPLES) <= 1e-12
+
+
+def test_overflowing_h_raises_naming_the_point():
+    ta = monomial_triple([1, 0, 1])
+    t = build_algebraic(ta, ta, np.array([[1.0]]))
+    huge = lambda z: [[1e200]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match=r"z=\(0\.3\+0j\)") as info:
+            verify_algebraic(t, huge, huge, [[1.0]], SAMPLES)
+    assert info.value.z == SAMPLES[0]
+
+
+def test_mandelbrot_path_runs_no_hand_written_lu(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("hand-written LU called on the Mandelbrot path")
+
+    monkeypatch.setattr(eigen, "lu_factor", refuse)
+    monkeypatch.setattr(linalg, "lu_factor", refuse)
+    monkeypatch.setattr(linalg, "det", refuse)
+    triple, inner = _mandelbrot(6, 1.0 + 0.05j)
+    assert verify_algebraic(triple, inner, inner, [[1.0 + 0.05j]], MANDELBROT_SAMPLES) <= 1e-12
+    result = generalized_eigenvalues(triple.pencil)
+    assert len(result.finite) == 2 ** 6 - 1 and result.infinite_count == 0

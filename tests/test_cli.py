@@ -303,6 +303,7 @@ class TestAlglinCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["N"] == 5
+        assert doc["residual"] <= 1e-12 and doc["pass"] is True
         assert doc["ratio_spread"] <= 1e-8
 
 
@@ -495,6 +496,28 @@ class TestNonFiniteOutput:
         code, out, err = run(capsys, "equiv", write(tmp_path, "d.json", doc))
         assert code == 3 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+
+class TestOverflowingPencil:
+    """A finite document whose pencil overflows: one message from every command, no warning."""
+
+    DOC = {"basis": {"kind": "newton", "nodes": [1, 1e308]}, "n": 1, "grade": 2,
+           "coefficients": [[[1]], [[1]], [[2]]]}
+    MESSAGE = "error: pencil has non-finite entries: building it overflowed\n"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["pencil", "eig", "verify", "alglin", "equiv"])
+    def test_every_building_command_exits_3_with_one_message(self, tmp_path, capsys, command):
+        path = write(tmp_path, "d.json", self.DOC)
+        extra = [path, "--c", write(tmp_path, "c.json", [[1]])] if command == "alglin" else []
+        code, out, err = run(capsys, command, path, *extra)
+        assert (code, out, err) == (3, "", self.MESSAGE)
+
+    @pytest.mark.filterwarnings("error")
+    def test_bary_refuses_the_basis_before_anything_overflows(self, tmp_path, capsys):
+        # bary builds no pencil, and a Newton document is not a bary document
+        code, out, err = run(capsys, "bary", write(tmp_path, "d.json", self.DOC))
+        assert (code, out) == (2, "") and err == "error: bary needs a lagrange or hermite basis\n"
 
 
 SWEEP_DOCS = [

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -271,3 +273,36 @@ class TestReferenceSolver:
             dist = np.abs(ours[:, None] - reference[None, :]) / np.maximum(1.0, np.abs(ours))[:, None]
             assert dist.min(axis=1).max() <= 1e-8
             assert dist.min(axis=0).max() <= 1e-8
+
+
+class TestIdentityLeadingTerm:
+    """A pencil with C1 exactly I is solved as the standard problem for C0."""
+
+    def test_mandelbrot_level_matches_eigvals_and_the_shift_path(self):
+        pc = _mandelbrot_pencil(5, 1.0 + 0.05j)
+        assert np.array_equal(pc.c1, np.eye(pc.size))
+        result = generalized_eigenvalues(pc)
+        assert result.shift_used == 0 and result.infinite_count == 0 and result.spurious == ()
+        ours = np.array([lam for lam, _ in result.finite])
+        assert len(ours) == pc.size == 31
+        assert all(res <= 1e-13 for _, res in result.finite)
+        reference = np.linalg.eigvals(pc.c0)
+        dist = np.abs(ours[:, None] - reference[None, :]) / np.abs(reference)[None, :]
+        assert dist.min(axis=1).max() <= 1e-12 and dist.min(axis=0).max() <= 1e-12
+        # the same pencil scaled by 2 has C1 = 2I and takes the shift path
+        scaled = dataclasses.replace(pc, c1=2.0 * pc.c1, c0=2.0 * pc.c0)
+        shifted = generalized_eigenvalues(scaled)
+        assert shifted.shift_used != 0
+        theirs = np.array([lam for lam, _ in shifted.finite])
+        assert len(theirs) == len(ours)
+        dist = np.abs(ours[:, None] - theirs[None, :]) / np.maximum(1.0, np.abs(ours))[:, None]
+        assert dist.min(axis=1).max() <= 1e-10 and dist.min(axis=0).max() <= 1e-10
+
+    def test_monic_monomial_keeps_its_multiple_root_at_zero(self):
+        p = MatrixPolynomial.from_coefficients(Monomial(), scalar([0, 0, 1, 1]))  # z^2 + z^3
+        pc = build(p)
+        assert np.array_equal(pc.c1, np.eye(3))
+        result = generalized_eigenvalues(pc, p)
+        assert result.infinite_count == 0 and result.spurious == ()
+        got = sorted_eigs([lam for lam, _ in result.finite])
+        assert np.max(np.abs(got - [-1, 0, 0])) <= 1e-14

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,12 +8,14 @@ from conftest import ALL_KINDS, poly_nodes, random_polynomial
 from polypencil import (
     Bernstein,
     ChebyshevT,
+    CompanionPencil,
     GradeTooSmallError,
     Hermite,
     Lagrange,
     MatrixPolynomial,
     Monomial,
     Newton,
+    NonFiniteError,
     build,
     build_bernstein,
     build_hermite,
@@ -313,3 +317,26 @@ class TestTransforms:
         t = make_triple(build(random_polynomial("chebyshev", 1, 3, rng)))
         with pytest.raises(ValueError):
             make_triple(flip_triple(t).pencil)
+
+
+class TestNonFinitePencil:
+    """A finite document whose arithmetic overflows is refused where the pencil is built."""
+
+    @pytest.mark.parametrize("basis, coeffs", [
+        (Newton(nodes=[1.0, 1e308]), [1, 1, 2]),  # (b / a) * P_2 overflows
+        (Bernstein(grade=2), [0, -1.7e308, 1.7e308]),  # P_2 / 2 - P_1 overflows
+    ], ids=["newton", "bernstein"])
+    def test_overflowing_builder_raises_without_a_warning(self, basis, coeffs):
+        p = MatrixPolynomial.from_coefficients(basis, scalar(coeffs))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="non-finite entries"):
+                build(p)
+
+    def test_constructor_rejects_a_non_finite_member(self):
+        c1 = np.eye(2, dtype=complex)
+        c0 = np.array([[1.0, np.inf], [0.0, 1.0]], dtype=complex)
+        with pytest.raises(NonFiniteError):
+            CompanionPencil(c1=c1, c0=c0, n=1, ell=2)
+        with pytest.raises(NonFiniteError):
+            CompanionPencil(c1=c0 * np.nan, c0=c1, n=1, ell=2)

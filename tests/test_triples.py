@@ -171,6 +171,8 @@ def test_stacked_verify_matches_pointwise_resolvents(kind, rng):
     eye = np.eye(p.n)
     pointwise = max(np.linalg.norm(resolvent(t, z) @ evaluate(p, z) - eye) for z in zs)
     assert verify_triple(t, p, zs) == pytest.approx(pointwise, rel=1e-12, abs=0.0)
+    # P's values stacked over the samples are the same input as P itself
+    assert verify_triple(t, evaluate(p, np.array(zs)), zs) == verify_triple(t, p, zs)
 
 
 def test_large_sample_counts_use_bounded_stacks(rng, monkeypatch):
