@@ -283,19 +283,26 @@ def phi_rows(basis: Basis, count: int, zs) -> np.ndarray:
         if sum(confl) != count:
             raise ValueError(f"{count} values do not match the {sum(confl)} interpolation data")
         weights = barycentric_weights(basis)
-        out = np.empty((z.size, count), dtype=complex)
         d = (z[:, None] - nodes[None, :]) * inv[:, None]  # (z - tau_i) / s
         powers = d ** np.asarray(confl)
-        pos = 0
-        for i, s in enumerate(confl):
-            others = np.prod(np.delete(powers, i, axis=1), axis=1)
-            for k in range(s):
-                acc = np.zeros_like(z)
-                for j in range(k, s):
-                    acc += weights[pos + s - 1 - j] * inv ** (j - k) * d[:, i] ** (k - j - 1 + s)
-                out[:, pos + k] = others * acc
-            pos += s
-        return out
+        # prod_{j != i} powers[:, j] as a prefix times a suffix product
+        ones = np.ones((z.size, 1), dtype=complex)
+        before = np.concatenate([ones, np.cumprod(powers[:, :-1], axis=1)], axis=1)
+        after = np.concatenate([np.cumprod(powers[:, :0:-1], axis=1)[:, ::-1], ones], axis=1)
+        # column c = start_i + k (node i, k-th datum) sums, for m = 0 .. s_i - 1 - k,
+        # weights[start_i + s_i - 1 - k - m] * inv^m * d_i^(s_i - 1 - m)
+        node = np.repeat(np.arange(len(confl)), confl)
+        size = np.asarray(confl)[node]
+        start = (np.cumsum(confl) - confl)[node]
+        top = 2 * start + size - 1 - np.arange(count)  # start_i + s_i - 1 - k
+        d = d[:, node]
+        acc = np.zeros((z.size, count), dtype=complex)
+        for m in range(max(confl)):
+            live = top - m >= start
+            term = weights[np.where(live, top - m, 0)] * inv[:, None] ** m \
+                * d ** np.maximum(size - 1 - m, 0)
+            acc += np.where(live, term, 0.0)
+        return (before * after)[:, node] * acc
     raise UnsupportedBasisError(f"unknown basis {type(basis).__name__}")
 
 

@@ -64,8 +64,18 @@ def parse_scalar(v) -> complex:
 
 
 def parse_matrix(rows, n) -> np.ndarray:
+    """An n x n complex matrix from rows of JSON numbers and [re, im] pairs.
+
+    A matrix of finite floats and integers, all bare or all paired, goes to
+    numpy in one pass.  Any other matrix is read entry by entry by
+    parse_scalar, which raises the schema error of its first faulty row or
+    entry.
+    """
     if not isinstance(rows, list) or len(rows) != n:
         raise DocumentError(f"expected an {n}x{n} matrix")
+    out = _numeric_matrix(rows, n)
+    if out is not None:
+        return out
     out = np.zeros((n, n), dtype=complex)
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
@@ -73,6 +83,26 @@ def parse_matrix(rows, n) -> np.ndarray:
         for j, v in enumerate(row):
             out[i, j] = parse_scalar(v)
     return out
+
+
+def _numeric_matrix(rows, n):
+    """rows as a complex array when every entry is a finite float or int, or a pair of them."""
+    if not all(type(row) is list and len(row) == n for row in rows):
+        return None
+    kinds = {type(x) for row in rows for v in row for x in (v if type(v) is list else (v,))}
+    if not kinds <= {float, int}:  # bool, None, str, dict and nested lists are refused
+        return None
+    try:
+        a = np.array(rows, dtype=float)
+    except (ValueError, OverflowError):  # mixed bare and paired entries, an integer beyond float
+        return None
+    if not np.isfinite(a).all():
+        return None
+    if a.shape == (n, n):
+        return a.astype(complex)
+    if a.shape == (n, n, 2):
+        return a.view(complex)[..., 0]
+    return None
 
 
 def scalar_to_json(z) -> list:

@@ -3,13 +3,14 @@
 When C1 is exactly the identity, the eigenvalues of z*C1 - C0 are those of
 C0, all finite, and one LAPACK call through ``numpy.linalg.eig`` on C0
 returns them with their eigenvectors; nothing is inverted and nothing is
-classified.  Every other pencil goes through shift-and-invert: with
-M = sigma*C1 - C0 nonsingular, the eigenvalues theta of A = M^-1 C1 map to
-pencil eigenvalues lambda = sigma - 1/theta, and theta near zero means an
-eigenvalue at infinity.  One LAPACK call through ``numpy.linalg.eig``
-returns theta and the right eigenvectors V of A, which are eigenvectors of
-the pencil as well.  The shift is accepted on the pivots of the
-hand-written LU of M (``linalg``).
+classified.  Every other pencil is first balanced by power-of-two row and
+column scalings, D_l (z C1 - C0) D_r, and then goes through shift-and-invert:
+with M = D_l (sigma C1 - C0) D_r nonsingular, the eigenvalues theta of
+A = M^-1 D_l C1 D_r map to pencil eigenvalues lambda = sigma - 1/theta, and
+theta near zero means an eigenvalue at infinity.  The shift is accepted on
+the reciprocal condition number rcond_F of M, read from its LAPACK inverse.
+One LAPACK call through ``numpy.linalg.eig`` returns theta and the right
+eigenvectors V of A; D_r V are eigenvectors of the pencil.
 
 A theta is classed infinite when zero lies within its first-order error
 bound, |theta| <= kappa(theta) * N * u * ||A||_F, where kappa(theta) is the
@@ -45,12 +46,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import phi_rows
-from .errors import (
-    NoConvergenceError,
-    SingularMatrixError,
-    SingularPencilEverywhereError,
-)
-from .linalg import PIVOT_GUARD, as_cmatrix, lu_factor, lu_solve, pivot_ratio
+from .errors import NoConvergenceError, SingularPencilEverywhereError
+from .linalg import PIVOT_GUARD, as_cmatrix
+# Unused here: bench/test_bench.py::test_patch_replaces_every_binding_and_restores_it
+# checks that the span tracer rebinds this name; it goes with the benchmark
+# refresh (ROADMAP item 1).
+from .linalg import lu_factor  # noqa: F401
 from .matpoly import MatrixPolynomial
 from .pencils import CompanionPencil
 
@@ -65,6 +66,7 @@ __all__ = [
 
 SHIFT_RADIUS = 1.37
 MAX_SHIFT_TRIES = 8
+MAX_BALANCE_SWEEPS = 20
 MACHINE_EPSILON = np.finfo(float).eps
 
 
@@ -235,17 +237,63 @@ def _eig(a):
         raise NoConvergenceError(f"LAPACK eigensolver did not converge: {exc}") from exc
 
 
+def _balancing(c1, c0):
+    """Power-of-two scalings (d_l, d_r) that equalise the rows and columns of the pencil.
+
+    Each sweep scales every row, then every column, of W = |C1|^2 + |C0|^2
+    by the power of four nearest to the reciprocal of its sum, so the rows
+    of [C1 C0] and the columns of [C1; C0] tend to unit 2-norm (Ward, SIAM
+    J. Sci. Stat. Comput. 1981; Lemonnier & Van Dooren, SIMAX 2006).
+    Sweeps stop when no factor changes, after at most MAX_BALANCE_SWEEPS.
+    Powers of two scale without rounding, so D_l (z C1 - C0) D_r is an
+    exactly equivalent pencil.
+    """
+    top = max(np.abs(c1).max(), np.abs(c0).max())
+    left = np.zeros(c1.shape[0], dtype=int)
+    right = np.zeros(c1.shape[1], dtype=int)
+    if top > 0:
+        unit = np.ldexp(1.0, -np.frexp(top)[1])  # every |entry| * unit < 1: W cannot overflow
+        w = np.abs(c1 * unit) ** 2 + np.abs(c0 * unit) ** 2
+        for _ in range(MAX_BALANCE_SWEEPS):
+            step_l = _quarter_step(np.ldexp(w, 2 * right).sum(axis=1), left)
+            left += step_l
+            step_r = _quarter_step(np.ldexp(w, 2 * left[:, None]).sum(axis=0), right)
+            right += step_r
+            if not (step_l.any() or step_r.any()):
+                break
+    return np.ldexp(1.0, left), np.ldexp(1.0, right)
+
+
+def _quarter_step(sums, exponents):
+    """Change of exponents k making 4^k * sums nearest 1; 0 where a sum is zero or overflowed."""
+    ok = np.isfinite(sums) & (sums > 0)
+    target = -np.round(0.5 * np.log2(np.where(ok, sums, 1.0))).astype(int)
+    return np.where(ok, target - exponents, 0)
+
+
 def _accepted_shift(pc: CompanionPencil, rng):
-    """(sigma, (sigma C1 - C0)^-1 C1) for the first shift with a healthy pivot ratio."""
+    """(sigma, A, d_r) for the first shift whose balanced pencil matrix is well conditioned.
+
+    M = D_l (sigma C1 - C0) D_r is inverted by LAPACK and sigma is accepted
+    when rcond_F(M) >= PIVOT_GUARD; then A = M^-1 D_l C1 D_r, whose
+    eigenvectors V give the pencil's as D_r V.  A singular M moves on to
+    the next candidate.
+    """
+    d_l, d_r = _balancing(pc.c1, pc.c0)
+    c1 = d_l[:, None] * pc.c1 * d_r
+    c0 = d_l[:, None] * pc.c0 * d_r
     for _ in range(MAX_SHIFT_TRIES):
         angle = rng.uniform(0.0, 2.0 * np.pi)
         candidate = SHIFT_RADIUS * complex(np.cos(angle), np.sin(angle))
+        m = candidate * c1 - c0
         try:
-            f = lu_factor(candidate * pc.c1 - pc.c0)
-        except SingularMatrixError:
+            inverse = np.linalg.inv(m)
+        except np.linalg.LinAlgError:
             continue
-        if pivot_ratio(f) >= PIVOT_GUARD:
-            return candidate, lu_solve(f, pc.c1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rcond = 1.0 / (np.linalg.norm(m) * np.linalg.norm(inverse))
+        if rcond >= PIVOT_GUARD:
+            return candidate, inverse @ c1, d_r
     raise SingularPencilEverywhereError(
         f"no acceptable shift among {MAX_SHIFT_TRIES} tries; pencil may be singular"
     )
@@ -266,10 +314,10 @@ def generalized_eigenvalues(pc: CompanionPencil, p: MatrixPolynomial = None,
     (``shift_used`` is 0, and with sigma = 0, lambda = sigma - 1/theta for
     the thetas of A = (sigma C1 - C0)^-1 C1 still holds).
 
-    Any other pencil goes through shift-and-invert.  Shifts are drawn on
-    the circle |sigma| = 1.37 until sigma*C1 - C0 factors with a healthy
-    pivot ratio (at most 8 tries).  theta and the
-    eigenvectors of A = (sigma C1 - C0)^-1 C1 come from numpy.linalg.eig, and
+    Any other pencil is balanced and goes through shift-and-invert.  Shifts
+    are drawn on the circle |sigma| = 1.37 until the balanced sigma*C1 - C0
+    has rcond_F >= PIVOT_GUARD (at most 8 tries).  theta and the
+    eigenvectors of the balanced A come from numpy.linalg.eig, and
     theta is classed infinite, perturbed infinite or finite by its error
     bound (module docstring), which reads the pencil alone: the split is the
     same with or without p.  Backward errors are taken against the
@@ -280,7 +328,7 @@ def generalized_eigenvalues(pc: CompanionPencil, p: MatrixPolynomial = None,
         return EigenResult(finite=_pairs(lams, _backward_errors(pc, p, lams, vectors)),
                            infinite_count=0, shift_used=0j)
     rng = np.random.default_rng(0) if rng is None else rng
-    sigma, a = _accepted_shift(pc, rng)
+    sigma, a, d_r = _accepted_shift(pc, rng)
     thetas, vectors = _eig(a)
     try:
         left = np.linalg.inv(vectors)
@@ -300,7 +348,7 @@ def generalized_eigenvalues(pc: CompanionPencil, p: MatrixPolynomial = None,
     shown = ~infinite | (modulus > tol)
     lams = sigma - 1.0 / thetas[shown]
     finite = ~infinite[shown]
-    residuals = _backward_errors(pc, p, lams, vectors[:, shown])
+    residuals = _backward_errors(pc, p, lams, d_r[:, None] * vectors[:, shown])
     return EigenResult(finite=_pairs(lams[finite], residuals[finite]),
                        infinite_count=int(infinite.sum()), shift_used=complex(sigma),
                        spurious=_pairs(lams[~finite], residuals[~finite]))

@@ -1,22 +1,17 @@
 """Dense complex matrix kernels: LU with partial pivoting, solves, determinants.
 
 Everything operates on plain ``numpy.ndarray`` values with dtype complex128.
-Every factorization that only needs a solve or a determinant calls LAPACK
-through ``numpy.linalg``, stacked over sample points where there are
-several.  The hand-written elimination here has one runtime caller left:
+Every factorization the package runs calls LAPACK through ``numpy.linalg``,
+stacked over sample points where there are several, and the hand-written
+elimination here has no runtime caller: ``eigen`` accepts its shift on the
+rcond of a LAPACK inverse, and ``algebraic.verify_algebraic`` checks the
+resolvent identity with LAPACK instead of a determinant ratio.
 
-* ``eigen._accepted_shift`` reads the pivots of sigma*C1 - C0 to accept a
-  shift (``pivot_ratio``) and solves with the same factors, which keeps the
-  eigenvalues bit for bit; the benchmark's span tracer also names it there.
-  A pencil with C1 = I (every Mandelbrot level) never reaches it.
-
-``det`` has no runtime caller: ``algebraic.verify_algebraic`` checks the
-resolvent identity with LAPACK instead of a determinant ratio.  It stays
-only because ``bench/spans.TRACED`` and ``bench/test_bench.py`` name it, and
-it goes with the benchmark refresh (ROADMAP item 1).
-
-Elimination and substitution are written out so that pivot information stays
-available to the shift search.
+``LUFactors``, ``lu_factor``, ``lu_solve``, ``determinant``, ``det`` and
+``pivot_ratio`` stay only because the benchmark names them:
+``bench/spans.TRACED`` wraps them (``tests/test_traced_names.py`` checks
+that they exist) and ``bench/test_bench.py`` patches them.  They go with
+the benchmark refresh (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -142,9 +137,8 @@ def det(a) -> complex:
         return 0.0 + 0.0j
 
 
-# Below this a pencil matrix counts as numerically singular and its point is
-# redrawn: the pivot ratio of a shift, the reciprocal condition number
-# 1 / (||M||_F ||M^-1||_F) of a sample point.
+# Below this rcond_F(M) = 1 / (||M||_F ||M^-1||_F) a pencil matrix M counts as
+# numerically singular, and its shift or sample point is redrawn.
 PIVOT_GUARD = 1e-12
 
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from .bases import Basis, Bernstein, Hermite, Lagrange, ThreeTermBasis, phi_rows
 from .errors import DimensionMismatchError, UnsupportedBasisError
-from .linalg import as_cmatrix
 
 __all__ = ["MatrixPolynomial", "evaluate", "degree_defect"]
 
@@ -38,17 +37,28 @@ class MatrixPolynomial:
     data: np.ndarray
 
     def __post_init__(self):
-        mats = [as_cmatrix(m, name="coefficient") for m in self.data]
-        if not mats:
+        try:
+            data = np.array(self.data, dtype=complex)
+        except ValueError as exc:  # matrices of different shapes stack to nothing
+            raise DimensionMismatchError(
+                "coefficient matrices must be square and share one size") from exc
+        if data.ndim == 0 or data.shape[0] == 0:
             raise ValueError("empty payload")
-        n = mats[0].shape[0]
-        if any(m.shape != (n, n) for m in mats):
+        if data.ndim < 3:  # one scalar or one row per coefficient: square only as 1 x 1
+            data = data.reshape(data.shape + (1,) * (3 - data.ndim))
+        if data.ndim > 3:
+            raise DimensionMismatchError(
+                f"coefficient must be two-dimensional, got shape {data.shape[1:]}")
+        if data.shape[1] != data.shape[2]:
             raise DimensionMismatchError("coefficient matrices must be square and share one size")
+        if data.shape[1] == 0:
+            raise DimensionMismatchError("coefficient must have at least one row and column")
+        if not np.isfinite(data).all():
+            raise ValueError("coefficient contains non-finite entries")
         basis = self.basis
-        if isinstance(basis, (Bernstein, Lagrange, Hermite)) and len(mats) != basis.grade + 1:
-            raise ValueError(f"{len(mats)} matrices do not match the grade {basis.grade} "
+        if isinstance(basis, (Bernstein, Lagrange, Hermite)) and len(data) != basis.grade + 1:
+            raise ValueError(f"{len(data)} matrices do not match the grade {basis.grade} "
                              f"of the {type(basis).__name__} basis")
-        data = np.stack(mats)
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
 

@@ -13,7 +13,13 @@ import pytest
 import golden
 from polypencil import cli
 from polypencil.cli import _emit, main
-from polypencil.documents import matrix_to_json, parse_scalar, scalar_to_json
+from polypencil.documents import (
+    DocumentError,
+    matrix_to_json,
+    parse_matrix,
+    parse_scalar,
+    scalar_to_json,
+)
 
 
 def write(tmp_path, name, payload):
@@ -290,6 +296,93 @@ class TestWriter:
         json.dump(payload, expected, indent=2 if pretty else None)
         _emit(payload, pretty)
         assert capsys.readouterr().out == expected.getvalue() + "\n"
+
+
+class TestMatrixParser:
+    """parse_matrix reads plain numeric matrices in one numpy pass, the rest entry by entry."""
+
+    # one faulty entry, as JSON text, and the schema error it must give
+    FAULTS = [
+        ("true", "expected a number or [re, im] pair, got True"),
+        ("NaN", "expected a finite number, got nan"),
+        ("Infinity", "expected a finite number, got inf"),
+        ("1" + "0" * 400, "expected a finite number, got 1" + "0" * 400),
+        ('"1.0"', "expected a number or [re, im] pair, got '1.0'"),
+        ("null", "expected a number or [re, im] pair, got None"),
+        ("[1.0]", "expected a number or [re, im] pair, got [1.0]"),
+        ("[1.0, 2.0, 3.0]", "expected a number or [re, im] pair, got [1.0, 2.0, 3.0]"),
+        ("[[1.0, 2.0], 0.0]", "expected a number or [re, im] pair, got [[1.0, 2.0], 0.0]"),
+    ]
+    DOCS = {
+        "coefficients": '{"basis": {"kind": "chebyshev"}, "n": 2, "coefficients": '
+                        '[[[1.0, 0.5], [0.25, 2.0]], [[0.5, [1.0, -1.0]], [%s, 1.0]], '
+                        '[[1, 0], [0, 1]]]}',
+        "samples": '{"basis": {"kind": "lagrange", "nodes": [1, 0, -1]}, "n": 2, "samples": '
+                   '[[[1.0, 0.5], [0.25, 2.0]], [[0.5, 3.0], [%s, 1.0]], [[1, 0], [0, 1]]]}',
+    }
+
+    @pytest.mark.parametrize("payload", sorted(DOCS))
+    @pytest.mark.parametrize("token, message", FAULTS, ids=[t[:12] for t, _ in FAULTS])
+    def test_faulty_entry_exits_2_with_its_message(self, tmp_path, capsys, payload, token,
+                                                   message):
+        path = write(tmp_path, "d.json", self.DOCS[payload] % token)
+        assert run(capsys, "eig", path) == (2, "", f"error: {message}\n")
+
+    def test_faulty_row_before_a_faulty_entry_is_reported_first(self):
+        with pytest.raises(DocumentError, match="matrix row 0 must have 2 entries"):
+            parse_matrix([[1.0], [True, 2.0]], 2)
+        with pytest.raises(DocumentError, match="got True"):
+            parse_matrix([[True, 2.0], [1.0]], 2)
+
+    @pytest.mark.parametrize("rows", [
+        [[1, -0.0], [2.5, 1e308]],
+        [[[1, -0.0], [2.5, 3]], [[-0.0, 0.0], [5e-324, -1e308]]],
+        [[0.5, [1.0, -0.0]], [[-0.0, 2], 3]],
+        [[2 ** 70 + 1, [-3, 2 ** 60 + 1]], [-0.0, [0, -0.0]]],
+    ], ids=["bare", "paired", "mixed", "large-int"])
+    def test_same_array_as_entry_by_entry(self, rows):
+        got = parse_matrix(rows, 2)
+        expected = np.array([[parse_scalar(v) for v in row] for row in rows], dtype=complex)
+        assert got.dtype == complex and got.shape == (2, 2)
+        pairs = np.stack([got.real, got.imag], -1)
+        assert repr(pairs.tolist()) == repr(np.stack([expected.real, expected.imag], -1).tolist())
+
+
+def test_eig_runs_no_hand_written_lu(tmp_path, capsys, monkeypatch):
+    """cli eig solves every kind of pencil without linalg's LU."""
+    from polypencil import eigen, linalg
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the hand-written LU was called")
+
+    for module, name in [(linalg, "lu_factor"), (linalg, "lu_solve"), (eigen, "lu_factor")]:
+        monkeypatch.setattr(module, name, refuse)
+    rng = np.random.default_rng(5)
+
+    def mats(count, scale=1.0):
+        return [(scale ** k * (rng.standard_normal((2, 2))
+                               + 1j * rng.standard_normal((2, 2)))).tolist()
+                for k in range(count)]
+
+    def pairs(ms):
+        return [[[[z.real, z.imag] for z in row] for row in np.asarray(m)] for m in ms]
+
+    docs = {
+        "chebyshev": {"basis": {"kind": "chebyshev"}, "n": 2, "coefficients": pairs(mats(7))},
+        "lagrange": {"basis": {"kind": "lagrange", "nodes": [1, 0.5, 0, -0.5, -1]}, "n": 2,
+                     "samples": pairs(mats(5))},
+        "hermite": {"basis": {"kind": "hermite", "nodes": [1, 0, -1],
+                              "confluencies": [2, 1, 3]}, "n": 2,
+                    "hermite_samples": [pairs(mats(2)), pairs(mats(1)), pairs(mats(3))]},
+        # P(z / 20): the monomial coefficients shrink by 20^-k
+        "monomial-z20": {"basis": {"kind": "monomial"}, "n": 2,
+                         "coefficients": pairs(mats(9, 1 / 20))},
+    }
+    for kind, doc in docs.items():
+        code, out, err = run(capsys, "eig", write(tmp_path, f"{kind}.json", doc))
+        assert (code, err) == (0, ""), kind
+        result = json.loads(out)
+        assert len(result["finite"]) + result["infinite_count"] > 0, kind
 
 
 class TestAlglinCommand:

@@ -23,6 +23,7 @@ from polypencil import (
     make_triple,
     qr_eigenvalues,
 )
+from polypencil.eigen import _balancing
 from polypencil.linalg import det
 
 
@@ -241,6 +242,65 @@ class TestClassification:
         assert [lam for lam, _ in with_p.finite] == [lam for lam, _ in without_p.finite]
         assert [lam for lam, _ in with_p.spurious] == [lam for lam, _ in without_p.spurious]
         assert with_p.infinite_count == without_p.infinite_count
+
+
+class TestBalancedShift:
+    """The pencil is balanced before a shift is accepted on its LAPACK rcond."""
+
+    def test_hermite_document_every_unbalanced_shift_refused(self):
+        # confluent nodes 0.974 and 0.966: unbalanced, every shift on |sigma| = 1.37
+        # had a pivot ratio near 1e-14, below PIVOT_GUARD
+        sl = pytest.importorskip("scipy.linalg")
+        p = random_polynomial("hermite", 2, 18, np.random.default_rng(15))
+        pc = build(p)
+        result = generalized_eigenvalues(pc, None)
+        assert len(result.finite) == 36 and result.infinite_count == pc.size - 36
+        assert max(res for _, res in result.finite) <= 1e-14
+        # QZ on the balanced (exactly equivalent) pencil; unbalanced, QZ itself is
+        # off by up to 0.1 here, while 40-digit arithmetic agrees with both to 2e-10
+        d_l, d_r = _balancing(pc.c1, pc.c0)
+        reference = sl.eigvals(d_l[:, None] * pc.c0 * d_r, d_l[:, None] * pc.c1 * d_r)
+        reference = reference[np.isfinite(reference) & (np.abs(reference) < 1e6)]
+        ours = np.array([lam for lam, _ in result.finite])
+        assert len(reference) == 36
+        dist = np.abs(ours[:, None] - reference[None, :]) / np.maximum(1.0, np.abs(ours))[:, None]
+        assert dist.min(axis=1).max() <= 1e-8 and dist.min(axis=0).max() <= 1e-8
+
+    @pytest.mark.parametrize("kind", ["lagrange", "hermite"])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_interpolation_pencil_at_grade_18_is_never_refused(self, kind, seed):
+        n = 2
+        p = random_polynomial(kind, n, 18, np.random.default_rng(seed))
+        pc = build(p)
+        result = generalized_eigenvalues(pc, p)
+        assert len(result.finite) == pc.size - 2 * n
+
+    def test_scalings_are_powers_of_two_that_even_out_a_graded_pencil(self, rng):
+        pc = build(random_polynomial("chebyshev", 3, 6, rng))
+        grade = np.ldexp(1.0, rng.integers(-6, 7, size=(2, pc.size)))
+        c1 = grade[0][:, None] * pc.c1 * grade[1]
+        c0 = grade[0][:, None] * pc.c0 * grade[1]
+        d_l, d_r = _balancing(c1, c0)
+        assert np.array_equal(np.ldexp(1.0, np.frexp(d_l)[1] - 1), d_l)
+        assert np.array_equal(np.ldexp(1.0, np.frexp(d_r)[1] - 1), d_r)
+        w = np.abs(d_l[:, None] * c1 * d_r) ** 2 + np.abs(d_l[:, None] * c0 * d_r) ** 2
+        # once no factor moves, every row sum, and every column sum, lies within a
+        # factor of 2 of one common level
+        for sums in (w.sum(axis=1), w.sum(axis=0)):
+            assert sums.max() / sums.min() < 4.0
+        graded = dataclasses.replace(pc, c1=c1, c0=c0)
+        ours = sorted_eigs([lam for lam, _ in generalized_eigenvalues(graded).finite])
+        plain = sorted_eigs([lam for lam, _ in generalized_eigenvalues(pc).finite])
+        assert len(ours) == len(plain)
+        assert np.max(np.abs(ours - plain) / np.maximum(1.0, np.abs(plain))) <= 1e-8
+
+    def test_zero_row_and_huge_entries_stop(self):
+        c1 = np.diag([1e300, 1.0, 0.0]).astype(complex)
+        c0 = np.zeros((3, 3), dtype=complex)
+        c0[1, 2] = 1e-300
+        d_l, d_r = _balancing(c1, c0)
+        assert np.all(np.isfinite(d_l)) and np.all(np.isfinite(d_r))
+        assert d_l[2] == 1.0  # row 2 is zero: nothing to scale
 
 
 def _mandelbrot_pencil(depth, c):
