@@ -3,24 +3,40 @@
 When C1 is exactly the identity, the eigenvalues of z*C1 - C0 are those of
 C0, all finite, and one LAPACK call through ``numpy.linalg.eig`` on C0
 returns them with their eigenvectors; nothing is inverted and nothing is
-classified.  Every other pencil is first balanced by power-of-two row and
-column scalings, D_l (z C1 - C0) D_r, and then goes through shift-and-invert:
-with M = D_l (sigma C1 - C0) D_r nonsingular, the eigenvalues theta of
-A = M^-1 D_l C1 D_r map to pencil eigenvalues lambda = sigma - 1/theta, and
-theta near zero means an eigenvalue at infinity.  The shift is accepted on
-the reciprocal condition number rcond_F of M, read from its LAPACK inverse.
-One LAPACK call through ``numpy.linalg.eig`` returns theta and the right
-eigenvectors V of A; D_r V are eigenvectors of the pencil.
+classified.
 
-A theta is classed infinite when zero lies within its first-order error
-bound, |theta| <= kappa(theta) * N * u * ||A||_F, where kappa(theta) is the
-norm of row i of V^-1 times the norm of column i of V and u is machine
-epsilon.  A theta repeated to working precision has parallel eigenvectors,
+Every other pencil is first reduced to its finite part.  The arrowhead
+pencil of Lagrange and Hermite data has 2n eigenvalues at infinity by its
+structure alone; two complete QR factorizations split them off by a unitary
+equivalence, leaving a pencil of size N - 2n whose eigenvalues are exactly
+the finite ones (Van Beeumen, Michiels & Meerbergen, IMA J. Numer. Anal.
+2015).  A coefficient pencil is its own finite part.  The finite part is
+balanced by power-of-two row and column scalings, D_l (z C1 - C0) D_r, and
+then goes through shift-and-invert: with M = D_l (sigma C1 - C0) D_r
+nonsingular, the eigenvalues theta of A = M^-1 D_l C1 D_r map to pencil
+eigenvalues lambda = sigma - 1/theta, and theta near zero means an
+eigenvalue at infinity.  The shift is accepted on the reciprocal condition
+number rcond_F of M, read from its LAPACK inverse.
+
+With tol = N * u * ||A||_F (u machine epsilon), 1/||A^-1||_F > tol proves
+sigma_min(A) > tol: no matrix within tol of A is singular, so no theta is
+zero within its backward error and every value is finite.  Then one LAPACK
+call returns theta alone (``numpy.linalg.eigvals``), or theta and the
+eigenvectors when no polynomial is given, and nothing is classified.
+
+When the certificate fails, when the deflation is refused (P singular), or
+when no shift is found for the finite part, the full pencil is shift-inverted
+with the same shift draws and classified.  One LAPACK call through
+``numpy.linalg.eig`` returns theta and the right eigenvectors V of A; D_r V
+are eigenvectors of the pencil.  A theta is classed infinite when zero lies
+within its first-order error bound, |theta| <= kappa(theta) * N * u * ||A||_F,
+where kappa(theta) is the norm of row i of V^-1 times the norm of column i
+of V.  A theta repeated to working precision has parallel eigenvectors,
 so kappa bounds nothing there and the bound is N * u * ||A||_F alone.
 Those infinite values with |theta| > N * u * ||A||_F are perturbed
-infinities (interpolation pencils surface their structural infinities this
-way); they are returned apart, as ``spurious``, and counted as infinite.
-This rule, which reads the pencil alone, is the whole classification: the
+infinities (an interpolation pencil classed here surfaces its structural
+infinities this way); they are returned apart, as ``spurious``, and counted
+as infinite.  The certificate and this rule read the pencil alone: the
 triples make det(z C1 - C0) = det P(z), so being finite is a property of
 the pencil, and the polynomial only chooses which backward error is
 reported.
@@ -45,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import phi_rows
+from .bases import Hermite, Lagrange, phi_rows
 from .errors import NoConvergenceError, SingularPencilEverywhereError
 from .linalg import PIVOT_GUARD, as_cmatrix
 # Unused here: bench/test_bench.py::test_patch_replaces_every_binding_and_restores_it
@@ -72,11 +88,14 @@ MACHINE_EPSILON = np.finfo(float).eps
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Eigenvalues as (lambda, backward error) pairs, plus the count classed infinite.
+    """Eigenvalues as (lambda, backward error) pairs, plus the count of infinite ones.
 
-    ``spurious`` holds the perturbed infinities only; ``infinite_count``
-    includes them.  ``finite`` and ``spurious`` are sorted by real, then
-    imaginary part.
+    ``infinite_count`` is the 2n structural infinities deflated from an
+    interpolation pencil (0 for a coefficient pencil) when the rest are
+    certified finite, and otherwise the count classed infinite.
+    ``spurious`` holds the perturbed infinities of a classified pencil only,
+    and ``infinite_count`` includes them.  ``finite`` and ``spurious`` are
+    sorted by real, then imaginary part.
     """
 
     finite: tuple
@@ -229,12 +248,17 @@ def _backward_errors(pc: CompanionPencil, p, lams, vectors) -> np.ndarray:
     return _polynomial_backward_errors(p, lams)
 
 
-def _eig(a):
-    """Eigenvalues and right eigenvectors of a from one LAPACK call."""
+def _lapack(solver, a):
+    """solver(a), a numpy.linalg eigensolver; a LinAlgError raises NoConvergenceError."""
     try:
-        return np.linalg.eig(a)
+        return solver(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"LAPACK eigensolver did not converge: {exc}") from exc
+
+
+def _eig(a):
+    """Eigenvalues and right eigenvectors of a from one LAPACK call."""
+    return _lapack(np.linalg.eig, a)
 
 
 def _balancing(c1, c0):
@@ -271,17 +295,17 @@ def _quarter_step(sums, exponents):
     return np.where(ok, target - exponents, 0)
 
 
-def _accepted_shift(pc: CompanionPencil, rng):
-    """(sigma, A, d_r) for the first shift whose balanced pencil matrix is well conditioned.
+def _accepted_shift(c1, c0, rng):
+    """(sigma, A, d_r, M, B) for the first shift whose balanced pencil matrix is well conditioned.
 
-    M = D_l (sigma C1 - C0) D_r is inverted by LAPACK and sigma is accepted
-    when rcond_F(M) >= PIVOT_GUARD; then A = M^-1 D_l C1 D_r, whose
+    With B = D_l C1 D_r, M = sigma B - D_l C0 D_r is inverted by LAPACK and
+    sigma is accepted when rcond_F(M) >= PIVOT_GUARD; then A = M^-1 B, whose
     eigenvectors V give the pencil's as D_r V.  A singular M moves on to
     the next candidate.
     """
-    d_l, d_r = _balancing(pc.c1, pc.c0)
-    c1 = d_l[:, None] * pc.c1 * d_r
-    c0 = d_l[:, None] * pc.c0 * d_r
+    d_l, d_r = _balancing(c1, c0)
+    c1 = d_l[:, None] * c1 * d_r
+    c0 = d_l[:, None] * c0 * d_r
     for _ in range(MAX_SHIFT_TRIES):
         angle = rng.uniform(0.0, 2.0 * np.pi)
         candidate = SHIFT_RADIUS * complex(np.cos(angle), np.sin(angle))
@@ -293,10 +317,74 @@ def _accepted_shift(pc: CompanionPencil, rng):
         with np.errstate(over="ignore", invalid="ignore"):
             rcond = 1.0 / (np.linalg.norm(m) * np.linalg.norm(inverse))
         if rcond >= PIVOT_GUARD:
-            return candidate, inverse @ c1, d_r
+            return candidate, inverse @ c1, d_r, m, c1
     raise SingularPencilEverywhereError(
         f"no acceptable shift among {MAX_SHIFT_TRIES} tries; pencil may be singular"
     )
+
+
+def _finite_part(pc: CompanionPencil):
+    """(E, F, lift): z E - F carries exactly the finite eigenvalues of pc; None if P is singular.
+
+    An interpolation pencil is the arrowhead C1 = diag(0, I),
+    C0 = [[0, D], [B, T]] with D of size n x m.  With Q_2 the last m - n
+    columns of a complete QR of D^* (they span null D) and [W_1 W_2] the
+    complete QR of B = W_1 R_B, the unitary equivalence diag(I, W^*) and
+    diag(I, Q) splits it, det(z C1 - C0) = det(-D Q_1) det(-R_B)
+    det(z W_2^* Q_2 - W_2^* T Q_2), so E = W_2^* Q_2, F = W_2^* T Q_2 and
+    the other 2n eigenvalues are infinite.  An eigenvector y of z E - F lifts
+    to x_1 = Q_2 y, x_0 = R_B^-1 W_1^* (lambda I - T) x_1.  The split needs D
+    of full numerical row rank, sigma_min(D) > N u sigma_max(D); otherwise
+    det(z C1 - C0) vanishes identically to working precision.  A coefficient
+    pencil is its own finite part.
+    """
+    if not isinstance(pc.basis, (Lagrange, Hermite)):
+        return pc.c1, pc.c0, lambda lams, y: y
+    n = pc.n
+    d, b, t = pc.c0[:n, n:], pc.c0[n:, :n], pc.c0[n:, n:]
+    singular = np.linalg.svd(d, compute_uv=False)
+    if not singular[-1] > pc.size * MACHINE_EPSILON * singular[0]:
+        return None
+    q = np.linalg.qr(d.conj().T, mode="complete")[0][:, n:]
+    w, r_b = np.linalg.qr(b, mode="complete")
+    w_range, w_perp = w[:, :n].conj().T, w[:, n:].conj().T
+
+    def lift(lams, y):
+        x1 = q @ y
+        return np.vstack([np.linalg.solve(r_b[:n], w_range @ (x1 * lams - t @ x1)), x1])
+
+    return w_perp @ q, w_perp @ t @ q, lift
+
+
+def _certified(pc: CompanionPencil, p, rng):
+    """The EigenResult of the finite part when all its values are provably finite, else None.
+
+    With tol = N u ||A||_F, 1/||A^-1||_F > tol gives sigma_min(A) > tol, so
+    no matrix within tol of A is singular and no theta can be zero within
+    its backward error (Eckart-Young); A^-1 = B^-1 M takes one solve.  Then
+    the values come without eigenvectors when p is given.
+    """
+    part = _finite_part(pc)
+    if part is None:
+        return None
+    c1, c0, lift = part
+    try:
+        sigma, a, d_r, m, b = _accepted_shift(c1, c0, rng)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            smallest = 1.0 / np.linalg.norm(np.linalg.solve(b, m))
+    except (SingularPencilEverywhereError, np.linalg.LinAlgError):
+        return None
+    if not smallest > pc.size * MACHINE_EPSILON * np.linalg.norm(a):
+        return None
+    if p is None:
+        thetas, vectors = _lapack(np.linalg.eig, a)
+        lams = sigma - 1.0 / thetas
+        residuals = _pencil_backward_errors(pc, lams, lift(lams, d_r[:, None] * vectors))
+    else:
+        lams = sigma - 1.0 / _lapack(np.linalg.eigvals, a)
+        residuals = _polynomial_backward_errors(p, lams)
+    return EigenResult(finite=_pairs(lams, residuals), infinite_count=pc.size - a.shape[0],
+                       shift_used=complex(sigma))
 
 
 def _pairs(lams, residuals):
@@ -304,31 +392,9 @@ def _pairs(lams, residuals):
     return tuple(sorted(out, key=lambda pair: (pair[0].real, pair[0].imag)))
 
 
-def generalized_eigenvalues(pc: CompanionPencil, p: MatrixPolynomial = None,
-                            rng=None) -> EigenResult:
-    """Eigenvalues of the pencil z*C1 - C0, with a backward error each.
-
-    A pencil whose C1 is exactly the identity (every monic monomial pencil
-    and every Mandelbrot level) is the standard problem for C0: its values
-    come from numpy.linalg.eig(C0) alone, all finite, with no shift
-    (``shift_used`` is 0, and with sigma = 0, lambda = sigma - 1/theta for
-    the thetas of A = (sigma C1 - C0)^-1 C1 still holds).
-
-    Any other pencil is balanced and goes through shift-and-invert.  Shifts
-    are drawn on the circle |sigma| = 1.37 until the balanced sigma*C1 - C0
-    has rcond_F >= PIVOT_GUARD (at most 8 tries).  theta and the
-    eigenvectors of the balanced A come from numpy.linalg.eig, and
-    theta is classed infinite, perturbed infinite or finite by its error
-    bound (module docstring), which reads the pencil alone: the split is the
-    same with or without p.  Backward errors are taken against the
-    polynomial when it is supplied, and against the pencil otherwise.
-    """
-    if np.array_equal(pc.c1, np.eye(pc.size)):
-        lams, vectors = _eig(pc.c0)
-        return EigenResult(finite=_pairs(lams, _backward_errors(pc, p, lams, vectors)),
-                           infinite_count=0, shift_used=0j)
-    rng = np.random.default_rng(0) if rng is None else rng
-    sigma, a, d_r = _accepted_shift(pc, rng)
+def _classified(pc: CompanionPencil, p, rng) -> EigenResult:
+    """The full pencil, shift-inverted, each theta classed by its error bound (module docstring)."""
+    sigma, a, d_r, _, _ = _accepted_shift(pc.c1, pc.c0, rng)
     thetas, vectors = _eig(a)
     try:
         left = np.linalg.inv(vectors)
@@ -352,3 +418,42 @@ def generalized_eigenvalues(pc: CompanionPencil, p: MatrixPolynomial = None,
     return EigenResult(finite=_pairs(lams[finite], residuals[finite]),
                        infinite_count=int(infinite.sum()), shift_used=complex(sigma),
                        spurious=_pairs(lams[~finite], residuals[~finite]))
+
+
+def generalized_eigenvalues(pc: CompanionPencil, p: MatrixPolynomial = None,
+                            rng=None) -> EigenResult:
+    """Eigenvalues of the pencil z*C1 - C0, with a backward error each.
+
+    A pencil whose C1 is exactly the identity (every monic monomial pencil
+    and every Mandelbrot level) is the standard problem for C0: its values
+    come from numpy.linalg.eig(C0) alone, all finite, with no shift
+    (``shift_used`` is 0, and with sigma = 0, lambda = sigma - 1/theta for
+    the thetas of A = (sigma C1 - C0)^-1 C1 still holds).
+
+    Any other pencil first loses the structural infinities of an
+    interpolation pencil (its finite part), which is then balanced and
+    shift-inverted: shifts are drawn on the circle |sigma| = 1.37 until the
+    balanced sigma*C1 - C0 has rcond_F >= PIVOT_GUARD (at most 8 tries).
+    When sigma_min(A) certifies every theta finite, the values come from
+    numpy.linalg.eigvals (numpy.linalg.eig without p), nothing is classed,
+    ``spurious`` is empty and ``infinite_count`` is the deflated 2n (0 for a
+    coefficient pencil).  Otherwise (P singular, no shift, or no
+    certificate) the rng is rewound and the full pencil goes through the
+    same shift search; theta and the eigenvectors of its balanced A come
+    from numpy.linalg.eig, and theta is classed infinite, perturbed infinite
+    or finite by its error bound (module docstring).  Both paths read the
+    pencil alone to split: the split is the same with or without p.
+    Backward errors are taken against the polynomial when it is supplied,
+    and against the pencil otherwise.
+    """
+    if np.array_equal(pc.c1, np.eye(pc.size)):
+        lams, vectors = _eig(pc.c0)
+        return EigenResult(finite=_pairs(lams, _backward_errors(pc, p, lams, vectors)),
+                           infinite_count=0, shift_used=0j)
+    rng = np.random.default_rng(0) if rng is None else rng
+    state = rng.bit_generator.state
+    result = _certified(pc, p, rng)
+    if result is None:
+        rng.bit_generator.state = state  # the full pencil draws the same shifts afresh
+        result = _classified(pc, p, rng)
+    return result

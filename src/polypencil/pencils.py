@@ -7,8 +7,9 @@ is what the test suite checks.  A finite document whose arithmetic overflows
 pencil; the builders run with numpy's overflow warnings off, and
 CompanionPencil rejects such a pencil itself with NonFiniteError, the one
 check every caller meets.  Sizes: N = n*ell for three-term and
-Bernstein bases, N = n*(ell+2) for Lagrange and Hermite bases (those carry
-spurious eigenvalues at infinity; no deflation is attempted).
+Bernstein bases, N = n*(ell+2) for Lagrange and Hermite bases.  The latter
+carry 2n eigenvalues at infinity by their structure alone; the builders
+keep them, and ``eigen`` deflates them before it solves.
 """
 
 from __future__ import annotations

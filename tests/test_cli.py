@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import golden
-from polypencil import cli
+from conftest import random_polynomial
+from polypencil import MatrixPolynomial, cli, eigen
 from polypencil.cli import _emit, main
 from polypencil.documents import (
     DocumentError,
@@ -383,6 +384,90 @@ def test_eig_runs_no_hand_written_lu(tmp_path, capsys, monkeypatch):
         assert (code, err) == (0, ""), kind
         result = json.loads(out)
         assert len(result["finite"]) + result["infinite_count"] > 0, kind
+
+
+def polynomial_document(kind, p):
+    """The JSON document of p, whose basis is the conftest basis of that kind."""
+    payload = [matrix_to_json(m) for m in p.data]
+    if kind not in ("lagrange", "hermite"):
+        return {"basis": {"kind": kind}, "n": p.n, "coefficients": payload}
+    basis = {"kind": kind, "nodes": [scalar_to_json(t) for t in p.basis.nodes]}
+    if kind == "lagrange":
+        return {"basis": basis, "n": p.n, "samples": payload}
+    basis["confluencies"] = list(p.basis.confluencies)
+    ends = np.cumsum(p.basis.confluencies)
+    return {"basis": basis, "n": p.n,
+            "hermite_samples": [payload[end - s:end] for s, end in zip(p.basis.confluencies, ends)]}
+
+
+def chebyshev_with_leading(leading):
+    p = random_polynomial("chebyshev", 2, 6, np.random.default_rng(4))
+    return polynomial_document("chebyshev", MatrixPolynomial.from_coefficients(
+        p.basis, list(p.data[:-1]) + [np.asarray(leading, dtype=complex)]))
+
+
+class TestEigPath:
+    """A regular P is solved on its certified finite part; the rest is classified as before."""
+
+    def test_regular_documents_never_classify_the_full_pencil(self, tmp_path, capsys,
+                                                              monkeypatch):
+        def refuse(a):
+            raise AssertionError("the full pencil was classified")
+
+        monkeypatch.setattr(eigen, "_eig", refuse)
+        docs = [(kind, seed, polynomial_document(
+                    kind, random_polynomial(kind, 2, 10, np.random.default_rng(seed))))
+                for kind in ("chebyshev", "legendre", "lagrange", "hermite") for seed in range(3)]
+        p = random_polynomial("monomial", 3, 8, np.random.default_rng(5))
+        scaled = MatrixPolynomial.from_coefficients(  # P(z / 20)
+            p.basis, [c / 20.0 ** k for k, c in enumerate(p.data)])
+        docs.append(("monomial-z20", 5, polynomial_document("monomial", scaled)))
+        for kind, seed, doc in docs:
+            code, out, err = run(capsys, "eig", write(tmp_path, "doc.json", doc))
+            assert (code, err) == (0, ""), (kind, seed)
+            payload = json.loads(out)
+            assert payload["spurious"] == [], (kind, seed)
+            assert payload["infinite_count"] == (4 if kind in ("lagrange", "hermite") else 0)
+
+    @pytest.mark.parametrize("doc, infinite", [
+        (LAGRANGE_EYE, 8),  # P = I: every eigenvalue is infinite
+        (chebyshev_with_leading(np.zeros((2, 2))), 2),
+        (chebyshev_with_leading([[1, 2], [2, 4]]), 1),
+    ], ids=["lagrange-eye", "zero-leading", "rank-1-leading"])
+    def test_infinite_eigenvalues_are_classified_on_the_full_pencil(self, tmp_path, capsys,
+                                                                    monkeypatch, doc, infinite):
+        calls = []
+
+        def counted(a):
+            calls.append(a.shape)
+            return eig(a)
+
+        eig = eigen._eig
+        monkeypatch.setattr(eigen, "_eig", counted)
+        code, out, err = run(capsys, "eig", write(tmp_path, "doc.json", doc))
+        assert (code, err) == (0, "") and calls
+        assert json.loads(out)["infinite_count"] == infinite
+
+
+class TestSingularPolynomial:
+    """det P(z) = 0 everywhere: no shift is acceptable, deflated or not."""
+
+    @pytest.mark.parametrize("doc", [
+        {"basis": {"kind": "lagrange", "nodes": [1, 0.5, -0.5, -1]}, "n": 2,
+         "samples": [[[0, 0], [0, 0]]] * 4},
+        {"basis": {"kind": "hermite", "nodes": [1, 0, -1], "confluencies": [2, 1, 1]}, "n": 2,
+         "hermite_samples": [[[[1, 2], [0, 0]], [[-3, 1], [0, 0]]], [[[2, 5], [0, 0]]],
+                             [[[-1, 4], [0, 0]]]]},
+        {"basis": {"kind": "lagrange", "nodes": [1, 0.5, -0.5, -1]}, "n": 2,
+         "samples": [[[a, b], [a, b]] for a, b in [(1, 2), (-3, 1), (2, 5), (-1, 4)]]},
+        # P(z) = [[1, z], [z, z^2]]: singular although its samples have full row rank
+        {"basis": {"kind": "lagrange", "nodes": [1, 0.5, -0.5, -1]}, "n": 2,
+         "samples": [[[1, t], [t, t * t]] for t in [1, 0.5, -0.5, -1]]},
+    ], ids=["zero-samples", "hermite-zero-row", "equal-rows", "full-rank-samples"])
+    def test_eig_exits_3(self, tmp_path, capsys, doc):
+        code, out, err = run(capsys, "eig", write(tmp_path, "doc.json", doc))
+        assert (code, out) == (3, "")
+        assert err == "error: no acceptable shift among 8 tries; pencil may be singular\n"
 
 
 class TestAlglinCommand:

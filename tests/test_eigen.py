@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import golden
-from conftest import rand_matrix, random_polynomial
+from conftest import TEN_KINDS, rand_matrix, random_polynomial
 from polypencil import (
     Bernstein,
     ChebyshevT,
@@ -23,7 +23,7 @@ from polypencil import (
     make_triple,
     qr_eigenvalues,
 )
-from polypencil.eigen import _balancing
+from polypencil.eigen import _balancing, _certified, _classified, _finite_part
 from polypencil.linalg import det
 
 
@@ -301,6 +301,73 @@ class TestBalancedShift:
         d_l, d_r = _balancing(c1, c0)
         assert np.all(np.isfinite(d_l)) and np.all(np.isfinite(d_r))
         assert d_l[2] == 1.0  # row 2 is zero: nothing to scale
+
+
+def _nearest_distance(ours, theirs):
+    """Largest relative distance from a value of either set to the nearest of the other."""
+    ours, theirs = np.array(ours), np.array(theirs)
+    dist = np.abs(ours[:, None] - theirs[None, :]) / np.maximum(1.0, np.abs(ours))[:, None]
+    return max(dist.min(axis=1).max(), dist.min(axis=0).max())
+
+
+class TestCertifiedFinitePart:
+    """Structural infinities deflated, the rest certified finite, values without vectors."""
+
+    @pytest.mark.parametrize("kind", TEN_KINDS)
+    @pytest.mark.parametrize("seed", range(10))
+    def test_agrees_with_the_classified_full_pencil(self, kind, seed):
+        n = 2
+        p = random_polynomial(kind, n, 6, np.random.default_rng(seed))
+        pc = build(p)
+        certified = _certified(pc, p, np.random.default_rng(seed))
+        classified = _classified(pc, p, np.random.default_rng(seed))
+        assert certified is not None and certified.spurious == classified.spurious == ()
+        assert len(certified.finite) == len(classified.finite)
+        assert certified.infinite_count == classified.infinite_count
+        assert certified.infinite_count == (2 * n if kind in ("lagrange", "hermite") else 0)
+        assert certified.shift_used == classified.shift_used
+        assert _nearest_distance([lam for lam, _ in certified.finite],
+                                 [lam for lam, _ in classified.finite]) <= 1e-10
+
+    @pytest.mark.parametrize("kind", ["lagrange", "hermite"])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_lifted_eigenvectors_are_backward_stable(self, kind, seed):
+        n = 2
+        pc = build(random_polynomial(kind, n, 18, np.random.default_rng(seed)))
+        result = generalized_eigenvalues(pc, None, rng=np.random.default_rng(seed))
+        assert len(result.finite) == pc.size - 2 * n and result.spurious == ()
+        # against the original C1 and C0, through the lifted eigenvectors
+        assert max(res for _, res in result.finite) <= 1e-13
+
+    def test_rank_deficient_samples_refuse_the_deflation(self, rng):
+        p = random_polynomial("lagrange", 2, 4, rng)
+        assert _finite_part(build(p)) is not None
+        rows_equal = MatrixPolynomial.from_samples(p.basis, [np.vstack([s[0], s[0]])
+                                                             for s in p.data])
+        assert _finite_part(build(rows_equal)) is None
+        zero = MatrixPolynomial.from_samples(p.basis, [np.zeros((2, 2))] * len(p.data))
+        assert _finite_part(build(zero)) is None
+
+    def test_deflated_pencil_has_the_finite_eigenvalues(self, rng):
+        p = random_polynomial("hermite", 2, 7, rng)
+        pc = build(p)
+        e, f, _ = _finite_part(pc)
+        assert e.shape == (pc.size - 4, pc.size - 4)
+        ours = np.linalg.eigvals(np.linalg.solve(e, f))
+        result = _classified(pc, p, np.random.default_rng(0))
+        assert _nearest_distance(ours, [lam for lam, _ in result.finite]) <= 1e-10
+
+    def test_uncertified_pencil_keeps_its_rng_draws(self):
+        # a zero leading coefficient makes C1 singular: no certificate, and the
+        # full pencil is classed with the shifts the rng would have drawn anyway
+        p = random_polynomial("chebyshev", 2, 5, np.random.default_rng(3))
+        p = MatrixPolynomial.from_coefficients(ChebyshevT(),
+                                               list(p.data[:-1]) + [np.zeros((2, 2))])
+        pc = build(p)
+        assert _certified(pc, p, np.random.default_rng(8)) is None
+        result = generalized_eigenvalues(pc, p, rng=np.random.default_rng(8))
+        assert result == _classified(pc, p, np.random.default_rng(8))
+        assert result.infinite_count == 2
 
 
 def _mandelbrot_pencil(depth, c):
