@@ -1,7 +1,8 @@
-"""Companion pencils, generalized standard triples, and algebraic linearizations
-for regular matrix polynomials in monomial, orthogonal, Newton, Bernstein,
-Lagrange, and Hermite bases, with eigenvalues from LAPACK (through numpy) and
-a self-contained dense complex QR solver kept as the reference."""
+"""Companion pencils, generalized standard triples, algebraic linearizations and
+strict equivalence to the monomial pencil for regular matrix polynomials in
+monomial, orthogonal, Newton, Bernstein and Hermite bases (Lagrange is the
+Hermite basis with every confluency 1), with eigenvalues from LAPACK (through
+numpy) and a self-contained dense complex QR solver kept as the reference."""
 
 from .algebraic import build_algebraic, composed_triple, verify_algebraic
 from .bases import (

@@ -7,7 +7,8 @@ Supported families:
   ``z*phi_k = alpha_k*phi_{k+1} + beta_k*phi_k + gamma_k*phi_{k-1}``;
 * the Bernstein basis of a fixed grade on [0, 1];
 * Hermite interpolational bases on distinct nodes with confluencies, and
-  Lagrange bases, the Hermite bases with every confluency 1.
+  Lagrange bases, the Hermite subclass with every confluency 1, so each
+  function here has one interpolation branch.
 
 Coefficient rows and matrices produced here follow one ordering convention
 throughout: polynomial coefficients are listed with the highest power first,
@@ -18,7 +19,7 @@ descending inside each block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from math import comb
 from numbers import Integral
 from typing import NamedTuple
@@ -143,8 +144,25 @@ class Bernstein(Basis):
             raise ValueError("Bernstein grade must be >= 1")
 
 
-class _Interpolating(Basis):
-    """Shared by Lagrange and Hermite: the barycentric weights, computed once per basis."""
+@dataclass(frozen=True)
+class Hermite(Basis):
+    nodes: tuple = ()
+    confluencies: tuple = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "nodes", _check_nodes(self.nodes))
+        if not all(is_integer(s) for s in self.confluencies):
+            raise BadConfluencyError("confluencies must be integers")
+        conf = tuple(int(s) for s in self.confluencies)
+        if len(conf) != len(self.nodes):
+            raise BadConfluencyError("need one confluency per node")
+        if any(s < 1 for s in conf):
+            raise BadConfluencyError("confluencies must be >= 1")
+        object.__setattr__(self, "confluencies", conf)
+
+    @property
+    def grade(self) -> int:
+        return sum(self.confluencies) - 1
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -171,42 +189,15 @@ class _Interpolating(Basis):
 
 
 @dataclass(frozen=True)
-class Lagrange(_Interpolating):
+class Lagrange(Hermite):
     """Lagrange basis on distinct nodes: the Hermite basis with every confluency 1."""
 
-    nodes: tuple = ()
-
     def __post_init__(self):
-        object.__setattr__(self, "nodes", _check_nodes(self.nodes))
-
-    @property
-    def confluencies(self) -> tuple:
-        return (1,) * len(self.nodes)
-
-    @property
-    def grade(self) -> int:
-        return len(self.nodes) - 1
-
-
-@dataclass(frozen=True)
-class Hermite(_Interpolating):
-    nodes: tuple = ()
-    confluencies: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", _check_nodes(self.nodes))
-        if not all(is_integer(s) for s in self.confluencies):
-            raise BadConfluencyError("confluencies must be integers")
-        conf = tuple(int(s) for s in self.confluencies)
-        if len(conf) != len(self.nodes):
-            raise BadConfluencyError("need one confluency per node")
-        if any(s < 1 for s in conf):
-            raise BadConfluencyError("confluencies must be >= 1")
-        object.__setattr__(self, "confluencies", conf)
-
-    @property
-    def grade(self) -> int:
-        return sum(self.confluencies) - 1
+        if not self.confluencies:
+            object.__setattr__(self, "confluencies", (1,) * len(self.nodes))
+        super().__post_init__()
+        if any(s != 1 for s in self.confluencies):
+            raise BadConfluencyError("a Lagrange basis has every confluency 1")
 
 
 class RecurrenceRow(NamedTuple):
@@ -277,7 +268,7 @@ def phi_rows(basis: Basis, count: int, zs) -> np.ndarray:
         k = np.arange(count)
         binom = np.array([comb(ell, j) for j in k], dtype=float)
         return binom * (z * inv)[:, None] ** k * ((1.0 - z) * inv)[:, None] ** (ell - k)
-    if isinstance(basis, (Lagrange, Hermite)):
+    if isinstance(basis, Hermite):
         nodes = np.asarray(basis.nodes, dtype=complex)
         confl = basis.confluencies
         if sum(confl) != count:
@@ -322,7 +313,7 @@ def one_coefficients(basis: Basis, ell: int) -> np.ndarray:
         if ell != basis.grade:
             raise ValueError(f"grade {ell} does not match Bernstein grade {basis.grade}")
         return np.arange(1, ell + 1, dtype=complex) / ell
-    if isinstance(basis, (Lagrange, Hermite)):
+    if isinstance(basis, Hermite):
         if ell != basis.grade:
             raise ValueError("grade must equal the number of interpolation data minus one")
         row = np.zeros(ell + 2, dtype=complex)
@@ -333,7 +324,7 @@ def one_coefficients(basis: Basis, ell: int) -> np.ndarray:
 
 def node_polynomial(basis: Basis) -> np.ndarray:
     """Monic node polynomial, coefficients in descending powers."""
-    if not isinstance(basis, (Lagrange, Hermite)):
+    if not isinstance(basis, Hermite):
         raise UnsupportedBasisError("node polynomial needs a Lagrange or Hermite basis")
     poly = np.array([1.0 + 0.0j])
     for t, s in zip(basis.nodes, basis.confluencies):
@@ -355,7 +346,7 @@ def barycentric_weights(basis: Basis) -> np.ndarray:
     column of the interpolation pencil.  The array is cached on the
     basis and read-only.
     """
-    if not isinstance(basis, (Lagrange, Hermite)):
+    if not isinstance(basis, Hermite):
         raise UnsupportedBasisError("barycentric weights need a Lagrange or Hermite basis")
     return basis.weights
 
@@ -365,8 +356,9 @@ def monomial_rows(basis: Basis, count: int) -> np.ndarray:
 
     The one change of basis to the monomials: the three-term recurrence run
     on coefficient vectors, B_k = sum_j C(ell, k) C(ell - k, j) (-1)^j z^(k+j)
-    in exact integer products, and beta_k prod_{j != k} (z - tau_j) for
-    Lagrange.  Hermite bases have none.
+    in exact integer products, and for datum k of node tau_i
+    g_i(z) sum_{q < s_i - k} w_{i,q} (z - tau_i)^(k+q), g_i = prod_{j != i} (z - tau_j)^(s_j):
+    w_{i,s_i-1-k} times g_i factor by factor, then Horner in z - tau_i adding w_{i,q} g_i.
     """
     ell = count - 1
     rows = np.zeros((count, count), dtype=complex)
@@ -377,17 +369,25 @@ def monomial_rows(basis: Basis, count: int) -> np.ndarray:
             for j in range(count - k):  # z^(k+j) sits in column ell - k - j
                 rows[ell - k, ell - k - j] = comb(ell, k) * comb(ell - k, j) * (-1) ** j
         return rows
-    if isinstance(basis, Lagrange):
-        nodes = basis.nodes
-        if count != len(nodes):
-            raise ValueError(f"{count} rows do not match {len(nodes)} Lagrange nodes")
-        beta = barycentric_weights(basis)
-        for k in range(len(nodes)):
-            lk = np.array([beta[k]], dtype=complex)
-            for j, tj in enumerate(nodes):
-                if j != k:
-                    lk = np.convolve(lk, np.array([1.0, -tj], dtype=complex))
-            rows[ell - k] = lk
+    if isinstance(basis, Hermite):
+        if count != basis.grade + 1:
+            raise ValueError(f"{count} rows do not match the {basis.grade + 1} interpolation data")
+        w, confl = barycentric_weights(basis), basis.confluencies
+        factors = [np.array([1.0, -t], dtype=complex) for t in basis.nodes]
+        start = 0
+        for i, s in enumerate(confl):
+            others = [factors[j] for j, sj in enumerate(confl) if j != i for _ in range(sj)]
+            g = reduce(np.convolve, others, np.ones(1, dtype=complex)) if s > 1 else None
+            for k in range(s):
+                row = np.array([w[start + s - 1 - k]], dtype=complex)
+                for f in others:
+                    row = np.convolve(row, f)
+                for q in range(s - 2 - k, -k - 1, -1):  # the last k steps add no weight
+                    row = np.convolve(row, factors[i])
+                    if q >= 0:
+                        row[-g.size:] += w[start + q] * g
+                rows[ell - start - k] = row
+            start += s
         return rows
     if not isinstance(basis, ThreeTermBasis):
         raise UnsupportedBasisError(f"no monomial expansion for the {type(basis).__name__} basis")
@@ -411,8 +411,8 @@ def null_vector_basis_matrix(basis: Basis, ell: int) -> np.ndarray:
     Row r holds, in descending powers, the polynomial sitting in block row r
     of the pencil's null vector at an eigenvalue: phi_{ell-1}..phi_0 for
     three-term bases, the degree-reduced Bernstein companions
-    psi_k = C(ell, k+1) z^(ell-1-k) (1-z)^k, and for Lagrange the node
-    polynomial followed by the Lagrange basis polynomials.
+    psi_k = C(ell, k+1) z^(ell-1-k) (1-z)^k, and for interpolation bases the node
+    polynomial over the basis polynomials in block-column order (datum s - 1 - j in column j).
     """
     if isinstance(basis, ThreeTermBasis):
         if ell < 1:
@@ -429,11 +429,13 @@ def null_vector_basis_matrix(basis: Basis, ell: int) -> np.ndarray:
             pad = ell - 1 - k  # trailing zeros from the factor z^(ell-1-k)
             out[k] = np.concatenate([comb(ell, k + 1) * poly, np.zeros(pad, dtype=complex)])
         return out
-    if isinstance(basis, Lagrange):
-        if ell != len(basis.nodes) - 1:
-            raise ValueError("grade must equal node count minus one")
+    if isinstance(basis, Hermite):
+        if ell != basis.grade:
+            raise ValueError("grade must equal the number of interpolation data minus one")
         out = np.zeros((ell + 2, ell + 2), dtype=complex)
         out[0] = node_polynomial(basis)
-        out[1:, 1:] = monomial_rows(basis, ell + 1)[::-1]
+        ends = np.cumsum(basis.confluencies)  # row ell - c of monomial_rows holds phi_c
+        out[1:, 1:] = monomial_rows(basis, ell + 1)[
+            [ell + 1 - e + j for e, s in zip(ends, basis.confluencies) for j in range(s)]]
         return out
-    raise UnsupportedBasisError("no change-of-basis matrix for the Hermite pencil")
+    raise UnsupportedBasisError(f"no change-of-basis matrix for the {type(basis).__name__} basis")

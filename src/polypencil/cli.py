@@ -19,7 +19,7 @@ import numpy as np
 
 from . import algebraic as alg
 from . import eigen
-from .bases import Hermite, Lagrange, barycentric_weights, node_polynomial
+from .bases import Hermite, barycentric_weights, node_polynomial
 from .documents import (
     DocumentError,
     matrix_to_json,
@@ -136,7 +136,7 @@ def cmd_alglin(args):
 
 def cmd_equiv(args):
     p = parse_document(_load_json(args.input))
-    if isinstance(p.basis, Lagrange):
+    if isinstance(p.basis, Hermite):
         pair = equivalence_lagrange(p)
     else:
         pair = equivalence_degree_graded(p)
@@ -155,7 +155,7 @@ def cmd_bary(args):
     doc = _load_json(args.input)
     grade = parse_header(doc, "basis")
     basis = parse_basis(doc["basis"], grade)
-    if not isinstance(basis, (Lagrange, Hermite)):
+    if not isinstance(basis, Hermite):
         raise DocumentError("bary needs a lagrange or hermite basis")
     weights = barycentric_weights(basis)
     return {

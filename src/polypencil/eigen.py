@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import Hermite, Lagrange, phi_rows
+from .bases import Hermite, phi_rows
 from .errors import NoConvergenceError, SingularPencilEverywhereError
 from .linalg import PIVOT_GUARD, as_cmatrix
 # Unused here: bench/test_bench.py::test_patch_replaces_every_binding_and_restores_it
@@ -338,7 +338,7 @@ def _finite_part(pc: CompanionPencil):
     det(z C1 - C0) vanishes identically to working precision.  A coefficient
     pencil is its own finite part.
     """
-    if not isinstance(pc.basis, (Lagrange, Hermite)):
+    if not isinstance(pc.basis, Hermite):
         return pc.c1, pc.c0, lambda lams, y: y
     n = pc.n
     d, b, t = pc.c0[:n, n:], pc.c0[n:, :n], pc.c0[n:, n:]

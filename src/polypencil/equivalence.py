@@ -2,22 +2,23 @@
 
 For degree-graded and Bernstein bases there are constant nonsingular E, F
 with E * C_phi * F = C_monomial for both members of the pencil; the same
-holds for the Lagrange pencil against the monomial pencil padded by two
-grades (to absorb the eigenvalues at infinity).  F is the change-of-basis
-matrix of the pencil's null-vector functions; E follows from the constant
-terms.  verify_equivalence checks both defining equations on the pencils
-the pair carries.
+holds for Lagrange and Hermite pencils against the monomial pencil padded
+by two grades (to absorb the eigenvalues at infinity).  F is the
+change-of-basis matrix of the pencil's null-vector functions; E follows
+from the constant terms.  verify_equivalence checks both defining
+equations on the pencils the pair carries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
 from .bases import (
     Bernstein,
-    Lagrange,
+    Hermite,
     Monomial,
     ThreeTermBasis,
     monomial_rows,
@@ -25,7 +26,7 @@ from .bases import (
 )
 from .errors import SingularC0Error, UnsupportedBasisError
 from .matpoly import MatrixPolynomial
-from .pencils import CompanionPencil, build, build_lagrange, build_three_term
+from .pencils import CompanionPencil, build, build_hermite, build_three_term
 
 __all__ = [
     "TO_MONOMIAL",
@@ -58,12 +59,12 @@ def monomial_form(p: MatrixPolynomial) -> MatrixPolynomial:
     """The same polynomial with monomial coefficients.
 
     The coefficients are the data contracted with ``bases.monomial_rows``.
-    Lagrange input is padded with two zero leading coefficients (grade
-    ell + 2) so its companion pencil matches the Lagrange pencil size.
+    Lagrange and Hermite input is padded with two zero leading coefficients
+    (grade ell + 2) so its companion pencil matches the arrowhead size.
     """
     rows = monomial_rows(p.basis, p.grade + 1)[::-1, ::-1]  # [k, m]: z^m in phi_k
     coeffs = np.einsum("km,kij->mij", rows, p.data)
-    if isinstance(p.basis, Lagrange):
+    if isinstance(p.basis, Hermite):
         coeffs = np.concatenate([coeffs, np.zeros((2, p.n, p.n), dtype=complex)])
     return MatrixPolynomial.from_coefficients(Monomial(), coeffs)
 
@@ -91,27 +92,30 @@ def equivalence_degree_graded(p: MatrixPolynomial) -> EquivalencePair:
 
 
 def equivalence_lagrange(p: MatrixPolynomial) -> EquivalencePair:
-    """E, F with E C_lagrange F = C_monomial (monomial pencil padded by two grades).
+    """E, F with E C_phi F = C_monomial (padded by two grades) for Lagrange or Hermite data.
 
-    E is block diagonal: a 1 up front, then the transposed-Vandermonde
-    inverse of the node set; F stacks the node polynomial over the monomial
-    expansions of the Lagrange basis polynomials.
+    E is block diagonal: a 1 up front, then the transposed confluent
+    Vandermonde matrix, C(ell - r, d) tau^(ell-r-d) for datum d at node tau
+    in row r; F stacks the node polynomial over the monomial expansions of
+    the basis polynomials.
     """
-    if not isinstance(p.basis, Lagrange):
-        raise UnsupportedBasisError("Lagrange equivalence needs sample data")
-    nodes = p.basis.nodes
-    ell = len(nodes) - 1
-    n = p.n
-    size = ell + 2
-    e_small = np.zeros((size, size), dtype=complex)
+    if not isinstance(p.basis, Hermite):
+        raise UnsupportedBasisError("interpolation equivalence needs sample data")
+    ell, n = p.grade, p.n
+    e_small = np.zeros((ell + 2, ell + 2), dtype=complex)
     e_small[0, 0] = 1.0
-    for r in range(ell + 1):
-        for k, tau in enumerate(nodes):
-            e_small[1 + r, 1 + k] = tau ** (ell - r)
+    # block column j of a node of confluency s holds datum d = s - 1 - j
+    columns = [(tau, d) for tau, s in zip(p.basis.nodes, p.basis.confluencies)
+               for d in range(s - 1, -1, -1)]
+    for col, (tau, d) in enumerate(columns, 1):
+        for r in range(ell + 1 - d):
+            power = tau ** (ell - r - d)
+            # 1 * power would turn an imaginary -0.0 into +0.0
+            e_small[1 + r, col] = comb(ell - r, d) * power if d else power
     f_small = null_vector_basis_matrix(p.basis, ell)
     e = np.kron(e_small, np.eye(n, dtype=complex))
     f = np.kron(f_small, np.eye(n, dtype=complex))
-    return EquivalencePair(e=e, f=f, phi=build_lagrange(p),
+    return EquivalencePair(e=e, f=f, phi=build_hermite(p),
                            monomial=build_three_term(monomial_form(p)))
 
 

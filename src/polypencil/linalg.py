@@ -7,8 +7,8 @@ elimination here has no runtime caller: ``eigen`` accepts its shift on the
 rcond of a LAPACK inverse, and ``algebraic.verify_algebraic`` checks the
 resolvent identity with LAPACK instead of a determinant ratio.
 
-``LUFactors``, ``lu_factor``, ``lu_solve``, ``determinant``, ``det`` and
-``pivot_ratio`` stay only because the benchmark names them:
+``LUFactors``, ``lu_factor``, ``lu_solve`` and ``det`` stay only because
+the benchmark names them:
 ``bench/spans.TRACED`` wraps them (``tests/test_traced_names.py`` checks
 that they exist) and ``bench/test_bench.py`` patches them.  They go with
 the benchmark refresh (ROADMAP item 1).
@@ -28,9 +28,7 @@ __all__ = [
     "LUFactors",
     "lu_factor",
     "lu_solve",
-    "determinant",
     "det",
-    "pivot_ratio",
     "PIVOT_GUARD",
 ]
 
@@ -69,13 +67,6 @@ class LUFactors:
     @property
     def n(self) -> int:
         return self.lu.shape[0]
-
-    def permutation(self) -> np.ndarray:
-        """Row permutation p such that A[p] == L @ U."""
-        p = np.arange(self.n)
-        for k, r in enumerate(self.row_swaps):
-            p[k], p[r] = p[r], p[k]
-        return p
 
 
 def lu_factor(a) -> LUFactors:
@@ -124,28 +115,15 @@ def lu_solve(f: LUFactors, b) -> np.ndarray:
     return rhs
 
 
-def determinant(f: LUFactors) -> complex:
-    """parity * prod(diag U)."""
-    return complex(f.parity * np.prod(np.diag(f.lu)))
-
-
 def det(a) -> complex:
-    """Determinant of a square matrix; exact pivot breakdown means zero."""
+    """parity * prod(diag U) of a square matrix; exact pivot breakdown means zero."""
     try:
-        return determinant(lu_factor(a))
+        f = lu_factor(a)
     except SingularMatrixError:
         return 0.0 + 0.0j
+    return complex(f.parity * np.prod(np.diag(f.lu)))
 
 
 # Below this rcond_F(M) = 1 / (||M||_F ||M^-1||_F) a pencil matrix M counts as
 # numerically singular, and its shift or sample point is redrawn.
 PIVOT_GUARD = 1e-12
-
-
-def pivot_ratio(f: LUFactors) -> float:
-    """min|u_kk| / max|u_kk| -- a cheap singularity indicator for guards."""
-    d = np.abs(np.diag(f.lu))
-    top = float(d.max())
-    if top == 0.0:
-        return 0.0
-    return float(d.min()) / top

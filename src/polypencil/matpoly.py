@@ -56,7 +56,7 @@ class MatrixPolynomial:
         if not np.isfinite(data).all():
             raise ValueError("coefficient contains non-finite entries")
         basis = self.basis
-        if isinstance(basis, (Bernstein, Lagrange, Hermite)) and len(data) != basis.grade + 1:
+        if isinstance(basis, (Bernstein, Hermite)) and len(data) != basis.grade + 1:
             raise ValueError(f"{len(data)} matrices do not match the grade {basis.grade} "
                              f"of the {type(basis).__name__} basis")
         data.flags.writeable = False
@@ -106,7 +106,7 @@ def evaluate(p: MatrixPolynomial, z) -> np.ndarray:
     flat = zs.reshape(-1)
     phi = phi_rows(p.basis, p.grade + 1, flat) * np.maximum(1.0, np.abs(flat))[:, None] ** p.grade
     out = np.einsum("kc,cij->kij", phi, p.data)
-    if isinstance(p.basis, (Lagrange, Hermite)):
+    if isinstance(p.basis, Hermite):
         nodes = np.asarray(p.basis.nodes)
         near = np.abs(flat[:, None] - nodes) < NODE_SNAP * (1.0 + np.abs(nodes))
         hit = near.any(axis=1)

@@ -84,8 +84,6 @@ def build(p: MatrixPolynomial) -> CompanionPencil:
         return build_three_term(p)
     if isinstance(p.basis, Bernstein):
         return build_bernstein(p)
-    if isinstance(p.basis, Lagrange):
-        return build_lagrange(p)
     if isinstance(p.basis, Hermite):
         return build_hermite(p)
     raise UnsupportedBasisError(f"no pencil builder for {type(p.basis).__name__}")
@@ -158,22 +156,15 @@ def build_bernstein(p: MatrixPolynomial) -> CompanionPencil:
 
 
 def build_lagrange(p: MatrixPolynomial) -> CompanionPencil:
-    """Arrowhead companion pencil for Lagrange interpolation data."""
+    """build_hermite for Lagrange sample data, whose confluencies are all 1."""
     if not isinstance(p.basis, Lagrange):
         raise UnsupportedBasisError("build_lagrange needs a Lagrange sample polynomial")
-    return _build_interpolational(p)
-
-
-def build_hermite(p: MatrixPolynomial) -> CompanionPencil:
-    """Arrowhead companion pencil for confluent (Hermite) interpolation data."""
-    if not isinstance(p.basis, Hermite):
-        raise UnsupportedBasisError("build_hermite needs a Hermite sample polynomial")
-    return _build_interpolational(p)
+    return build_hermite(p)
 
 
 @_quiet
-def _build_interpolational(p: MatrixPolynomial) -> CompanionPencil:
-    """The arrowhead pencil of Lagrange and Hermite data; Lagrange is confluency 1.
+def build_hermite(p: MatrixPolynomial) -> CompanionPencil:
+    """The arrowhead pencil of interpolation data; Lagrange data is confluency 1.
 
     The data row lists each node's scaled derivatives in descending order,
     the weight column carries the barycentric weights, and each node block
@@ -181,6 +172,8 @@ def _build_interpolational(p: MatrixPolynomial) -> CompanionPencil:
     block of the node's confluency).  det(tau C1 - C0) = det P(tau) at every
     node; size is (ell+2) blocks.
     """
+    if not isinstance(p.basis, Hermite):
+        raise UnsupportedBasisError("build_hermite needs interpolation data")
     ell, n = p.grade, p.n
     if ell < 1:
         raise GradeTooSmallError("interpolation pencil needs grade >= 1")

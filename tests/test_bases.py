@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import golden
 from polypencil import (
+    BadConfluencyError,
     Bernstein,
     ChebyshevT,
     CustomThreeTerm,
@@ -15,11 +16,13 @@ from polypencil import (
     Hermite,
     Lagrange,
     LegendreP,
+    MatrixPolynomial,
     Monomial,
     Newton,
     Taylor,
     UnsupportedBasisError,
     barycentric_weights,
+    build_hermite,
     node_polynomial,
     null_vector_basis_matrix,
     one_coefficients,
@@ -133,12 +136,24 @@ class TestNodePolynomial:
             Hermite(nodes=[1.0, 1.0], confluencies=[1, 1])
 
     def test_bad_confluencies_rejected(self):
-        from polypencil import BadConfluencyError
-
         with pytest.raises(BadConfluencyError):
             Hermite(nodes=[0.0, 1.0], confluencies=[1])
         with pytest.raises(BadConfluencyError):
             Hermite(nodes=[0.0, 1.0], confluencies=[0, 2])
+
+
+class TestLagrangeIsHermite:
+    def test_subclass_with_unit_confluencies(self):
+        basis = Lagrange(nodes=[1.0, 0.0, -1.0])
+        assert isinstance(basis, Hermite)
+        assert basis.confluencies == (1, 1, 1) and basis.grade == 2
+        assert Lagrange(nodes=[1.0, 0.0, -1.0], confluencies=[1, 1, 1]) == basis
+
+    def test_other_confluencies_rejected(self):
+        with pytest.raises(BadConfluencyError):
+            Lagrange(nodes=[1.0, 0.0, -1.0], confluencies=(2, 1, 1))
+        with pytest.raises(BadConfluencyError):
+            Lagrange(nodes=[1.0, 0.0, -1.0], confluencies=(1, 1))
 
 
 def exact_hermite_weights(nodes, confl, probes):
@@ -292,16 +307,28 @@ class TestNullVectorBasisMatrix:
         rows = null_vector_basis_matrix(basis, 3)
         assert np.max(np.abs(rows - golden.EQUIV_LAGRANGE_F)) <= 1e-12
 
-    def test_hermite_unsupported(self):
-        with pytest.raises(UnsupportedBasisError):
-            null_vector_basis_matrix(Hermite(nodes=[0.0], confluencies=[3]), 2)
+    def test_hermite_rows_are_the_pencil_null_vector(self, rng):
+        # (z C1 - C0) v(z) = e_0 P(z), v(z) the rows evaluated at z
+        p = MatrixPolynomial(Hermite(nodes=[0.9, -0.1, -1.2], confluencies=[2, 1, 3]),
+                             rng.standard_normal(6))
+        pc = build_hermite(p)
+        rows = null_vector_basis_matrix(p.basis, 5)
+        for z in (0.3 + 0.2j, -2.0, 1.7j):
+            out = pc.at(z) @ np.array([np.polyval(row, z) for row in rows])
+            expected = np.zeros(7, dtype=complex)
+            expected[0] = p(z)[0, 0]
+            scale = np.max(np.abs(rows)) * max(1.0, abs(z)) ** 6
+            assert np.max(np.abs(out - expected)) <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("kind", ["bernstein", "lagrange"])
+@pytest.mark.parametrize("kind", ["bernstein", "lagrange", "hermite"])
 def test_monomial_rows_expand_phi(kind, rng):
     from conftest import spread_nodes
 
-    basis = Bernstein(grade=6) if kind == "bernstein" else Lagrange(nodes=spread_nodes(rng, 8))
+    if kind == "hermite":
+        basis = Hermite(nodes=spread_nodes(rng, 3), confluencies=[3, 2, 3])
+    else:
+        basis = Bernstein(grade=6) if kind == "bernstein" else Lagrange(nodes=spread_nodes(rng, 8))
     count = 7 if kind == "bernstein" else 8
     rows = monomial_rows(basis, count)  # phi_{count-1} .. phi_0, descending powers
     zs = rng.uniform(0, 1, 5) * np.exp(2j * np.pi * rng.uniform(size=5))
@@ -312,7 +339,7 @@ def test_monomial_rows_expand_phi(kind, rng):
 
 
 @pytest.mark.parametrize("kind", ["monomial", "shifted", "taylor", "newton",
-                                  "chebyshev", "legendre", "bernstein", "lagrange"])
+                                  "chebyshev", "legendre", "bernstein", "lagrange", "hermite"])
 @pytest.mark.parametrize("ell", [2, 3, 5, 8])
 def test_partition_of_unity(kind, ell, rng):
     from conftest import make_basis

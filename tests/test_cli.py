@@ -449,6 +449,27 @@ class TestEigPath:
         assert json.loads(out)["infinite_count"] == infinite
 
 
+class TestNoConvergence:
+    """A LinAlgError from LAPACK's eigensolver exits 4 on every eig path."""
+
+    @staticmethod
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    @pytest.mark.parametrize("solver, doc", [
+        ("eigvals", polynomial_document(
+            "chebyshev", random_polynomial("chebyshev", 2, 6, np.random.default_rng(4)))),
+        ("eig", LAGRANGE_EYE),  # no certificate: the full pencil is classified
+        ("eig", SQUARE_PLUS_ONE),  # C1 = I: eig(C0)
+    ], ids=["certified-chebyshev", "classified-lagrange", "monic-monomial"])
+    def test_eig_exits_4(self, tmp_path, capsys, monkeypatch, solver, doc):
+        monkeypatch.setattr(np.linalg, solver, self.fail)
+        code, out, err = run(capsys, "eig", write(tmp_path, "doc.json", doc))
+        assert (code, out) == (4, "")
+        assert err == ("error: LAPACK eigensolver did not converge: "
+                       "Eigenvalues did not converge\n")
+
+
 class TestSingularPolynomial:
     """det P(z) = 0 everywhere: no shift is acceptable, deflated or not."""
 
@@ -497,12 +518,13 @@ class TestEquivCommand:
         assert np.max(np.abs(e - golden.EQUIV_BERNSTEIN_E)) <= 1e-12
         assert payload["deviation"] <= 1e-12
 
-    def test_hermite_is_a_construction_error(self, tmp_path, capsys):
+    def test_hermite_document_passes(self, tmp_path, capsys):
         path = write(tmp_path, "doc.json", HERMITE_ONE)
         code, out, err = run(capsys, "equiv", path)
-        assert code == 3
-        assert out == ""
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert len(payload["E"]) == len(payload["F"]) == 8  # ell + 2 blocks, ell = 6, n = 1
+        assert payload["deviation"] <= 1e-12 and payload["pass"] is True
 
 
 class TestBaryCommand:
@@ -801,6 +823,26 @@ def test_runtime_imports_numpy_only():
                           env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_module_entry_point_writes_strict_json_and_exit_codes(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = write(tmp_path, "doc.json", HERMITE_ONE)
+    env = dict(os.environ, PYTHONPATH=str(src))
+
+    def refuse(token):
+        raise ValueError(f"non-strict JSON constant {token}")
+
+    proc = subprocess.run([sys.executable, "-m", "polypencil", "equiv", path],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout, parse_constant=refuse)["pass"] is True
+    missing = str(tmp_path / "missing.json")
+    proc = subprocess.run([sys.executable, "-m", "polypencil", "eig", missing],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(f"error: cannot read {missing}")
+    assert "Traceback" not in proc.stderr
 
 
 def test_console_entry_point(tmp_path):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -14,7 +15,6 @@ from polypencil import (
     MatrixPolynomial,
     Monomial,
     SingularC0Error,
-    UnsupportedBasisError,
     build,
     build_three_term,
     equivalence_degree_graded,
@@ -133,6 +133,40 @@ class TestLagrange:
         assert np.allclose(pm.c1, np.diag([0, 1, 1, 1, 1]))
 
 
+class TestHermite:
+    @pytest.mark.parametrize("grade", [4, 7, 10])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_pair_holds(self, seed, grade):
+        p = random_polynomial("hermite", 2, grade, np.random.default_rng(seed))
+        assert verify_equivalence(equivalence_lagrange(p)) <= 1e-10
+
+    @pytest.mark.parametrize("grade", [4, 7, 10])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_perturbed_e_or_f_fails(self, seed, grade):
+        pair = equivalence_lagrange(
+            random_polynomial("hermite", 2, grade, np.random.default_rng(seed)))
+        for field in ("e", "f"):
+            wrong = getattr(pair, field).copy()
+            wrong[np.unravel_index(np.argmax(np.abs(wrong)), wrong.shape)] *= 1 + 1e-6
+            assert verify_equivalence(replace(pair, **{field: wrong})) > 1e-8, field
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_unit_confluencies_match_lagrange_bitwise(self, seed):
+        lag = random_polynomial("lagrange", 2, 8, np.random.default_rng(seed))
+        her = MatrixPolynomial(Hermite(nodes=lag.basis.nodes, confluencies=[1] * 9), lag.data)
+        a, b = equivalence_lagrange(lag), equivalence_lagrange(her)
+        for got, want in ((b.e, a.e), (b.f, a.f), (b.phi.c0, a.phi.c0),
+                          (b.monomial.c0, a.monomial.c0)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_monomial_form_of_taylor_data(self):
+        # p(z) = 1 + 2z + 3z^2: p(0) = 1, p'(0) = 2 and p(1) = 6
+        p = MatrixPolynomial.from_hermite_samples(Hermite(nodes=[0.0, 1.0], confluencies=[2, 1]),
+                                                  [scalar([1, 2]), scalar([6])])
+        coeffs = [c[0, 0] for c in monomial_form(p).data]
+        assert coeffs == pytest.approx([1, 2, 3, 0, 0], abs=1e-12)
+
+
 def test_degree_graded_c1_transform_shape(rng):
     # the transformed leading matrix is the identity apart from the corner
     # block, which becomes the monomial leading coefficient
@@ -161,12 +195,15 @@ def test_pair_matrices_are_nonsingular(rng):
     lag = MatrixPolynomial.from_samples(Lagrange(nodes=golden.EQUIV_LAGRANGE_NODES),
                                         scalar(rng.standard_normal(4)))
     pairs.append(equivalence_lagrange(lag))
+    her = MatrixPolynomial.from_hermite_samples(Hermite(nodes=[1.0, 0.0], confluencies=[2, 1]),
+                                                [scalar([1, 2]), scalar([3])])
+    pairs.append(equivalence_lagrange(her))
     for pair in pairs:
         assert abs(det(pair.e)) > 1e-12
         assert abs(det(pair.f)) > 1e-12
 
 
-@pytest.mark.parametrize("kind", COEFF_KINDS + ("custom", "lagrange"))
+@pytest.mark.parametrize("kind", COEFF_KINDS + ("custom", "lagrange", "hermite"))
 @pytest.mark.parametrize("seed", range(5))
 def test_monomial_form_is_the_same_polynomial(kind, seed):
     # bound: rounding of the change of basis, sum_k ||P_k|| sum_m |R_km| |z|^m
@@ -194,10 +231,3 @@ def test_pair_carries_the_pencils_it_relates(rng):
         pm = build_three_term(monomial_form(p))
         for got, want in ((pair.phi, build(p)), (pair.monomial, pm)):
             assert np.array_equal(got.c1, want.c1) and np.array_equal(got.c0, want.c0)
-
-
-def test_monomial_form_of_hermite_is_unsupported():
-    p = MatrixPolynomial.from_hermite_samples(Hermite(nodes=[0.0, 1.0], confluencies=[2, 1]),
-                                              [scalar([1, 0]), scalar([1])])
-    with pytest.raises(UnsupportedBasisError):
-        monomial_form(p)
