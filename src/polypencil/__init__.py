@@ -48,7 +48,6 @@ from .errors import (
     GradeTooSmallError,
     NoConvergenceError,
     NonFiniteError,
-    NotMonicError,
     PolyPencilError,
     SingularC0Error,
     SingularMatrixError,
@@ -56,7 +55,7 @@ from .errors import (
     SingularPencilEverywhereError,
     UnsupportedBasisError,
 )
-from .matpoly import MatrixPolynomial, degree_defect, evaluate
+from .matpoly import MatrixPolynomial, evaluate
 from .pencils import (
     CompanionPencil,
     build,
@@ -67,10 +66,8 @@ from .pencils import (
 )
 from .triples import (
     GeneralizedStandardTriple,
-    StandardPair,
     flip_triple,
     make_triple,
-    monomial_standard_pair,
     resolvent,
     sample_points,
     similarity_triple,

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import comb
 from numbers import Integral
-from typing import NamedTuple
 
 import numpy as np
 
@@ -45,7 +44,6 @@ __all__ = [
     "Bernstein",
     "Lagrange",
     "Hermite",
-    "RecurrenceRow",
     "recurrence_row",
     "phi_rows",
     "one_coefficients",
@@ -200,13 +198,7 @@ class Lagrange(Hermite):
             raise BadConfluencyError("a Lagrange basis has every confluency 1")
 
 
-class RecurrenceRow(NamedTuple):
-    alpha: complex
-    beta: complex
-    gamma: complex
-
-
-def recurrence_row(basis: Basis, k: int) -> RecurrenceRow:
+def recurrence_row(basis: Basis, k: int) -> tuple[complex, complex, complex]:
     """Recurrence coefficients (alpha_k, beta_k, gamma_k) of a three-term basis.
 
     The k = 0 row is the initial case: phi_1 = (z - beta_0)/alpha_0, so for
@@ -215,26 +207,26 @@ def recurrence_row(basis: Basis, k: int) -> RecurrenceRow:
     if k < 0:
         raise ValueError("recurrence index must be >= 0")
     if isinstance(basis, Monomial):
-        return RecurrenceRow(1.0, 0.0, 0.0)
+        return 1.0, 0.0, 0.0
     if isinstance(basis, ShiftedMonomial):
-        return RecurrenceRow(1.0, complex(basis.shift), 0.0)
+        return 1.0, complex(basis.shift), 0.0
     if isinstance(basis, Taylor):
-        return RecurrenceRow(k + 1.0, complex(basis.shift), 0.0)
+        return k + 1.0, complex(basis.shift), 0.0
     if isinstance(basis, Newton):
         if k >= len(basis.nodes):
             raise ValueError(f"Newton basis has {len(basis.nodes)} nodes; no row k={k}")
-        return RecurrenceRow(1.0, basis.nodes[k], 0.0)
+        return 1.0, basis.nodes[k], 0.0
     if isinstance(basis, ChebyshevT):
         if k == 0:
-            return RecurrenceRow(1.0, 0.0, 0.0)
-        return RecurrenceRow(0.5, 0.0, 0.5)
+            return 1.0, 0.0, 0.0
+        return 0.5, 0.0, 0.5
     if isinstance(basis, LegendreP):
-        return RecurrenceRow((k + 1.0) / (2.0 * k + 1.0), 0.0, k / (2.0 * k + 1.0))
+        return (k + 1.0) / (2.0 * k + 1.0), 0.0, k / (2.0 * k + 1.0)
     if isinstance(basis, CustomThreeTerm):
         if k >= len(basis.alpha):
             raise ValueError(f"custom recurrence defined up to k={len(basis.alpha) - 1}")
         gamma = basis.gamma[k] if k < len(basis.gamma) else 0.0
-        return RecurrenceRow(basis.alpha[k], basis.beta[k], gamma)
+        return basis.alpha[k], basis.beta[k], gamma
     raise UnsupportedBasisError(f"{type(basis).__name__} has no three-term recurrence")
 
 

@@ -52,10 +52,6 @@ class DimensionMismatchError(PolyPencilError):
     """Block dimensions of the operands do not agree."""
 
 
-class NotMonicError(PolyPencilError):
-    """The leading coefficient must be the identity matrix."""
-
-
 class NoConvergenceError(PolyPencilError):
     """The eigenvalue iteration exhausted its sweep budget."""
 

@@ -16,7 +16,7 @@ import numpy as np
 from .bases import Basis, Bernstein, Hermite, Lagrange, ThreeTermBasis, phi_rows
 from .errors import DimensionMismatchError, UnsupportedBasisError
 
-__all__ = ["MatrixPolynomial", "evaluate", "degree_defect"]
+__all__ = ["MatrixPolynomial", "evaluate"]
 
 # |z - tau| below this (relative) snaps evaluation to the stored node data,
 # which the interpolation formula reproduces only to rounding.
@@ -114,15 +114,3 @@ def evaluate(p: MatrixPolynomial, z) -> np.ndarray:
         out[hit] = p.data[starts[near[hit].argmax(axis=1)]]
     return out.reshape(zs.shape + out.shape[1:])
 
-
-def degree_defect(p: MatrixPolynomial) -> int:
-    """Number of exactly zero leading coefficient matrices (grade excess)."""
-    if not isinstance(p.basis, (ThreeTermBasis, Bernstein)):
-        raise UnsupportedBasisError("degree defect is defined for coefficient payloads only")
-    count = 0
-    for ck in reversed(p.data):
-        if np.count_nonzero(ck) == 0:
-            count += 1
-        else:
-            break
-    return count

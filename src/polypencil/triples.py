@@ -13,27 +13,20 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bases import Monomial, one_coefficients
-from .errors import (
-    DimensionMismatchError,
-    NotMonicError,
-    SingularMatrixError,
-    SingularPencilError,
-)
+from .bases import one_coefficients
+from .errors import DimensionMismatchError, SingularMatrixError, SingularPencilError
 from .linalg import PIVOT_GUARD, as_cmatrix, sip
 from .matpoly import MatrixPolynomial, evaluate
-from .pencils import CompanionPencil, build_three_term
+from .pencils import CompanionPencil
 
 __all__ = [
     "GeneralizedStandardTriple",
-    "StandardPair",
     "make_triple",
     "resolvent",
     "verify_triple",
     "flip_triple",
     "transpose_triple",
     "similarity_triple",
-    "monomial_standard_pair",
     "sample_points",
 ]
 
@@ -106,10 +99,8 @@ def _transformed(t, x, c1, c0, y) -> GeneralizedStandardTriple:
 
 
 def flip_triple(t: GeneralizedStandardTriple) -> GeneralizedStandardTriple:
-    """Triple of the flipped pencil: (X J, J (z C1 - C0) J, J Y), J the anti-identity."""
-    pc = t.pencil
-    j = sip(pc.size)
-    return _transformed(t, t.x @ j, j @ pc.c1 @ j, j @ pc.c0 @ j, j @ t.y)
+    """(X J, J (z C1 - C0) J, J Y): the similarity by the anti-identity J = J^-1."""
+    return similarity_triple(t, sip(t.pencil.size))
 
 
 def transpose_triple(t: GeneralizedStandardTriple) -> GeneralizedStandardTriple:
@@ -122,9 +113,9 @@ def similarity_triple(t: GeneralizedStandardTriple, s) -> GeneralizedStandardTri
     """Triple sharing the same resolvent: (X S, S^-1 (z C1 - C0) S, S^-1 Y)."""
     s = as_cmatrix(s)
     pc = t.pencil
-    if s.shape[0] != pc.size:
-        raise DimensionMismatchError("similarity transform has the wrong size")
     size = pc.size
+    if s.shape != (size, size):
+        raise DimensionMismatchError(f"similarity transform is {s.shape}, not {size} x {size}")
     try:
         moved = np.linalg.solve(s, np.hstack([pc.c1 @ s, pc.c0 @ s, t.y]))
     except np.linalg.LinAlgError as exc:
@@ -160,49 +151,3 @@ def sample_points(pc: CompanionPencil, count, rng, radius=2.0, avoid=()):
         rcond = 1.0 / np.linalg.cond(pc.at(pending), "fro")
         out.extend(z for z, ok in zip(pending, rcond >= PIVOT_GUARD) if ok)
     return out
-
-
-@dataclass(frozen=True)
-class StandardPair:
-    """Classical monomial-basis standard pair/triple data (X, T, Q, Y)."""
-
-    x: np.ndarray
-    t: np.ndarray
-    q: np.ndarray
-    y: np.ndarray
-
-
-def monomial_standard_pair(p: MatrixPolynomial) -> StandardPair:
-    """Standard pair of a monic monomial polynomial, with Q and Y.
-
-    T is the companion matrix (C1 is the identity for monic input),
-    X = [0 ... 0 I], Q stacks X T^k for k < grade, and Y = Q^-1 [0 ... 0 I]^T.
-    The construction checks sum_k P_k X T^k = 0 before returning.
-    """
-    if not isinstance(p.basis, Monomial):
-        raise NotMonicError("standard pair needs a monomial coefficient polynomial")
-    n, ell = p.n, p.grade
-    eye = np.eye(n, dtype=complex)
-    if not np.allclose(p.data[ell], eye, rtol=0.0, atol=1e-12):
-        raise NotMonicError("leading coefficient is not the identity")
-    pc = build_three_term(p)
-    t = pc.c0.copy()  # C1 == I for monic input
-    x = np.zeros((n, n * ell), dtype=complex)
-    x[:, (ell - 1) * n:] = eye
-    q = np.zeros((n * ell, n * ell), dtype=complex)
-    power = x.copy()
-    for k in range(ell):
-        q[k * n:(k + 1) * n, :] = power
-        power = power @ t
-    acc = np.zeros((n, n * ell), dtype=complex)
-    power = x.copy()
-    for ck in p.data:
-        acc = acc + ck @ power
-        power = power @ t
-    scale = max(float(np.linalg.norm(c)) for c in p.data)
-    if float(np.linalg.norm(acc)) > 1e-8 * max(scale, 1.0):
-        raise ArithmeticError("standard pair identity sum P_k X T^k = 0 failed")
-    rhs = np.zeros((n * ell, n), dtype=complex)
-    rhs[(ell - 1) * n:, :] = eye
-    y = np.linalg.solve(q, rhs)
-    return StandardPair(x=x, t=t, q=q, y=y)

@@ -9,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import golden
-from conftest import random_polynomial
+from conftest import TEN_KINDS, random_polynomial
 from polypencil import MatrixPolynomial, cli, eigen
 from polypencil.cli import _emit, main
 from polypencil.documents import (
@@ -539,6 +541,20 @@ class TestBaryCommand:
         omega = [complex(re, im) for re, im in payload["node_polynomial"]]
         assert np.allclose(omega, [1, 0, -1, 0])
 
+    @pytest.mark.parametrize("doc", [
+        dict(LAGRANGE_EYE, grade=5),
+        {"basis": {"kind": "hermite", "nodes": [1, -1], "confluencies": [2, 1]}, "n": 1,
+         "grade": 7, "hermite_samples": [[[[1]], [[0]]], [[[2]]]]},
+    ], ids=["lagrange-3-nodes", "hermite-confluencies-2-1"])
+    def test_grade_the_basis_contradicts_exits_2(self, tmp_path, capsys, doc):
+        # the same document is a schema fault for pencil as well
+        path = write(tmp_path, "doc.json", doc)
+        assert run(capsys, "pencil", path)[:2] == (2, "")
+        code, out, err = run(capsys, "bary", path)
+        assert (code, out) == (2, "")
+        assert err == (f"error: grade {doc['grade']} does not match the basis, "
+                       f"whose grade is 2\n")
+
 
 class TestOtherBases:
     def test_custom_recurrence_document(self, tmp_path, capsys):
@@ -758,38 +774,122 @@ def reject_constant(token):
     raise ValueError(f"{token} is not JSON")
 
 
+def contract_outcome(argv):
+    """(exit code, fault): the fault breaks the exit contract, else it is None.
+
+    The contract: exit 0/2/3/4/5, no traceback, and strict JSON on stdout on 0 and 5.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except Exception as exc:  # the traceback main let through
+            return 1, f"Traceback: {exc!r}"
+    if code not in (0, 2, 3, 4, 5) or "Traceback" in err.getvalue():
+        return code, f"exit {code}: {err.getvalue()[-200:]}"
+    if code in (0, 5):
+        try:
+            json.loads(out.getvalue(), parse_constant=reject_constant)
+        except ValueError as exc:
+            return code, f"exit {code} with {exc}"
+    return code, None
+
+
+def contract_commands(doc_path, c_path):
+    return [["pencil", doc_path], ["eig", doc_path], ["verify", doc_path],
+            ["alglin", doc_path, doc_path, "--c", c_path], ["equiv", doc_path],
+            ["bary", doc_path]]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflows on 1e308 entries
 def test_exit_contract_holds_on_mutated_documents(tmp_path):
     """Exit 0/2/3/4/5, no traceback, and strict JSON on 0 and 5, whatever a key holds."""
     doc_path, c_path = str(tmp_path / "d.json"), write(tmp_path, "c.json", [[1]])
-    commands = [["pencil", doc_path], ["eig", doc_path], ["verify", doc_path],
-                ["alglin", doc_path, doc_path, "--c", c_path], ["equiv", doc_path],
-                ["bary", doc_path]]
     calls, violations = 0, []
     for doc in SWEEP_DOCS:
         for path in key_paths(doc):
             for value in SWEEP_VALUES:
                 Path(doc_path).write_text(json.dumps(substituted(doc, path, value)))
-                for argv in commands:
+                for argv in contract_commands(doc_path, c_path):
                     calls += 1
-                    out, err = io.StringIO(), io.StringIO()
-                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                        try:
-                            code = main(argv)
-                        except Exception as exc:  # the traceback main let through
-                            code, err = 1, io.StringIO(f"Traceback: {exc!r}")
-                    fault = None
-                    if code not in (0, 2, 3, 4, 5) or "Traceback" in err.getvalue():
-                        fault = f"exit {code}: {err.getvalue()[-200:]}"
-                    elif code in (0, 5):
-                        try:
-                            json.loads(out.getvalue(), parse_constant=reject_constant)
-                        except ValueError as exc:
-                            fault = f"exit {code} with {exc}"
+                    _, fault = contract_outcome(argv)
                     if fault:
                         violations.append((doc["basis"]["kind"], path, value, argv[0], fault))
     assert calls == 7344
     assert violations == []
+
+
+def scalars(count, seed):
+    """count random scalars, each a JSON number or an [re, im] pair."""
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-2, 2, (count, 2)).round(3)
+    return [[re, im] if im > 0 else re for re, im in values.tolist()]
+
+
+@st.composite
+def valid_documents(draw):
+    """A valid document of one of the ten kinds: n 1-3, grade 1-4, some blocks zero.
+
+    A Bernstein pencil needs grade 2 or more, and one block stays nonzero,
+    so that P is regular.
+    """
+    kind = draw(st.sampled_from(TEN_KINDS))
+    n, grade = draw(st.integers(1, 3)), draw(st.integers(2 if kind == "bernstein" else 1, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    nodes = draw(st.lists(st.integers(-8, 8), min_size=grade + 1, max_size=grade + 1,
+                          unique=True))
+    nodes = [t / 4 for t in nodes]
+    basis = {"kind": kind}
+    if kind in ("shifted", "taylor"):
+        basis["shift"] = scalars(1, seed)[0]
+    elif kind == "newton":
+        basis["nodes"] = nodes[:grade]
+    elif kind == "custom":
+        alpha = [a or 1.0 for a in scalars(grade, seed)]
+        beta, gamma = scalars(grade, seed + 1), scalars(grade, seed + 2)
+        basis["recurrence"] = {"alpha": alpha, "beta": beta, "gamma": gamma}
+    elif kind == "lagrange":
+        basis["nodes"] = nodes
+    elif kind == "hermite":
+        confluencies = []
+        while sum(confluencies) < grade + 1:
+            confluencies.append(draw(st.integers(1, grade + 1 - sum(confluencies))))
+        basis["nodes"] = nodes[:len(confluencies)]
+        basis["confluencies"] = confluencies
+    zero = draw(st.lists(st.booleans(), min_size=grade + 1, max_size=grade + 1))
+    zero[draw(st.integers(0, grade))] = False
+    entries = [scalars(n * n, seed + 3 + k) if not z else [0] * (n * n)
+               for k, z in enumerate(zero)]
+    blocks = [[block[i * n:(i + 1) * n] for i in range(n)] for block in entries]
+    doc = {"basis": basis, "n": n, "grade": grade}
+    if kind == "lagrange":
+        doc["samples"] = blocks
+    elif kind == "hermite":
+        ends = np.cumsum(basis["confluencies"]).tolist()
+        doc["hermite_samples"] = [blocks[end - s:end]
+                                  for s, end in zip(basis["confluencies"], ends)]
+    else:
+        doc["coefficients"] = blocks
+    return doc
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(doc=valid_documents())
+def test_exit_contract_holds_on_generated_documents(tmp_path_factory, doc):
+    """Every subcommand keeps the exit contract on a valid document of any kind.
+
+    A valid document is never a schema fault: only bary refuses one, and only
+    for a basis that is not interpolating.
+    """
+    folder = tmp_path_factory.mktemp("generated")
+    doc_path = write(folder, "d.json", doc)
+    c_path = write(folder, "c.json", np.eye(doc["n"]).tolist())
+    for argv in contract_commands(doc_path, c_path):
+        code, fault = contract_outcome(argv)
+        assert fault is None, (argv[0], fault)
+        interpolating = doc["basis"]["kind"] in ("lagrange", "hermite")
+        assert code != 2 or (argv[0] == "bary" and not interpolating), (argv[0], doc)
 
 
 def test_parser_is_built_once_and_reused(tmp_path, capsys):

@@ -10,8 +10,6 @@ from polypencil import (
     Lagrange,
     MatrixPolynomial,
     Monomial,
-    UnsupportedBasisError,
-    degree_defect,
     evaluate,
 )
 from polypencil.bases import phi_rows
@@ -88,28 +86,6 @@ def test_chebyshev_to_lagrange_consistency(rng):
         z = complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.5, 0.5))
         a, b = evaluate(p, z), evaluate(q, z)
         assert np.linalg.norm(a - b) <= 1e-9 * max(np.linalg.norm(a), 1.0)
-
-
-class TestDegreeDefect:
-    def test_one_leading_zero(self):
-        p = MatrixPolynomial.from_coefficients(
-            Monomial(), [np.eye(2), np.eye(2), np.zeros((2, 2))])
-        assert degree_defect(p) == 1
-
-    def test_full_degree(self):
-        p = MatrixPolynomial.from_coefficients(Monomial(), [np.eye(2), np.eye(2)])
-        assert degree_defect(p) == 0
-
-    def test_zero_polynomial(self):
-        p = MatrixPolynomial.from_coefficients(
-            Monomial(), [np.zeros((2, 2))] * 4)
-        assert degree_defect(p) == 4
-
-    def test_interpolation_payload_rejected(self):
-        p = MatrixPolynomial.from_samples(Lagrange(nodes=[0.0, 1.0]),
-                                          [np.eye(1), np.eye(1)])
-        with pytest.raises(UnsupportedBasisError):
-            degree_defect(p)
 
 
 class TestValidation:

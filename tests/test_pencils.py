@@ -28,7 +28,7 @@ from polypencil import (
     similarity_triple,
     transpose_triple,
 )
-from polypencil.linalg import det, sip
+from polypencil.linalg import det
 
 
 def scalar(values):
@@ -292,11 +292,13 @@ class TestTransforms:
         assert np.allclose(same.c0, pc.c0)
 
     def test_similarity_by_sip_equals_flip(self, rng):
+        """flip, the similarity by J, reverses the rows and columns exactly."""
         t = make_triple(build(random_polynomial("newton", 1, 4, rng)))
-        moved = similarity_triple(t, sip(t.pencil.size))
         flipped = flip_triple(t)
-        assert np.allclose(moved.pencil.c0, flipped.pencil.c0)
-        assert np.allclose(moved.pencil.c1, flipped.pencil.c1)
+        assert np.array_equal(flipped.pencil.c0, t.pencil.c0[::-1, ::-1])
+        assert np.array_equal(flipped.pencil.c1, t.pencil.c1[::-1, ::-1])
+        assert np.array_equal(flipped.x, t.x[:, ::-1])
+        assert np.array_equal(flipped.y, t.y[::-1])
 
     def test_similarity_preserves_determinant(self, rng):
         p = random_polynomial("monomial", 2, 3, rng)

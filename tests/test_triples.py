@@ -9,13 +9,13 @@ from polypencil import (
     Bernstein,
     ChebyshevT,
     CompanionPencil,
+    DimensionMismatchError,
     GeneralizedStandardTriple,
     Hermite,
     Lagrange,
     MatrixPolynomial,
     Monomial,
     Newton,
-    NotMonicError,
     SingularMatrixError,
     SingularPencilError,
     build,
@@ -23,7 +23,6 @@ from polypencil import (
     evaluate,
     flip_triple,
     make_triple,
-    monomial_standard_pair,
     resolvent,
     sample_points,
     similarity_triple,
@@ -222,6 +221,14 @@ class TestSamplePoints:
             sample_points(pc, 2, rng)
 
 
+@pytest.mark.parametrize("columns", [3, 5])
+def test_similarity_with_non_square_transform_raises(columns, rng):
+    t = make_triple(build(random_polynomial("chebyshev", 2, 2, rng)))
+    assert t.pencil.size == 4
+    with pytest.raises(DimensionMismatchError):
+        similarity_triple(t, np.ones((4, columns)))
+
+
 def test_similarity_with_singular_transform_raises(rng):
     t = make_triple(build(random_polynomial("chebyshev", 2, 3, rng)))
     s = np.eye(t.pencil.size, dtype=complex)
@@ -287,37 +294,19 @@ def test_transformed_pencils_reject_make_triple(kind, rng):
             make_triple(moved.pencil)
 
 
-class TestMonomialStandardPair:
-    def test_square_minus_one(self):
-        p = MatrixPolynomial.from_coefficients(Monomial(), scalar([-1, 0, 1]))
-        pair = monomial_standard_pair(p)
-        assert np.allclose(pair.t, [[0, 1], [1, 0]])
-        assert np.allclose(pair.q, [[0, 1], [1, 0]])
-        assert np.allclose(pair.y, [[1], [0]])
-
-    def test_non_monic_rejected(self):
-        # z padded to grade 2 has a zero leading coefficient
-        p = MatrixPolynomial.from_coefficients(Monomial(), scalar([0, 1, 0]))
-        with pytest.raises(NotMonicError):
-            monomial_standard_pair(p)
-
-    def test_random_monic_cubic(self, rng):
-        coeffs = scalar(rng.standard_normal(3)) + [np.eye(1)]
-        p = MatrixPolynomial.from_coefficients(Monomial(), coeffs)
-        pair = monomial_standard_pair(p)
-        acc = np.zeros((1, 3), dtype=complex)
-        power = pair.x.copy()
-        for ck in p.data:  # brute-force Horner on T
-            acc = acc + ck @ power
-            power = power @ pair.t
-        assert np.linalg.norm(acc) <= 1e-10
-
-    def test_block_case(self, rng):
-        coeffs = [rng.standard_normal((2, 2)) for _ in range(3)] + [np.eye(2)]
-        p = MatrixPolynomial.from_coefficients(Monomial(), coeffs)
-        pair = monomial_standard_pair(p)
-        # resolvent through the standard pair matches the inverse polynomial
-        for z in (1.7 + 0.3j, -2.2):
-            lhs = pair.x @ np.linalg.solve(z * np.eye(6) - pair.t, pair.y)
-            rhs = np.linalg.inv(evaluate(p, z))
-            assert np.max(np.abs(lhs - rhs)) <= 1e-9
+@pytest.mark.parametrize("n,ell", [(1, 2), (2, 3), (3, 4)])
+def test_monic_monomial_triple_is_the_classical_standard_triple(n, ell, rng):
+    """For monic monomial P, C1 = I and (X, C0, Y) is the standard triple of
+    Gohberg, Lancaster & Rodman: sum_k P_k X C0^k = 0 and X C0^k Y = delta_{k, ell-1} I."""
+    coeffs = [rng.standard_normal((n, n)) for _ in range(ell)] + [np.eye(n)]
+    p = MatrixPolynomial.from_coefficients(Monomial(), coeffs)
+    t = make_triple(build(p))
+    assert np.array_equal(t.pencil.c1, np.eye(n * ell))
+    powers = [t.x]  # X C0^k for k = 0..ell
+    for _ in range(ell):
+        powers.append(powers[-1] @ t.pencil.c0)
+    acc = sum(ck @ xk for ck, xk in zip(p.data, powers))
+    assert np.max(np.abs(acc)) <= 1e-12 * max(np.max(np.abs(c)) for c in coeffs)
+    for k in range(ell):
+        expected = np.eye(n) if k == ell - 1 else np.zeros((n, n))
+        assert np.max(np.abs(powers[k] @ t.y - expected)) <= 1e-12
