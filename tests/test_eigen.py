@@ -13,6 +13,7 @@ from polypencil import (
     Monomial,
     Newton,
     NoConvergenceError,
+    SingularPencilEverywhereError,
     build,
     build_algebraic,
     eig,
@@ -23,7 +24,8 @@ from polypencil import (
     make_triple,
     qr_eigenvalues,
 )
-from polypencil.eigen import _balancing, _certified, _classified, _finite_part
+from polypencil import eigen
+from polypencil.eigen import _balancing, _finite_part, _staircase
 from polypencil.linalg import det
 
 
@@ -103,11 +105,10 @@ class TestGeneralizedEigenvalues:
     def test_constant_identity_lagrange(self):
         p = MatrixPolynomial.from_samples(Lagrange(nodes=golden.LAGRANGE_NODES),
                                           [np.eye(2)] * 3)
-        result = generalized_eigenvalues(build(p), p)
-        # det(z C1 - C0) is the constant 1: everything is at infinity, and
-        # whatever surfaces as finite must be far outside the node region
-        assert result.infinite_count >= 2
-        assert all(abs(l) > 10.0 for l, _ in result.finite)
+        pc = build(p)
+        result = generalized_eigenvalues(pc, p)
+        # det(z C1 - C0) is the constant 1: everything is at infinity
+        assert result.finite == () and result.infinite_count == pc.size
 
     def test_newton_example_residuals(self):
         p = MatrixPolynomial.from_coefficients(Newton(nodes=golden.NEWTON_NODES),
@@ -217,8 +218,7 @@ class TestClassification:
         p = random_polynomial("hermite", 2, 18, np.random.default_rng(302))
         pc = build(p)
         result = generalized_eigenvalues(pc, p)
-        assert len(result.finite) == 36 and result.spurious == ()
-        assert result.infinite_count == pc.size - 36
+        assert len(result.finite) == 36 and result.infinite_count == pc.size - 36
         sigma = result.shift_used
         thetas = np.linalg.eigvals(np.linalg.solve(sigma * pc.c1 - pc.c0, pc.c1))
         thetas = thetas[np.abs(thetas) > 1e-8 * np.abs(thetas).max()]
@@ -240,7 +240,6 @@ class TestClassification:
         # an interpolation pencil has exactly 2n eigenvalues at infinity
         assert len(with_p.finite) == pc.size - 2 * n
         assert [lam for lam, _ in with_p.finite] == [lam for lam, _ in without_p.finite]
-        assert [lam for lam, _ in with_p.spurious] == [lam for lam, _ in without_p.spurious]
         assert with_p.infinite_count == without_p.infinite_count
 
 
@@ -315,19 +314,23 @@ class TestCertifiedFinitePart:
 
     @pytest.mark.parametrize("kind", TEN_KINDS)
     @pytest.mark.parametrize("seed", range(10))
-    def test_agrees_with_the_classified_full_pencil(self, kind, seed):
+    def test_agrees_with_the_classified_full_pencil(self, kind, seed, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the certificate failed")
+
+        monkeypatch.setattr(eigen, "_staircase", refuse)
         n = 2
         p = random_polynomial(kind, n, 6, np.random.default_rng(seed))
         pc = build(p)
-        certified = _certified(pc, p, np.random.default_rng(seed))
-        classified = _classified(pc, p, np.random.default_rng(seed))
-        assert certified is not None and certified.spurious == classified.spurious == ()
-        assert len(certified.finite) == len(classified.finite)
-        assert certified.infinite_count == classified.infinite_count
-        assert certified.infinite_count == (2 * n if kind in ("lagrange", "hermite") else 0)
-        assert certified.shift_used == classified.shift_used
-        assert _nearest_distance([lam for lam, _ in certified.finite],
-                                 [lam for lam, _ in classified.finite]) <= 1e-10
+        result = generalized_eigenvalues(pc, p, rng=np.random.default_rng(seed))
+        assert result.infinite_count == (2 * n if kind in ("lagrange", "hermite") else 0)
+        # the full pencil shift-inverted at the same shift, its thetas split by a
+        # plain threshold: the finite and the infinite ones are orders apart here
+        sigma = result.shift_used
+        thetas = np.linalg.eigvals(np.linalg.solve(sigma * pc.c1 - pc.c0, pc.c1))
+        reference = sigma - 1.0 / thetas[np.abs(thetas) > 1e-8 * np.abs(thetas).max()]
+        assert len(result.finite) == len(reference)
+        assert _nearest_distance([lam for lam, _ in result.finite], reference) <= 1e-10
 
     @pytest.mark.parametrize("kind", ["lagrange", "hermite"])
     @pytest.mark.parametrize("seed", range(10))
@@ -335,18 +338,19 @@ class TestCertifiedFinitePart:
         n = 2
         pc = build(random_polynomial(kind, n, 18, np.random.default_rng(seed)))
         result = generalized_eigenvalues(pc, None, rng=np.random.default_rng(seed))
-        assert len(result.finite) == pc.size - 2 * n and result.spurious == ()
+        assert len(result.finite) == pc.size - 2 * n
         # against the original C1 and C0, through the lifted eigenvectors
         assert max(res for _, res in result.finite) <= 1e-13
 
     def test_rank_deficient_samples_refuse_the_deflation(self, rng):
         p = random_polynomial("lagrange", 2, 4, rng)
-        assert _finite_part(build(p)) is not None
+        _finite_part(build(p))
         rows_equal = MatrixPolynomial.from_samples(p.basis, [np.vstack([s[0], s[0]])
                                                              for s in p.data])
-        assert _finite_part(build(rows_equal)) is None
         zero = MatrixPolynomial.from_samples(p.basis, [np.zeros((2, 2))] * len(p.data))
-        assert _finite_part(build(zero)) is None
+        for singular in (rows_equal, zero):
+            with pytest.raises(SingularPencilEverywhereError, match="pencil is singular"):
+                _finite_part(build(singular))
 
     def test_deflated_pencil_has_the_finite_eigenvalues(self, rng):
         p = random_polynomial("hermite", 2, 7, rng)
@@ -354,20 +358,79 @@ class TestCertifiedFinitePart:
         e, f, _ = _finite_part(pc)
         assert e.shape == (pc.size - 4, pc.size - 4)
         ours = np.linalg.eigvals(np.linalg.solve(e, f))
-        result = _classified(pc, p, np.random.default_rng(0))
+        result = generalized_eigenvalues(pc, p)
         assert _nearest_distance(ours, [lam for lam, _ in result.finite]) <= 1e-10
 
-    def test_uncertified_pencil_keeps_its_rng_draws(self):
-        # a zero leading coefficient makes C1 singular: no certificate, and the
-        # full pencil is classed with the shifts the rng would have drawn anyway
+
+def _with_zero_leading(p, zeros=1):
+    """p with its top `zeros` coefficients replaced by zero blocks (same basis, same grade)."""
+    data = list(p.data[:len(p.data) - zeros]) + [np.zeros((p.n, p.n))] * zeros
+    return MatrixPolynomial.from_coefficients(p.basis, data)
+
+
+def _lower_grade_reference(p, zeros):
+    """Eigenvalues of p without its top `zeros` coefficients, from its nonsingular leading term."""
+    pc = build(MatrixPolynomial.from_coefficients(p.basis, list(p.data[:len(p.data) - zeros])))
+    return np.linalg.eigvals(np.linalg.solve(pc.c1, pc.c0))
+
+
+class TestStaircase:
+    """Infinite eigenvalues the certificate cannot rule out are deflated exactly."""
+
+    def test_zero_leading_coefficient_matches_the_lower_grade_oracle(self):
         p = random_polynomial("chebyshev", 2, 5, np.random.default_rng(3))
-        p = MatrixPolynomial.from_coefficients(ChebyshevT(),
-                                               list(p.data[:-1]) + [np.zeros((2, 2))])
+        pc = build(_with_zero_leading(p))
+        for poly in (_with_zero_leading(p), None):
+            result = generalized_eigenvalues(pc, poly, rng=np.random.default_rng(8))
+            assert result.infinite_count == 2 and len(result.finite) == 8
+            assert all(res <= 1e-13 for _, res in result.finite)
+            assert _nearest_distance([lam for lam, _ in result.finite],
+                                     _lower_grade_reference(p, 1)) <= 1e-10
+
+    def test_index_two_infinity_takes_two_steps(self):
+        # two zero top coefficients: C1 loses rank n, yet 2n eigenvalues are
+        # infinite, in Jordan chains of length 2 that one step cannot deflate
+        n = 2
+        p = random_polynomial("chebyshev", n, 3, np.random.default_rng(1))
+        pc = build(_with_zero_leading(p, 2))
+        singular = np.linalg.svd(pc.c1, compute_uv=False)
+        assert np.count_nonzero(singular <= 1e-12 * singular[0]) == n
+        e, f, q = _staircase(pc.c1, pc.c0, pc.size)
+        assert e.shape == f.shape == (n, n) and q.shape == (pc.size, n)
+        result = generalized_eigenvalues(pc, None)
+        assert result.infinite_count == 2 * n and len(result.finite) == n
+        assert all(res <= 1e-13 for _, res in result.finite)
+        assert _nearest_distance([lam for lam, _ in result.finite],
+                                 _lower_grade_reference(p, 2)) <= 1e-10
+
+    @pytest.mark.parametrize("p", [
+        # P(z) = [[1, z], [z, z^2]]: its samples have full row rank, so the
+        # arrowhead deflates and the staircase finds the common left null vector
+        MatrixPolynomial.from_samples(Lagrange(nodes=[1, 0.5, -0.5, -1]),
+                                      [np.array([[1, t], [t, t * t]]) for t in [1, 0.5, -0.5, -1]]),
+        MatrixPolynomial.from_coefficients(Monomial(), [np.array([[1, 0], [0, 0]]),
+                                                        np.array([[0, 1], [1, 0]]),
+                                                        np.array([[0, 0], [0, 1]])]),
+    ], ids=["lagrange", "monomial"])
+    def test_singular_pencil_raises(self, p):
+        with pytest.raises(SingularPencilEverywhereError, match="pencil is singular"):
+            generalized_eigenvalues(build(p), p)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_lifted_eigenvectors_of_lower_degree_data(self, seed):
+        # a cubic sampled at 19 nodes: the arrowhead deflates 2n infinities and
+        # the staircase the 15n others; eigenvectors lift through both
+        n, degree, nodes = 2, 3, [complex(np.cos(np.pi * k / 18)) for k in range(19)]
+        rng = np.random.default_rng(seed)
+        coeffs = [rand_matrix(rng, n) for _ in range(degree + 1)]
+        pm = MatrixPolynomial.from_coefficients(Monomial(), coeffs)
+        p = MatrixPolynomial.from_samples(Lagrange(nodes=nodes), [evaluate(pm, t) for t in nodes])
         pc = build(p)
-        assert _certified(pc, p, np.random.default_rng(8)) is None
-        result = generalized_eigenvalues(pc, p, rng=np.random.default_rng(8))
-        assert result == _classified(pc, p, np.random.default_rng(8))
-        assert result.infinite_count == 2
+        result = generalized_eigenvalues(pc, None, rng=np.random.default_rng(seed))
+        assert len(result.finite) == n * degree and result.infinite_count == pc.size - n * degree
+        assert max(res for _, res in result.finite) <= 1e-13
+        reference = np.linalg.eigvals(np.linalg.solve(build(pm).c1, build(pm).c0))
+        assert _nearest_distance([lam for lam, _ in result.finite], reference) <= 1e-8
 
 
 def _mandelbrot_pencil(depth, c):
@@ -409,7 +472,7 @@ class TestIdentityLeadingTerm:
         pc = _mandelbrot_pencil(5, 1.0 + 0.05j)
         assert np.array_equal(pc.c1, np.eye(pc.size))
         result = generalized_eigenvalues(pc)
-        assert result.shift_used == 0 and result.infinite_count == 0 and result.spurious == ()
+        assert result.shift_used == 0 and result.infinite_count == 0
         ours = np.array([lam for lam, _ in result.finite])
         assert len(ours) == pc.size == 31
         assert all(res <= 1e-13 for _, res in result.finite)
@@ -430,6 +493,6 @@ class TestIdentityLeadingTerm:
         pc = build(p)
         assert np.array_equal(pc.c1, np.eye(3))
         result = generalized_eigenvalues(pc, p)
-        assert result.infinite_count == 0 and result.spurious == ()
+        assert result.infinite_count == 0
         got = sorted_eigs([lam for lam, _ in result.finite])
         assert np.max(np.abs(got - [-1, 0, 0])) <= 1e-14
