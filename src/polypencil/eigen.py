@@ -1,8 +1,19 @@
 """Generalized eigenvalues of companion pencils, with normwise backward errors.
 
 When C1 is exactly the identity, the eigenvalues of z*C1 - C0 are those of
-C0, all finite, and one LAPACK call through ``numpy.linalg.eig`` on C0
-returns them with their eigenvectors; nothing is inverted or deflated.
+C0, all finite, and one LAPACK call through ``numpy.linalg.eigvals`` on C0
+returns them; nothing is inverted or deflated.  The pencil residuals need
+eigenvectors.  When C0 is unreduced upper Hessenberg (zero below the
+subdiagonal, no zero on it), as every Mandelbrot level and every scalar
+monic companion is, the null vector of C0 - lambda I follows from lambda by
+back substitution from x_N = 1 (Hyman's method; Wilkinson, The Algebraic
+Eigenvalue Problem, 1965): O(N^2) per eigenvalue, all of them in one
+vectorised pass, with no further LAPACK call.  The recurrence is unstable
+on general Hessenberg matrices, so its vectors are kept only when every
+backward error they give is at most N u (u machine epsilon), the tolerance
+of the certificate and the staircase below.  Otherwise, and for any other
+C0, ``numpy.linalg.eig`` returns values and vectors both.  With a
+polynomial given, no eigenvector is computed.
 
 Every other pencil is first reduced to its finite part.  The arrowhead
 pencil of Lagrange and Hermite data has 2n eigenvalues at infinity by its
@@ -48,6 +59,11 @@ once with no factorization per eigenvalue:
   eta = sigma_min(P(lambda)) / sum_k |phi_k(lambda)| ||P_k||_2, which is
   the reported residual.
 
+Both weights allow no change to a zero coefficient.  A pencil with C0 = 0
+has the exact eigenvalue 0; computed as about 1e-16 it can report a pencil
+residual of order one, because |lambda| ||C1||_F + ||C0||_F vanishes with
+lambda, as eta can at the root 0 of a polynomial with P_0 = 0.
+
 Householder reduction to Hessenberg form followed by single-shift
 (Wilkinson) QR, complex throughout, is kept as the self-contained reference
 eigensolver ``eig``; the tests check the LAPACK path against it.
@@ -82,6 +98,7 @@ SHIFT_RADIUS = 1.37
 MAX_SHIFT_TRIES = 8
 MAX_BALANCE_SWEEPS = 20
 MACHINE_EPSILON = np.finfo(float).eps
+HESSENBERG_GROWTH = 2.0 ** 1000
 SINGULAR = "pencil is singular: det(z*C1 - C0) vanishes for every z to working precision"
 
 
@@ -234,6 +251,59 @@ def _pencil_backward_errors(pc: CompanionPencil, lams, vectors) -> np.ndarray:
     residual = np.linalg.norm(pc.c1 @ vectors * lams - pc.c0 @ vectors, axis=0)
     scale = np.abs(lams) * np.linalg.norm(pc.c1) + np.linalg.norm(pc.c0)
     return residual / (scale * np.linalg.norm(vectors, axis=0))
+
+
+def _hessenberg_vectors(h, lams):
+    """Null vectors of h - lambda I, one column per lambda; None unless h is unreduced Hessenberg.
+
+    Hyman's method (Wilkinson, The Algebraic Eigenvalue Problem, 1965): with
+    x_N = 1, rows N-1, ..., 1 of (h - lambda I) x = 0 give
+    x_{i-1} = (lambda x_i - h[i, i:] x[i:]) / h[i, i-1], all lambdas at once
+    as the columns of one array.  Row 0 is left as the residual.  Each step
+    grows a column by at most g_i = (max|lambda| + ||h[i, i:]||_1)
+    max(1, 1/|h[i, i-1]|), so the columns are rescaled to unit max-norm
+    whenever the product of those bounds would pass HESSENBERG_GROWTH, and
+    nothing overflows.  The recurrence is unstable on general Hessenberg
+    matrices; its vectors are only worth their measured residual.
+    """
+    sub = np.diagonal(h, -1)
+    if np.tril(h, -2).any() or not sub.all():
+        return None
+    with np.errstate(all="ignore"):  # non-finite vectors fail their residual
+        growth = ((np.abs(lams).max() + np.abs(np.triu(h)).sum(axis=1)[1:])
+                  * np.maximum(1.0, 1.0 / np.abs(sub)))
+        x = np.zeros((h.shape[0], len(lams)), dtype=complex)
+        x[-1] = 1.0
+        bound = 1.0
+        for i, g in zip(range(h.shape[0] - 1, 0, -1), growth[::-1].tolist()):
+            if bound * g > HESSENBERG_GROWTH:
+                x[i:] /= np.abs(x[i:]).max(axis=0)
+                bound = 1.0
+            x[i - 1] = (lams * x[i] - h[i, i:] @ x[i:]) / sub[i - 1]
+            bound *= g
+        x /= np.abs(x).max(axis=0)
+    return x
+
+
+def _standard(pc: CompanionPencil, p: MatrixPolynomial):
+    """(lambda, backward errors) of a pencil with C1 = I: the eigenvalues of C0, all finite.
+
+    The values come from numpy.linalg.eigvals(C0).  Without p, the pencil
+    residuals take the eigenvectors of Hyman's recurrence when C0 is
+    unreduced upper Hessenberg (every Mandelbrot level and every scalar
+    monic companion is) and every residual is at most N u; otherwise, or
+    for any other C0, values and vectors both come from numpy.linalg.eig.
+    """
+    lams = _lapack(np.linalg.eigvals, pc.c0)
+    if p is not None:
+        return lams, _polynomial_backward_errors(p, lams)
+    vectors = _hessenberg_vectors(pc.c0, lams)
+    if vectors is not None:
+        residuals = _pencil_backward_errors(pc, lams, vectors)
+        if np.all(residuals <= pc.size * MACHINE_EPSILON):
+            return lams, residuals
+    lams, vectors = _lapack(np.linalg.eig, pc.c0)
+    return lams, _pencil_backward_errors(pc, lams, vectors)
 
 
 def _lapack(solver, a):
@@ -401,9 +471,12 @@ def generalized_eigenvalues(pc: CompanionPencil, p: MatrixPolynomial = None,
 
     A pencil whose C1 is exactly the identity (every monic monomial pencil
     and every Mandelbrot level) is the standard problem for C0: its values
-    come from numpy.linalg.eig(C0) alone, all finite, with no shift
+    come from numpy.linalg.eigvals(C0), all finite, with no shift
     (``shift_used`` is 0, and with sigma = 0, lambda = sigma - 1/theta for
-    the thetas of A = (sigma C1 - C0)^-1 C1 still holds).
+    the thetas of A = (sigma C1 - C0)^-1 C1 still holds).  Without p, the
+    pencil residuals take Hyman's eigenvectors of a Hessenberg C0 when
+    every residual is at most N u, and numpy.linalg.eig(C0) supplies values
+    and vectors otherwise (module docstring).
 
     Any other pencil first loses the structural infinities of an
     interpolation pencil (its finite part), which is then balanced and
@@ -417,29 +490,27 @@ def generalized_eigenvalues(pc: CompanionPencil, p: MatrixPolynomial = None,
     ``infinite_count`` is N less their number.  The split reads the pencil
     alone, so it is the same with or without p.  A singular pencil raises
     SingularPencilEverywhereError.  Backward errors are taken against the
-    polynomial when it is supplied, and against the pencil otherwise.
+    polynomial when it is supplied, and against the pencil otherwise; at an
+    exact zero eigenvalue of a pencil with C0 = 0 the pencil residual can
+    be of order one (module docstring).
     """
     if np.array_equal(pc.c1, np.eye(pc.size)):
-        # kept apart, chosen by the input's structure: on a Mandelbrot level of
-        # depth 5 (N = 31), where most mandelbrot benchmark problems sit, this
-        # takes 0.90 ms against 1.10 ms for the shift path (one BLAS thread,
-        # Intel Xeon); the shift path wins from depth 7 (36 ms against 62 ms)
-        lams, vectors = _lapack(np.linalg.eig, pc.c0)
-        sigma = 0j
-    else:
-        solved = _shift_inverted(pc, np.random.default_rng(0) if rng is None else rng)
-        if solved is None:
-            return EigenResult(finite=(), infinite_count=pc.size, shift_used=0j)
-        sigma, a, d_r, lift = solved
-        if p is None:
-            thetas, vectors = _lapack(np.linalg.eig, a)
-            lams = sigma - 1.0 / thetas
-            vectors = lift(lams, d_r[:, None] * vectors)
-        else:
-            lams = sigma - 1.0 / _lapack(np.linalg.eigvals, a)
+        # kept apart, chosen by the input's structure: with one BLAS thread a
+        # Mandelbrot level at c = -1 takes 1.3 / 4.5 / 37 ms here at depths
+        # 5 / 6 / 7 against 1.9 / 7.4 / 38 ms for the shift path (the level
+        # scaled by 2); from depth 8 the shift path is faster
+        lams, residuals = _standard(pc, p)
+        return EigenResult(finite=_pairs(lams, residuals), infinite_count=0, shift_used=0j)
+    solved = _shift_inverted(pc, np.random.default_rng(0) if rng is None else rng)
+    if solved is None:
+        return EigenResult(finite=(), infinite_count=pc.size, shift_used=0j)
+    sigma, a, d_r, lift = solved
     if p is None:
-        residuals = _pencil_backward_errors(pc, lams, vectors)
+        thetas, vectors = _lapack(np.linalg.eig, a)
+        lams = sigma - 1.0 / thetas
+        residuals = _pencil_backward_errors(pc, lams, lift(lams, d_r[:, None] * vectors))
     else:
+        lams = sigma - 1.0 / _lapack(np.linalg.eigvals, a)
         residuals = _polynomial_backward_errors(p, lams)
     return EigenResult(finite=_pairs(lams, residuals), infinite_count=pc.size - len(lams),
                        shift_used=complex(sigma))

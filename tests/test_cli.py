@@ -468,7 +468,7 @@ class TestNoConvergence:
         ("eigvals", polynomial_document(
             "chebyshev", random_polynomial("chebyshev", 2, 6, np.random.default_rng(4)))),
         ("eigvals", chebyshev_with_leading(np.zeros((2, 2)))),  # no certificate: the staircase
-        ("eig", SQUARE_PLUS_ONE),  # C1 = I: eig(C0)
+        ("eigvals", SQUARE_PLUS_ONE),  # C1 = I: eigvals(C0), no eigenvectors
     ], ids=["certified-chebyshev", "staircase-chebyshev", "monic-monomial"])
     def test_eig_exits_4(self, tmp_path, capsys, monkeypatch, solver, doc):
         monkeypatch.setattr(np.linalg, solver, self.fail)

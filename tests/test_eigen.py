@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from conftest import TEN_KINDS, rand_matrix, random_polynomial
 from polypencil import (
     Bernstein,
     ChebyshevT,
+    CompanionPencil,
     Lagrange,
     MatrixPolynomial,
     Monomial,
@@ -496,3 +498,102 @@ class TestIdentityLeadingTerm:
         assert result.infinite_count == 0
         got = sorted_eigs([lam for lam, _ in result.finite])
         assert np.max(np.abs(got - [-1, 0, 0])) <= 1e-14
+
+
+MACHINE_EPSILON = np.finfo(float).eps
+
+
+def _refuse_eig(*args, **kwargs):
+    raise AssertionError("numpy.linalg.eig called where Hyman's recurrence suffices")
+
+
+def _standard_pencil(c0):
+    """A pencil z I - C0 with no construction behind it."""
+    size = c0.shape[0]
+    return CompanionPencil(np.eye(size, dtype=complex), np.asarray(c0, dtype=complex), 1, size)
+
+
+def _eig_path(pc):
+    """What generalized_eigenvalues reports when numpy.linalg.eig gives values and vectors."""
+    lams, vectors = np.linalg.eig(pc.c0)
+    return eigen._pairs(lams, eigen._pencil_backward_errors(pc, lams, vectors))
+
+
+class TestHymanRecurrence:
+    """C1 = I without p: eigvals(C0), and eigenvectors by back substitution on a Hessenberg C0."""
+
+    @pytest.mark.parametrize("depth", range(2, 9))
+    @pytest.mark.parametrize("c", [1.0 + 0.05j, -1.0, -2.0, 0.3 - 0.5j])
+    def test_mandelbrot_levels_report_eigvals_with_residuals_below_n_u(self, depth, c):
+        pc = _mandelbrot_pencil(depth, c)
+        result = generalized_eigenvalues(pc)
+        assert result.infinite_count == 0 and result.shift_used == 0
+        lams = np.linalg.eigvals(pc.c0)
+        assert [lam for lam, _ in result.finite] == sorted(map(complex, lams),
+                                                           key=lambda z: (z.real, z.imag))
+        assert max(res for _, res in result.finite) <= pc.size * MACHINE_EPSILON
+
+    @pytest.mark.parametrize("depth", [5, 6, 7])
+    def test_benchmark_depths_never_call_eig(self, monkeypatch, depth):
+        monkeypatch.setattr(np.linalg, "eig", _refuse_eig)
+        for c in (1.0 + 0.05j, -1.0):
+            result = generalized_eigenvalues(_mandelbrot_pencil(depth, c))
+            assert len(result.finite) == 2 ** depth - 1
+
+    def test_scalar_monic_companion_takes_the_recurrence(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        coeffs = list(rng.standard_normal(12) + 1j * rng.standard_normal(12)) + [1.0]
+        pc = build(MatrixPolynomial.from_coefficients(Monomial(), scalar(coeffs)))
+        assert np.array_equal(pc.c1, np.eye(12))
+        monkeypatch.setattr(np.linalg, "eig", _refuse_eig)
+        result = generalized_eigenvalues(pc)
+        assert max(res for _, res in result.finite) <= pc.size * MACHINE_EPSILON
+        reference = np.roots(coeffs[::-1])
+        assert _nearest_distance([lam for lam, _ in result.finite], reference) <= 1e-10
+
+    def test_a_given_polynomial_needs_no_eigenvectors(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        coeffs = [rand_matrix(rng, 2) for _ in range(3)] + [np.eye(2)]
+        p = MatrixPolynomial.from_coefficients(Monomial(), coeffs)
+        monkeypatch.setattr(np.linalg, "eig", _refuse_eig)
+        result = generalized_eigenvalues(build(p), p)
+        assert len(result.finite) == 6 and max(res for _, res in result.finite) <= 1e-13
+
+    @pytest.mark.parametrize("size", [10, 30, 60])
+    def test_random_hessenberg_falls_back_to_the_eig_path(self, size):
+        rng = np.random.default_rng(size)
+        c0 = np.triu(rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)), -1)
+        pc = _standard_pencil(c0)
+        assert generalized_eigenvalues(pc).finite == _eig_path(pc)
+
+    def test_reducible_dense_and_block_c0_take_eig(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        reducible = np.triu(rng.standard_normal((8, 8)), -1)
+        reducible[5, 4] = 0.0
+        dense = rng.standard_normal((6, 6))
+        block = build(MatrixPolynomial.from_coefficients(
+            Monomial(), [rand_matrix(rng, 2), rand_matrix(rng, 2), np.eye(2)]))
+        assert np.array_equal(block.c1, np.eye(4))
+        calls = []
+        eig_ = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a) or eig_(a))
+        for pc in (_standard_pencil(reducible), _standard_pencil(dense), block):
+            assert eigen._hessenberg_vectors(pc.c0, np.linalg.eigvals(pc.c0)) is None
+            assert generalized_eigenvalues(pc).finite == _eig_path(pc)
+        assert len(calls) == 6  # one each in generalized_eigenvalues and in _eig_path
+
+    def test_graded_subdiagonal_is_rescaled_without_overflow(self, monkeypatch):
+        # eigenvector entries span well past 1e308: unscaled, the recurrence
+        # overflows for the 50 smallest eigenvalues
+        size = 120
+        c0 = np.diag(np.arange(size, dtype=complex)) + np.diag(np.full(size - 1, 1e-3), -1)
+        monkeypatch.setattr(np.linalg, "eig", _refuse_eig)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = generalized_eigenvalues(_standard_pencil(c0))
+        residuals = np.array([res for _, res in result.finite])
+        assert np.isfinite(residuals).all() and residuals.max() <= size * MACHINE_EPSILON
+        assert sorted(lam.real for lam, _ in result.finite) == list(range(size))
+        # every column leaves with unit max-norm, so its 2-norm cannot overflow
+        vectors = eigen._hessenberg_vectors(c0, np.linalg.eigvals(c0))
+        assert np.array_equal(np.abs(vectors).max(axis=0), np.ones(size))
