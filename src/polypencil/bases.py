@@ -185,6 +185,34 @@ class Hermite(Basis):
         w.flags.writeable = False
         return w
 
+    @cached_property
+    def monomial_expansion(self) -> np.ndarray:
+        """monomial_rows of this basis (grade + 1 rows), read-only.
+
+        Datum k of node tau_i is g_i(z) sum_{q < s_i - k} w_{i,q} (z - tau_i)^(k+q),
+        g_i = prod_{j != i} (z - tau_j)^(s_j): w_{i,s_i-1-k} times g_i factor
+        by factor, then Horner in z - tau_i adding w_{i,q} g_i.
+        """
+        ell, w, confl = self.grade, self.weights, self.confluencies
+        rows = np.zeros((ell + 1, ell + 1), dtype=complex)
+        factors = [np.array([1.0, -t], dtype=complex) for t in self.nodes]
+        start = 0
+        for i, s in enumerate(confl):
+            others = [factors[j] for j, sj in enumerate(confl) if j != i for _ in range(sj)]
+            g = reduce(np.convolve, others, np.ones(1, dtype=complex)) if s > 1 else None
+            for k in range(s):
+                row = np.array([w[start + s - 1 - k]], dtype=complex)
+                for f in others:
+                    row = np.convolve(row, f)
+                for q in range(s - 2 - k, -k - 1, -1):  # the last k steps add no weight
+                    row = np.convolve(row, factors[i])
+                    if q >= 0:
+                        row[-g.size:] += w[start + q] * g
+                rows[ell - start - k] = row
+            start += s
+        rows.flags.writeable = False
+        return rows
+
 
 @dataclass(frozen=True)
 class Lagrange(Hermite):
@@ -348,10 +376,13 @@ def monomial_rows(basis: Basis, count: int) -> np.ndarray:
 
     The one change of basis to the monomials: the three-term recurrence run
     on coefficient vectors, B_k = sum_j C(ell, k) C(ell - k, j) (-1)^j z^(k+j)
-    in exact integer products, and for datum k of node tau_i
-    g_i(z) sum_{q < s_i - k} w_{i,q} (z - tau_i)^(k+q), g_i = prod_{j != i} (z - tau_j)^(s_j):
-    w_{i,s_i-1-k} times g_i factor by factor, then Horner in z - tau_i adding w_{i,q} g_i.
+    in exact integer products, and for interpolation bases the expansion
+    cached on the basis (``Hermite.monomial_expansion``, read-only).
     """
+    if isinstance(basis, Hermite):
+        if count != basis.grade + 1:
+            raise ValueError(f"{count} rows do not match the {basis.grade + 1} interpolation data")
+        return basis.monomial_expansion
     ell = count - 1
     rows = np.zeros((count, count), dtype=complex)
     if isinstance(basis, Bernstein):
@@ -360,26 +391,6 @@ def monomial_rows(basis: Basis, count: int) -> np.ndarray:
         for k in range(count):
             for j in range(count - k):  # z^(k+j) sits in column ell - k - j
                 rows[ell - k, ell - k - j] = comb(ell, k) * comb(ell - k, j) * (-1) ** j
-        return rows
-    if isinstance(basis, Hermite):
-        if count != basis.grade + 1:
-            raise ValueError(f"{count} rows do not match the {basis.grade + 1} interpolation data")
-        w, confl = barycentric_weights(basis), basis.confluencies
-        factors = [np.array([1.0, -t], dtype=complex) for t in basis.nodes]
-        start = 0
-        for i, s in enumerate(confl):
-            others = [factors[j] for j, sj in enumerate(confl) if j != i for _ in range(sj)]
-            g = reduce(np.convolve, others, np.ones(1, dtype=complex)) if s > 1 else None
-            for k in range(s):
-                row = np.array([w[start + s - 1 - k]], dtype=complex)
-                for f in others:
-                    row = np.convolve(row, f)
-                for q in range(s - 2 - k, -k - 1, -1):  # the last k steps add no weight
-                    row = np.convolve(row, factors[i])
-                    if q >= 0:
-                        row[-g.size:] += w[start + q] * g
-                rows[ell - start - k] = row
-            start += s
         return rows
     if not isinstance(basis, ThreeTermBasis):
         raise UnsupportedBasisError(f"no monomial expansion for the {type(basis).__name__} basis")

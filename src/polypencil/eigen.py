@@ -77,7 +77,7 @@ import numpy as np
 
 from .bases import Hermite, phi_rows
 from .errors import NoConvergenceError, SingularPencilEverywhereError
-from .linalg import PIVOT_GUARD, as_cmatrix
+from .linalg import as_cmatrix, guarded_inverse
 # Unused here: bench/test_bench.py::test_patch_replaces_every_binding_and_restores_it
 # checks that the span tracer rebinds this name; it goes with the benchmark
 # refresh (ROADMAP item 1).
@@ -247,8 +247,14 @@ def eigen_residual(p: MatrixPolynomial, lam) -> float:
     return float(_polynomial_backward_errors(p, [lam])[0])
 
 
-def _pencil_backward_errors(pc: CompanionPencil, lams, vectors) -> np.ndarray:
-    residual = np.linalg.norm(pc.c1 @ vectors * lams - pc.c0 @ vectors, axis=0)
+def _pencil_backward_errors(pc: CompanionPencil, lams, vectors, c1_vectors=None) -> np.ndarray:
+    """||C1 v lambda - C0 v|| / ((|lambda| ||C1|| + ||C0||) ||v||) per column v of vectors.
+
+    c1_vectors is C1 @ vectors when the caller has it (vectors itself when C1 = I).
+    """
+    if c1_vectors is None:
+        c1_vectors = pc.c1 @ vectors
+    residual = np.linalg.norm(c1_vectors * lams - pc.c0 @ vectors, axis=0)
     scale = np.abs(lams) * np.linalg.norm(pc.c1) + np.linalg.norm(pc.c0)
     return residual / (scale * np.linalg.norm(vectors, axis=0))
 
@@ -299,11 +305,11 @@ def _standard(pc: CompanionPencil, p: MatrixPolynomial):
         return lams, _polynomial_backward_errors(p, lams)
     vectors = _hessenberg_vectors(pc.c0, lams)
     if vectors is not None:
-        residuals = _pencil_backward_errors(pc, lams, vectors)
+        residuals = _pencil_backward_errors(pc, lams, vectors, vectors)
         if np.all(residuals <= pc.size * MACHINE_EPSILON):
             return lams, residuals
     lams, vectors = _lapack(np.linalg.eig, pc.c0)
-    return lams, _pencil_backward_errors(pc, lams, vectors)
+    return lams, _pencil_backward_errors(pc, lams, vectors, vectors)
 
 
 def _lapack(solver, a):
@@ -363,13 +369,8 @@ def _accepted_shift(c1, c0, rng):
         angle = rng.uniform(0.0, 2.0 * np.pi)
         candidate = SHIFT_RADIUS * complex(np.cos(angle), np.sin(angle))
         m = candidate * c1 - c0
-        try:
-            inverse = np.linalg.inv(m)
-        except np.linalg.LinAlgError:
-            continue
-        with np.errstate(over="ignore", invalid="ignore"):
-            rcond = 1.0 / (np.linalg.norm(m) * np.linalg.norm(inverse))
-        if rcond >= PIVOT_GUARD:
+        inverse = guarded_inverse(m)
+        if inverse is not None:
             return candidate, inverse @ c1, d_r, m, c1
     raise SingularPencilEverywhereError(
         f"no acceptable shift among {MAX_SHIFT_TRIES} tries; pencil may be singular"

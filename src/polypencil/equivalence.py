@@ -4,9 +4,15 @@ For degree-graded and Bernstein bases there are constant nonsingular E, F
 with E * C_phi * F = C_monomial for both members of the pencil; the same
 holds for Lagrange and Hermite pencils against the monomial pencil padded
 by two grades (to absorb the eigenvalues at infinity).  F is the
-change-of-basis matrix of the pencil's null-vector functions; E follows
-from the constant terms.  verify_equivalence checks both defining
-equations on the pencils the pair carries.
+change-of-basis matrix of the pencil's null-vector functions.  For
+coefficient bases E follows from the leading terms, E = C1_m F^-1 C1_phi^-1,
+whenever rcond_F(C1_phi) = 1 / (||C1_phi||_F ||C1_phi^-1||_F) is at least
+PIVOT_GUARD; for three-term bases C1 is block diagonal with identity
+blocks, so E keeps the exact zeros of F^-1.  A numerically singular C1_phi
+(a singular leading coefficient, a Bernstein degree drop) falls back to the
+constant terms, E = C0_m F^-1 C0_phi^-1.  For interpolation bases E is the
+transposed confluent Vandermonde matrix.  verify_equivalence checks both
+defining equations on the pencils the pair carries.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from .bases import (
     null_vector_basis_matrix,
 )
 from .errors import SingularC0Error, UnsupportedBasisError
+from .linalg import guarded_inverse
 from .matpoly import MatrixPolynomial
 from .pencils import CompanionPencil, build, build_hermite, build_three_term
 
@@ -72,9 +79,12 @@ def monomial_form(p: MatrixPolynomial) -> MatrixPolynomial:
 def equivalence_degree_graded(p: MatrixPolynomial) -> EquivalencePair:
     """E, F with E C_phi F = C_monomial for a three-term or Bernstein polynomial.
 
-    F is the null-vector change-of-basis matrix (tensored with the identity);
-    E is solved from the constant-term equation.  The leading-term equation
-    is left to verify_equivalence, like every other check of the pair.
+    F is the null-vector change-of-basis matrix (tensored with the identity).
+    E is solved from the leading-term equation, E = (C1_m F^-1) C1_phi^-1
+    with one LAPACK inverse, when rcond_F(C1_phi) >= PIVOT_GUARD, and from
+    the constant-term equation, E = C0_m F^-1 C0_phi^-1, otherwise.  The
+    other equation is left to verify_equivalence, like every other check
+    of the pair.  SingularC0Error means both terms are singular.
     """
     if not isinstance(p.basis, (ThreeTermBasis, Bernstein)):
         raise UnsupportedBasisError("degree-graded equivalence needs coefficient data")
@@ -82,10 +92,15 @@ def equivalence_degree_graded(p: MatrixPolynomial) -> EquivalencePair:
     pc_m = build_three_term(monomial_form(p))
     f_small = null_vector_basis_matrix(p.basis, p.grade)
     f = np.kron(f_small, np.eye(p.n, dtype=complex))
-    try:
-        e = _right_div(_right_div(pc_m.c0, f), pc_phi.c0)
-    except np.linalg.LinAlgError as exc:
-        raise SingularC0Error("constant term of the basis pencil is singular") from exc
+    lead_inverse = guarded_inverse(pc_phi.c1)
+    if lead_inverse is not None:
+        e = _right_div(pc_m.c1, f) @ lead_inverse
+    else:
+        try:
+            e = _right_div(_right_div(pc_m.c0, f), pc_phi.c0)
+        except np.linalg.LinAlgError as exc:
+            raise SingularC0Error(
+                "both the leading and the constant term of the basis pencil are singular") from exc
     return EquivalencePair(e=e, f=f, phi=pc_phi, monomial=pc_m)
 
 

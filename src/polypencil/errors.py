@@ -29,7 +29,7 @@ class SingularPencilEverywhereError(PolyPencilError):
 
 
 class SingularC0Error(PolyPencilError):
-    """The constant term of the pencil is singular; the equivalence transform is undefined."""
+    """Both the leading and the constant term of the pencil are singular; E is not solved."""
 
 
 class DuplicateNodesError(PolyPencilError):

@@ -3,9 +3,11 @@
 Everything operates on plain ``numpy.ndarray`` values with dtype complex128.
 Every factorization the package runs calls LAPACK through ``numpy.linalg``,
 stacked over sample points where there are several, and the hand-written
-elimination here has no runtime caller: ``eigen`` accepts its shift on the
-rcond of a LAPACK inverse, and ``algebraic.verify_algebraic`` checks the
-resolvent identity with LAPACK instead of a determinant ratio.
+elimination here has no runtime caller: ``guarded_inverse`` is the LAPACK
+inverse with its rcond test, on which ``eigen`` accepts a shift and
+``equivalence`` solves E from the leading term, and
+``algebraic.verify_algebraic`` checks the resolvent identity with LAPACK
+instead of a determinant ratio.
 
 ``LUFactors``, ``lu_factor``, ``lu_solve`` and ``det`` stay only because
 the benchmark names them:
@@ -30,6 +32,7 @@ __all__ = [
     "lu_solve",
     "det",
     "PIVOT_GUARD",
+    "guarded_inverse",
 ]
 
 
@@ -125,5 +128,17 @@ def det(a) -> complex:
 
 
 # Below this rcond_F(M) = 1 / (||M||_F ||M^-1||_F) a pencil matrix M counts as
-# numerically singular, and its shift or sample point is redrawn.
+# numerically singular: its shift or sample point is redrawn, and a leading
+# term C1 sends the strict equivalence to its constant term.
 PIVOT_GUARD = 1e-12
+
+
+def guarded_inverse(m):
+    """LAPACK's M^-1 when rcond_F(M) >= PIVOT_GUARD, else None (also for an exactly singular M)."""
+    try:
+        inverse = np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        rcond = 1.0 / (np.linalg.norm(m) * np.linalg.norm(inverse))
+    return inverse if rcond >= PIVOT_GUARD else None

@@ -556,6 +556,22 @@ class TestEquivCommand:
         assert payload["deviation"] <= 1e-15 and payload["pass"] is True
 
 
+    @pytest.mark.parametrize("basis, coefficients", [
+        ({"kind": "monomial"}, [[[0]], [[1]], [[1]]]),
+        ({"kind": "chebyshev"}, [[[1]], [[0]], [[1]]]),
+    ], ids=["z^2+z", "T0+T2"])
+    def test_singular_constant_term_uses_the_leading_term(self, tmp_path, capsys,
+                                                          basis, coefficients):
+        # P(0) = 0 makes C0 of the basis pencil singular; C1 is not
+        doc = {"basis": basis, "n": 1, "coefficients": coefficients}
+        code, out, err = run(capsys, "equiv", write(tmp_path, "doc.json", doc))
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert np.array_equal(as_complex_matrix(payload["E"]), np.eye(2))
+        assert np.array_equal(as_complex_matrix(payload["F"]), np.eye(2))
+        assert payload["deviation"] == 0.0 and payload["pass"] is True
+
+
 class TestBaryCommand:
     def test_lagrange_weights(self, tmp_path, capsys):
         doc = {"basis": {"kind": "lagrange", "nodes": [1, 0, -1]}}

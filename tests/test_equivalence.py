@@ -24,6 +24,7 @@ from polypencil import (
     verify_equivalence,
 )
 from polypencil.bases import monomial_rows
+from polypencil.linalg import guarded_inverse
 
 
 def scalar(values):
@@ -77,19 +78,48 @@ class TestDegreeGraded:
         assert verify_equivalence(pair) <= 1e-10
 
     def test_singular_constant_term(self):
-        # p(z) = z^2 makes the constant pencil term singular
+        # p(z) = z^2 makes the constant pencil term singular; E comes from C1 = I
         p = MatrixPolynomial.from_coefficients(Monomial(), scalar([0, 0, 1]))
-        with pytest.raises(SingularC0Error):
-            equivalence_degree_graded(p)
+        pair = equivalence_degree_graded(p)
+        assert np.array_equal(pair.e, np.eye(2)) and np.array_equal(pair.f, np.eye(2))
+        assert verify_equivalence(pair) == 0.0
 
     def test_singular_constant_term_block(self, rng):
         # the second diagonal entry is L_1(z) = z, so P(0) and with it C0 are
-        # singular; the LAPACK solve's failure must surface as SingularC0Error
+        # singular, and so is the leading coefficient diag(*, 0): with both
+        # terms singular the LAPACK solve's failure surfaces as SingularC0Error
         coeffs = [np.diag([rng.standard_normal() + 3.0, b]) for b in (0.0, 1.0, 0.0)]
         p = MatrixPolynomial.from_coefficients(LegendreP(), coeffs)
         assert np.linalg.matrix_rank(build(p).c0) < build(p).size
-        with pytest.raises(SingularC0Error):
+        assert np.linalg.matrix_rank(build(p).c1) < build(p).size
+        with pytest.raises(SingularC0Error, match="both the leading and the constant term"):
             equivalence_degree_graded(p)
+
+    @pytest.mark.parametrize("kind", ["chebyshev", "legendre"])
+    @pytest.mark.parametrize("n, ell", [(2, 8), (3, 5), (4, 15)])
+    def test_leading_term_keeps_the_zeros_of_f_inverse(self, kind, n, ell):
+        # C1_phi and C1_m are block diagonal with identity blocks below the
+        # corner, so every block of E off the first block row and column is
+        # diagonal, with exact zeros elsewhere
+        p = random_polynomial(kind, n, ell, np.random.default_rng(ell))
+        pair = equivalence_degree_graded(p)
+        rows, cols = np.indices(pair.e.shape)
+        kept = (rows < n) | (cols < n) | (rows % n == cols % n)
+        assert np.count_nonzero(pair.e[~kept]) == 0
+        assert verify_equivalence(pair) <= 1e-10
+
+    def test_singular_leading_coefficient_falls_back_to_the_constant_term(self, rng):
+        coeffs = [rng.standard_normal((2, 2)) for _ in range(3)] + [np.zeros((2, 2))]
+        coeffs[0] += 3.0 * np.eye(2)  # P(0) = P_0 - P_2 stays nonsingular
+        p = MatrixPolynomial.from_coefficients(ChebyshevT(), coeffs)
+        assert guarded_inverse(build(p).c1) is None
+        assert verify_equivalence(equivalence_degree_graded(p)) <= 1e-10
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_chebyshev_grade_15_verdict(self, seed):
+        # E solved from the constant term misses the CLI's --tol (1e-8) on these documents
+        p = random_polynomial("chebyshev", 4, 15, np.random.default_rng(seed))
+        assert verify_equivalence(equivalence_degree_graded(p)) <= 1e-9
 
 
 class TestLagrange:
