@@ -70,6 +70,7 @@ from .triples import (
     make_triple,
     resolvent,
     sample_points,
+    sample_resolvents,
     similarity_triple,
     transpose_triple,
     verify_triple,

@@ -82,7 +82,9 @@ def _h_values(a, b, c, zs):
     every check downstream read NaN.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        h = zs[:, None, None] * (_values(a, zs) @ _values(b, zs)) + as_cmatrix(c)
+        a_values = _values(a, zs)
+        b_values = a_values if b is a else _values(b, zs)  # a square z p_k p_k + c: p_k once
+        h = zs[:, None, None] * (a_values @ b_values) + as_cmatrix(c)
     finite = np.isfinite(h).all(axis=(1, 2))
     if not finite.all():
         z = complex(zs[np.argmin(finite)])
@@ -98,7 +100,8 @@ def verify_algebraic(t: GeneralizedStandardTriple, a, b, c, zs) -> float:
     identity XH (z DH - EH)^-1 YH = H^-1(z) that lets ``t`` be a component of
     the next level, and verify_triple checks it as it checks any triple:
     H(z) = z A(z) B(z) + C comes from one evaluation of A and of B at all the
-    samples, and the resolvents from one stacked LAPACK solve.  Unlike the
+    samples (one in all when ``b is a``, a Mandelbrot square), and the
+    resolvents from one stacked LAPACK solve.  Unlike the
     ratio det(z DH - EH) / det H(z), it sees a wrong XH or YH.
     """
     zs = np.asarray(zs, dtype=complex)

@@ -37,7 +37,7 @@ from .equivalence import (
 )
 from .errors import NoConvergenceError, PolyPencilError
 from .pencils import build
-from .triples import make_triple, sample_points, verify_triple
+from .triples import make_triple, sample_resolvents, verify_triple
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -56,11 +56,30 @@ def _load_json(path):
         raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
 
 
+# encode reaches the C encoder when indent is None; json.dump streams through the Python one
+_COMPACT = json.JSONEncoder(allow_nan=False).encode
+_PRETTY = json.JSONEncoder(indent=2, allow_nan=False).encode
+
+
 def _emit(payload, pretty):
-    """Write the payload as strict JSON; a NaN or an infinity in it raises ValueError."""
-    # json.dumps reaches the C encoder; json.dump streams through the Python one
+    """Write the payload as strict JSON; a NaN or an infinity in it raises ValueError.
+
+    Matrix values are numpy arrays, written by matrix_to_json and spliced in
+    between the encoder's own separators; --pretty reads that text back as
+    lists for the indented dump.  Either way the bytes are those json.dumps
+    writes for the payload with each matrix as nested lists of [re, im] pairs.
+    """
     try:
-        text = json.dumps(payload, indent=2 if pretty else None, allow_nan=False)
+        if pretty:
+            text = _PRETTY({key: json.loads(matrix_to_json(v)) if isinstance(v, np.ndarray) else v
+                            for key, v in payload.items()})
+        elif any(isinstance(v, np.ndarray) for v in payload.values()):
+            text = "{" + ", ".join([
+                _COMPACT(key) + ": " + (matrix_to_json(v) if isinstance(v, np.ndarray)
+                                        else _COMPACT(v))
+                for key, v in payload.items()]) + "}"
+        else:
+            text = _COMPACT(payload)
     except ValueError:
         raise ValueError("non-finite result: the output holds a NaN or an infinity") from None
     sys.stdout.write(text + "\n")
@@ -73,10 +92,10 @@ def cmd_pencil(args):
         return {"valid": True, "basis": doc["basis"]["kind"], "n": p.n, "grade": p.grade}, True
     triple = make_triple(build(p))
     return {
-        "C1": matrix_to_json(triple.pencil.c1),
-        "C0": matrix_to_json(triple.pencil.c0),
-        "X": matrix_to_json(triple.x),
-        "Y": matrix_to_json(triple.y),
+        "C1": triple.pencil.c1,
+        "C0": triple.pencil.c0,
+        "X": triple.x,
+        "Y": triple.y,
         "N": triple.pencil.size,
     }, True
 
@@ -102,8 +121,8 @@ def cmd_verify(args):
     triple = make_triple(build(p))
     rng = np.random.default_rng(args.seed)
     avoid = getattr(p.basis, "nodes", ())
-    zs = sample_points(triple.pencil, args.samples, rng, avoid=avoid)
-    residual = verify_triple(triple, p, zs)
+    zs, resolvents = sample_resolvents(triple, args.samples, rng, avoid=avoid)
+    residual = verify_triple(triple, p, zs, resolvents)
     ok = residual <= args.tol
     return {"max_residual": residual, "samples": args.samples, "tol": args.tol, "pass": ok}, ok
 
@@ -123,8 +142,8 @@ def cmd_alglin(args):
     residual = alg.verify_algebraic(t, pa, pb, c, zs)
     ok = residual <= args.tol
     return {
-        "DH": matrix_to_json(t.pencil.c1),
-        "EH": matrix_to_json(t.pencil.c0),
+        "DH": t.pencil.c1,
+        "EH": t.pencil.c0,
         "N": t.pencil.size,
         "residual": residual,
         "ratio_spread": alg.ratio_spread(t, pa, pb, c, zs),
@@ -141,8 +160,8 @@ def cmd_equiv(args):
     deviation = verify_equivalence(pair)
     ok = deviation <= args.tol
     return {
-        "E": matrix_to_json(pair.e),
-        "F": matrix_to_json(pair.f),
+        "E": pair.e,
+        "F": pair.f,
         "direction": TO_MONOMIAL,
         "deviation": deviation,
         "pass": ok,

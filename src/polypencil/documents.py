@@ -6,6 +6,9 @@ n x n matrices, ascending basis index), ``samples`` (one matrix per node), or
 ``hermite_samples`` (per node, a list of matrices: value, then scaled
 derivatives ascending).  Complex scalars are two-element [re, im] arrays;
 bare numbers are accepted on input and normalized to pairs on output.
+Output matrices are written as JSON text by matrix_to_json, one format call
+per row, and spliced into the CLI's payload: the bytes are those json.dumps
+writes for the nested lists of pairs.
 """
 
 from __future__ import annotations
@@ -110,10 +113,21 @@ def scalar_to_json(z) -> list:
     return [z.real, z.imag]
 
 
-def matrix_to_json(m) -> list:
-    """Rows of [re, im] pairs of Python floats, as scalar_to_json gives entry by entry."""
+def matrix_to_json(m) -> str:
+    """The JSON text of m as rows of [re, im] pairs, byte for byte what json.dumps writes.
+
+    Each row is one ``%`` call on a format string of ``[%r, %r]`` pairs built
+    once per matrix; ``%r`` is float.__repr__, the json module's float writer,
+    and the per-row float lists are not GC-tracked, unlike one list per entry.
+    A NaN or an infinity raises ValueError, as json.dumps(allow_nan=False) does.
+    """
     m = np.atleast_2d(np.asarray(m, dtype=complex))
-    return np.stack([m.real, m.imag], -1).tolist()
+    if not np.isfinite(m).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    rows, cols = m.shape
+    row = "[" + ", ".join(["[%r, %r]"] * cols) + "]"
+    values = np.stack([m.real, m.imag], -1).reshape(rows, 2 * cols).tolist()
+    return "[" + ", ".join([row % tuple(r) for r in values]) + "]"
 
 
 def parse_basis(desc, grade):

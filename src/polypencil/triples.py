@@ -28,6 +28,7 @@ __all__ = [
     "transpose_triple",
     "similarity_triple",
     "sample_points",
+    "sample_resolvents",
 ]
 
 @dataclass(frozen=True)
@@ -75,20 +76,23 @@ def resolvent(t: GeneralizedStandardTriple, z) -> np.ndarray:
     return _resolvents(t, np.array([complex(z)]))[0]
 
 
-def verify_triple(t: GeneralizedStandardTriple, p, zs) -> float:
+def verify_triple(t: GeneralizedStandardTriple, p, zs, resolvents=None) -> float:
     """max over the samples of ||resolvent(z) P(z) - I||_F.
 
     ``p`` is a MatrixPolynomial, evaluated at all the samples in one call,
     or P's values already stacked over the samples, one (n, n) matrix per
-    point (verify_algebraic passes H(z) so).  The resolvents come from one
-    stacked solve per chunk of _CHUNK points.
+    point (verify_algebraic passes H(z) so).  The resolvents are the stack
+    sample_resolvents returned with ``zs``, or else come from one stacked
+    solve per chunk of _CHUNK points.
     """
     zs = np.array([complex(z) for z in zs], dtype=complex)
     values = evaluate(p, zs) if isinstance(p, MatrixPolynomial) else np.asarray(p)
     eye = np.eye(t.pencil.n, dtype=complex)
     worst = 0.0
     for i in range(0, len(zs), _CHUNK):
-        residuals = _resolvents(t, zs[i:i + _CHUNK]) @ values[i:i + _CHUNK] - eye
+        at = slice(i, i + _CHUNK)
+        chunk = _resolvents(t, zs[at]) if resolvents is None else resolvents[at]
+        residuals = chunk @ values[at] - eye
         worst = max(worst, float(np.linalg.norm(residuals, axis=(1, 2)).max()))
     return worst
 
@@ -124,6 +128,50 @@ def similarity_triple(t: GeneralizedStandardTriple, s) -> GeneralizedStandardTri
                         moved[:, 2 * size:])
 
 
+def _inverses(ms: np.ndarray) -> np.ndarray:
+    """The stacked inverses of ms; a member LAPACK cannot invert is all NaN.
+
+    A stacked inverse raises for the whole stack when one member is exactly
+    singular, so the members are then inverted one by one.
+    """
+    try:
+        return np.linalg.inv(ms)
+    except np.linalg.LinAlgError:
+        out = np.full_like(ms, np.nan)
+        for k, m in enumerate(ms):
+            try:
+                out[k] = np.linalg.inv(m)
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _accepted(pc: CompanionPencil, count, rng, radius, avoid):
+    """The rounds of sample_points: per round, the points kept and M^-1 = (z C1 - C0)^-1 at each.
+
+    An exactly singular M has a NaN inverse, so a NaN rcond, and is refused.
+    """
+    found = 0
+    budget = 200 * count
+    while found < count:
+        if budget == 0:
+            raise SingularPencilError("could not find enough well-conditioned sample points")
+        pending = []
+        while budget and found + len(pending) < count and len(pending) < _CHUNK:
+            budget -= 1
+            z = complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))
+            if abs(z) <= radius and not any(abs(z - a) < 1e-3 for a in avoid):
+                pending.append(z)
+        ms = pc.at(pending)
+        inverses = _inverses(ms)
+        with np.errstate(all="ignore"):  # an overflowing M or M^-1 is refused, not warned about
+            norms = np.linalg.norm(ms, "fro", axis=(-2, -1)) * np.linalg.norm(
+                inverses, "fro", axis=(-2, -1))
+            ok = 1.0 / norms >= PIVOT_GUARD
+        found += int(ok.sum())
+        yield [z for z, keep in zip(pending, ok) if keep], inverses[ok]
+
+
 def sample_points(pc: CompanionPencil, count, rng, radius=2.0, avoid=()):
     """Random sample points for resolvent checks, guarded against the spectrum.
 
@@ -136,18 +184,19 @@ def sample_points(pc: CompanionPencil, count, rng, radius=2.0, avoid=()):
     state are those of testing every draw as it comes.  At most 200 * count
     draws are made.
     """
-    out = []
-    budget = 200 * count
-    while len(out) < count:
-        if budget == 0:
-            raise SingularPencilError("could not find enough well-conditioned sample points")
-        pending = []
-        while budget and len(out) + len(pending) < count and len(pending) < _CHUNK:
-            budget -= 1
-            z = complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))
-            if abs(z) <= radius and not any(abs(z - a) < 1e-3 for a in avoid):
-                pending.append(z)
-        # cond maps an exactly singular member to inf, so only that one is dropped
-        rcond = 1.0 / np.linalg.cond(pc.at(pending), "fro")
-        out.extend(z for z, ok in zip(pending, rcond >= PIVOT_GUARD) if ok)
-    return out
+    return [z for points, _ in _accepted(pc, count, rng, radius, avoid) for z in points]
+
+
+def sample_resolvents(t: GeneralizedStandardTriple, count, rng, radius=2.0, avoid=()):
+    """sample_points on t's pencil, with X (z C1 - C0)^-1 Y at each point.
+
+    Returns (points, resolvents), the resolvents stacked one (n, n) matrix
+    per point.  Each comes from the inverse the guard already computed, as
+    X (M^-1 Y), so no sample matrix is factored twice; verify_triple takes
+    them in place of its own solves.
+    """
+    zs, resolvents = [], []
+    for points, inverses in _accepted(t.pencil, count, rng, radius, avoid):
+        zs += points
+        resolvents.append(t.x @ (inverses @ t.y))
+    return zs, np.concatenate(resolvents)

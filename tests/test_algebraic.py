@@ -208,3 +208,31 @@ def test_mandelbrot_path_runs_no_hand_written_lu(monkeypatch):
     assert verify_algebraic(triple, inner, inner, [[1.0 + 0.05j]], MANDELBROT_SAMPLES) <= 1e-12
     result = generalized_eigenvalues(triple.pencil)
     assert len(result.finite) == 2 ** 6 - 1 and result.infinite_count == 0
+
+
+@pytest.mark.parametrize("form", ["polynomial", "callable"])
+def test_square_evaluates_its_component_once(monkeypatch, form):
+    """z p p + c: one object as A and B is evaluated once, with the values of two evaluations."""
+    from polypencil import algebraic
+
+    p = random_polynomial("chebyshev", 2, 3, np.random.default_rng(8))
+    calls = []
+    real_evaluate = algebraic.evaluate
+
+    def counted(poly, zs):
+        calls.append(len(zs))
+        return real_evaluate(poly, zs)
+
+    def component():
+        if form == "polynomial":
+            return MatrixPolynomial.from_coefficients(p.basis, p.data)
+        return lambda z: counted(p, np.array([z]))[0]
+
+    monkeypatch.setattr(algebraic, "evaluate", counted)
+    a, b = component(), component()
+    c = rand_matrix(np.random.default_rng(9), 2)
+    zs = np.array(SAMPLES, dtype=complex)
+    once = algebraic._h_values(a, a, c, zs)
+    assert sum(calls) == len(zs)
+    assert np.array_equal(once, algebraic._h_values(a, b, c, zs))
+    assert sum(calls) == 3 * len(zs)

@@ -14,7 +14,16 @@ from hypothesis import strategies as st
 
 import golden
 from conftest import TEN_KINDS, random_polynomial
-from polypencil import MatrixPolynomial, build, cli, eigen
+from polypencil import (
+    MatrixPolynomial,
+    build,
+    cli,
+    eigen,
+    make_triple,
+    sample_points,
+    triples,
+    verify_triple,
+)
 from polypencil.cli import _emit, main
 from polypencil.documents import (
     DocumentError,
@@ -276,29 +285,89 @@ class TestOptionContract:
         assert code == 5 and json.loads(out)["tol"] == 1e-300
 
 
+def list_writer(payload, pretty):
+    """The stdout of the writer matrix_to_json replaced: json.dumps, each matrix as lists."""
+    payload = {key: np.stack([v.real, v.imag], -1).tolist() if isinstance(v, np.ndarray) else v
+               for key, v in payload.items()}
+    return json.dumps(payload, indent=2 if pretty else None, allow_nan=False) + "\n"
+
+
+# finite floats that stress float.__repr__: signed zero, the smallest
+# subnormal, the largest magnitudes, integral values and long mantissas
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.7976931348623157e308, 3.0,
+               -12.0, 1e16, 2.0 ** 53, 0.1, 1 / 3, -2.5e-17, 123456789.125]
+
+
+@st.composite
+def complex_matrices(draw):
+    """A random complex matrix of shape 1 x 1, n x N or N x n, possibly a non-contiguous view."""
+    n, big = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    shape = draw(st.sampled_from([(1, 1), (n, big), (big, n)]))
+    part = st.one_of(st.sampled_from(EDGE_FLOATS),
+                     st.floats(allow_nan=False, allow_infinity=False))
+    count = 2 * shape[0] * shape[1]
+    values = draw(st.lists(part, min_size=count, max_size=count))
+    m = np.array(values).view(complex).reshape(shape)
+    view = draw(st.sampled_from(["plain", "transposed", "sliced"]))
+    if view == "transposed":
+        return m.T
+    if view == "sliced":
+        return m[::-1, ::2]
+    return m
+
+
 class TestWriter:
-    """The C-encoder writer prints what the streaming json.dump printed."""
+    """matrix_to_json writes the JSON text json.dumps writes for the list form."""
 
     EDGE = np.array([[-0.0, 5e-324, 1e308, 3.0],
                      [-0.0 - 0.0j, 1j * 5e-324, -1e308 + 2j, 1 - 2.5e-17j]])
 
     def test_matrix_to_json_matches_entrywise_floats(self):
-        out = matrix_to_json(self.EDGE)
         old = [[scalar_to_json(v) for v in row] for row in self.EDGE]
-        assert repr(out) == repr(old)  # repr tells -0.0 from 0.0
-        assert all(type(x) is float for row in out for pair in row for x in pair)
+        assert matrix_to_json(self.EDGE) == json.dumps(old)  # text tells -0.0 from 0.0
+        assert "-0.0" in matrix_to_json(self.EDGE)
 
     def test_matrix_to_json_of_a_scalar(self):
-        assert matrix_to_json(2.5) == [[[2.5, 0.0]]]
+        assert matrix_to_json(2.5) == "[[[2.5, 0.0]]]"
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(m=complex_matrices())
+    def test_matrix_to_json_is_json_dumps_of_the_list_form(self, m):
+        assert matrix_to_json(m) == json.dumps(np.stack([m.real, m.imag], -1).tolist())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_non_finite_matrix_raises_as_json_dumps_does(self, bad):
+        m = np.ones((2, 3), dtype=complex)
+        m[1, 2] = bad
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            matrix_to_json(m)
 
     @pytest.mark.parametrize("pretty", [False, True])
-    def test_emit_matches_json_dump(self, capsys, pretty):
-        payload = {"E": matrix_to_json(self.EDGE), "deviation": 1.25e-13, "pass": True,
+    @pytest.mark.parametrize("matrices", [{"E": EDGE, "F": EDGE.T}, {}],
+                             ids=["matrices", "no-matrix"])
+    def test_emit_matches_json_dump(self, capsys, pretty, matrices):
+        payload = {**matrices, "deviation": 1.25e-13, "pass": True,
                    "direction": "to_monomial", "N": 4, "empty": []}
-        expected = io.StringIO()
-        json.dump(payload, expected, indent=2 if pretty else None)
         _emit(payload, pretty)
-        assert capsys.readouterr().out == expected.getvalue() + "\n"
+        assert capsys.readouterr().out == list_writer(payload, pretty)
+
+    @pytest.mark.parametrize("pretty", [False, True])
+    def test_emit_refuses_a_non_finite_matrix(self, capsys, pretty):
+        with pytest.raises(ValueError, match="^non-finite result: the output holds a NaN"):
+            _emit({"E": np.array([[1.0, np.nan]]), "pass": True}, pretty)
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("pretty", [[], ["--pretty"]], ids=["compact", "pretty"])
+    def test_non_finite_matrix_exits_3(self, tmp_path, capsys, monkeypatch, pretty):
+        def non_finite_triple(pc):
+            x = np.zeros((pc.n, pc.size), dtype=complex)
+            x[0, 0] = np.inf
+            return triples.GeneralizedStandardTriple(x=x, pencil=pc, y=x.T.copy())
+
+        monkeypatch.setattr(cli, "make_triple", non_finite_triple)
+        path = write(tmp_path, "d.json", SQUARE_PLUS_ONE)
+        assert run(capsys, "pencil", path, *pretty) == (
+            3, "", "error: non-finite result: the output holds a NaN or an infinity\n")
 
 
 class TestMatrixParser:
@@ -388,18 +457,35 @@ def test_eig_runs_no_hand_written_lu(tmp_path, capsys, monkeypatch):
         assert len(result["finite"]) + result["infinite_count"] > 0, kind
 
 
+def basis_fields(kind, basis):
+    """The keys besides "kind" of the document description of a conftest basis."""
+    if kind in ("shifted", "taylor"):
+        return {"shift": scalar_to_json(basis.shift)}
+    if kind == "custom":
+        return {"recurrence": {key: [scalar_to_json(v) for v in getattr(basis, key)]
+                               for key in ("alpha", "beta", "gamma")}}
+    if kind in ("newton", "lagrange", "hermite"):
+        fields = {"nodes": [scalar_to_json(t) for t in basis.nodes]}
+        if kind == "hermite":
+            fields["confluencies"] = list(basis.confluencies)
+        return fields
+    return {}
+
+
 def polynomial_document(kind, p):
-    """The JSON document of p, whose basis is the conftest basis of that kind."""
-    payload = [matrix_to_json(m) for m in p.data]
-    if kind not in ("lagrange", "hermite"):
-        return {"basis": {"kind": kind}, "n": p.n, "coefficients": payload}
-    basis = {"kind": kind, "nodes": [scalar_to_json(t) for t in p.basis.nodes]}
-    if kind == "lagrange":
-        return {"basis": basis, "n": p.n, "samples": payload}
-    basis["confluencies"] = list(p.basis.confluencies)
-    ends = np.cumsum(p.basis.confluencies)
-    return {"basis": basis, "n": p.n,
-            "hermite_samples": [payload[end - s:end] for s, end in zip(p.basis.confluencies, ends)]}
+    """The JSON text of p's document, p's basis being the conftest basis of that kind.
+
+    Its matrices are written by matrix_to_json, so the document reads back
+    as exactly p.
+    """
+    blocks = [matrix_to_json(m) for m in p.data]
+    key = {"lagrange": "samples", "hermite": "hermite_samples"}.get(kind, "coefficients")
+    if kind == "hermite":
+        ends = np.cumsum(p.basis.confluencies)
+        blocks = ["[" + ", ".join(blocks[end - s:end]) + "]"
+                  for s, end in zip(p.basis.confluencies, ends)]
+    basis = json.dumps({"kind": kind, **basis_fields(kind, p.basis)})
+    return f'{{"basis": {basis}, "n": {p.n}, "{key}": [{", ".join(blocks)}]}}'
 
 
 def chebyshev_with_leading(leading, grade=6, seed=4):
@@ -447,13 +533,15 @@ class TestEigPath:
     ], ids=["lagrange-eye", "hermite-one", "z-on-nodes", "chebyshev-rank-1-leading",
             "chebyshev-zero-leading", "monomial-zero-leading-rank-1-next", "chebyshev-g5-zero"])
     def test_infinite_eigenvalues_are_deflated(self, tmp_path, capsys, doc, finite, infinite):
-        code, out, err = run(capsys, "eig", write(tmp_path, "doc.json", doc))
+        path = write(tmp_path, "doc.json", doc)
+        code, out, err = run(capsys, "eig", path)
         assert (code, err) == (0, "")
         payload = json.loads(out)
         assert (len(payload["finite"]), payload["infinite_count"]) == (finite, infinite)
         assert payload["spurious"] == []
         # the split reads the pencil alone: the same without the polynomial
-        result = eigen.generalized_eigenvalues(build(parse_document(doc)), None)
+        p = parse_document(json.loads(Path(path).read_text()))
+        result = eigen.generalized_eigenvalues(build(p), None)
         assert (len(result.finite), result.infinite_count) == (finite, infinite)
 
 
@@ -820,7 +908,8 @@ def reject_constant(token):
 def contract_outcome(argv):
     """(exit code, fault): the fault breaks the exit contract, else it is None.
 
-    The contract: exit 0/2/3/4/5, no traceback, and strict JSON on stdout on 0 and 5.
+    The contract: exit 0/2/3/4/5, no traceback, and on 0 and 5 strict JSON on
+    stdout, byte for byte what json.dumps writes for it; nothing on stdout else.
     """
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -830,11 +919,15 @@ def contract_outcome(argv):
             return 1, f"Traceback: {exc!r}"
     if code not in (0, 2, 3, 4, 5) or "Traceback" in err.getvalue():
         return code, f"exit {code}: {err.getvalue()[-200:]}"
-    if code in (0, 5):
-        try:
-            json.loads(out.getvalue(), parse_constant=reject_constant)
-        except ValueError as exc:
-            return code, f"exit {code} with {exc}"
+    text = out.getvalue()
+    if code not in (0, 5):
+        return code, f"exit {code} with stdout {text[:200]!r}" if text else None
+    try:
+        payload = json.loads(text, parse_constant=reject_constant)
+    except ValueError as exc:
+        return code, f"exit {code} with {exc}"
+    if text != json.dumps(payload) + "\n":  # the separators and floats json.dumps writes
+        return code, f"exit {code}: stdout is not what json.dumps writes for it"
     return code, None
 
 
@@ -933,6 +1026,43 @@ def test_exit_contract_holds_on_generated_documents(tmp_path_factory, doc):
         assert fault is None, (argv[0], fault)
         interpolating = doc["basis"]["kind"] in ("lagrange", "hermite")
         assert code != 2 or (argv[0] == "bary" and not interpolating), (argv[0], doc)
+
+
+@pytest.mark.parametrize("kind", TEN_KINDS)
+def test_every_subcommand_prints_what_the_list_writer_printed(tmp_path, capsys, monkeypatch,
+                                                               kind):
+    """stdout, compact and --pretty, equals json.dumps of the payload with lists for matrices."""
+    p = random_polynomial(kind, 2, 4, np.random.default_rng(11))
+    doc_path = write(tmp_path, "d.json", polynomial_document(kind, p))
+    c_path = write(tmp_path, "c.json", [[1, 0.5], [-0.25, 1]])
+    payloads = []
+    real_emit = cli._emit
+
+    def spy(payload, pretty):
+        payloads.append(payload)
+        real_emit(payload, pretty)
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    commands = contract_commands(doc_path, c_path)
+    if kind not in ("lagrange", "hermite"):
+        commands = commands[:-1]  # bary takes interpolation bases only
+    for argv in commands:
+        for pretty in (False, True):
+            code, out, err = run(capsys, *argv, *(["--pretty"] if pretty else []))
+            assert code in (0, 5) and err == "", (argv[0], pretty, err)
+            assert out == list_writer(payloads[-1], pretty), (argv[0], pretty)
+    assert len(payloads) == 2 * len(commands)
+
+
+@pytest.mark.parametrize("kind", TEN_KINDS)
+def test_verify_residual_is_verify_triples_at_the_same_points(tmp_path, capsys, kind):
+    """The resolvents from the guard's inverses give verify_triple's value, bit for bit."""
+    p = random_polynomial(kind, 3, 5, np.random.default_rng(12))
+    path = write(tmp_path, "d.json", polynomial_document(kind, p))
+    code, out, _ = run(capsys, "verify", path, "--seed", "9", "--samples", "70")
+    t = make_triple(build(p))
+    zs = sample_points(t.pencil, 70, np.random.default_rng(9), avoid=getattr(p.basis, "nodes", ()))
+    assert code in (0, 5) and json.loads(out)["max_residual"] == verify_triple(t, p, zs)
 
 
 def test_parser_is_built_once_and_reused(tmp_path, capsys):

@@ -25,10 +25,12 @@ from polypencil import (
     make_triple,
     resolvent,
     sample_points,
+    sample_resolvents,
     similarity_triple,
     transpose_triple,
     verify_triple,
 )
+from polypencil.linalg import PIVOT_GUARD
 from polypencil.triples import _CHUNK
 
 
@@ -179,7 +181,7 @@ def test_large_sample_counts_use_bounded_stacks(rng, monkeypatch):
     p = random_polynomial("chebyshev", 2, 3, rng)
     t = make_triple(build(p))
     stacks = []
-    for name in ("solve", "cond"):
+    for name in ("solve", "inv"):
         def spy(a, *args, _real=getattr(np.linalg, name), **kwargs):
             stacks.append(len(a))
             return _real(a, *args, **kwargs)
@@ -187,15 +189,38 @@ def test_large_sample_counts_use_bounded_stacks(rng, monkeypatch):
     count = 3 * _CHUNK + 5
     zs = sample_points(t.pencil, count, rng)
     residual = verify_triple(t, p, zs)
+    sampled, resolvents = sample_resolvents(t, count, copy.deepcopy(rng))
     monkeypatch.undo()
     assert len(zs) == count and max(stacks) == _CHUNK
+    assert len(sampled) == len(resolvents) == count
     eye = np.eye(p.n)
     pointwise = max(np.linalg.norm(resolvent(t, z) @ evaluate(p, z) - eye) for z in zs)
     assert residual == pytest.approx(pointwise, rel=1e-12, abs=0.0)
 
 
+def one_at_a_time(pc, count, rng, radius=2.0, avoid=()):
+    """The reference sampler: draw one candidate, test its rcond_F on its own, repeat."""
+    out = []
+    while len(out) < count:
+        z = complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))
+        if abs(z) <= radius and not any(abs(z - a) < 1e-3 for a in avoid):
+            if 1.0 / np.linalg.cond(pc.at(z), "fro") >= PIVOT_GUARD:
+                out.append(z)
+    return out
+
+
+def sampled_points(t, count, rng, **kwargs):
+    """The points of sample_resolvents, after checking that each resolvent is X M^-1 Y there."""
+    zs, resolvents = sample_resolvents(t, count, rng, **kwargs)
+    assert resolvents.shape == (len(zs), t.pencil.n, t.pencil.n)
+    for z, r in zip(zs, resolvents):
+        assert np.allclose(r, resolvent(t, z), rtol=1e-10, atol=0.0)
+    return zs
+
+
 class TestSamplePoints:
-    def test_drops_only_the_exactly_singular_candidate(self, rng):
+    @pytest.mark.parametrize("sampler", ["points", "resolvents"])
+    def test_drops_only_the_exactly_singular_candidate(self, rng, sampler):
         # z I - diag(z0, 1) is exactly singular at the first draw z0; the other
         # candidates tested in the same batch must survive
         twin = copy.deepcopy(rng)
@@ -204,8 +229,37 @@ class TestSamplePoints:
         z0 = disk[0]
         pc = CompanionPencil(c1=np.eye(2, dtype=complex), c0=np.diag([z0, 1.0]), n=2, ell=1)
         assert np.linalg.matrix_rank(pc.at(z0)) == 1
-        zs = sample_points(pc, 3, rng)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(pc.at(disk[:4]))  # the stacked inverse refuses the whole chunk
+        if sampler == "points":
+            zs = sample_points(pc, 3, rng)
+        else:
+            eye = np.eye(2, dtype=complex)
+            zs = sampled_points(GeneralizedStandardTriple(x=eye, pencil=pc, y=eye), 3, rng)
         assert zs == disk[1:4]
+
+    @pytest.mark.parametrize("kind", TEN_KINDS)
+    def test_points_and_rng_state_are_those_of_one_draw_at_a_time(self, kind):
+        p = random_polynomial(kind, 2, 5, np.random.default_rng(3))
+        t = make_triple(build(p))
+        avoid = poly_nodes(p)
+        rngs = [np.random.default_rng(17) for _ in range(3)]
+        expected = one_at_a_time(t.pencil, 70, rngs[0], avoid=avoid)
+        assert sample_points(t.pencil, 70, rngs[1], avoid=avoid) == expected
+        assert sampled_points(t, 70, rngs[2], avoid=avoid) == expected
+        states = [r.bit_generator.state for r in rngs]
+        assert states[1] == states[0] and states[2] == states[0]
+
+    def test_refused_candidates_are_replaced_in_order(self):
+        # M = diag(1, 1e-12 z) has rcond_F close to 1e-12 |z|: the guard refuses
+        # every draw inside about |z| < 1, a quarter of the disk
+        pc = CompanionPencil(c1=np.diag([0.0, 1e-12]).astype(complex),
+                             c0=np.diag([-1.0, 0.0]).astype(complex), n=2, ell=1)
+        rngs = [np.random.default_rng(5) for _ in range(2)]
+        zs = sample_points(pc, 90, rngs[0])
+        assert zs == one_at_a_time(pc, 90, rngs[1])
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+        assert min(abs(z) for z in zs) > 0.9
 
     def test_singular_everywhere_raises(self, rng):
         flat = np.diag([1.0, 0.0]).astype(complex)
