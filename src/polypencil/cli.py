@@ -73,13 +73,11 @@ def _emit(payload, pretty):
         if pretty:
             text = _PRETTY({key: json.loads(matrix_to_json(v)) if isinstance(v, np.ndarray) else v
                             for key, v in payload.items()})
-        elif any(isinstance(v, np.ndarray) for v in payload.values()):
+        else:
             text = "{" + ", ".join([
                 _COMPACT(key) + ": " + (matrix_to_json(v) if isinstance(v, np.ndarray)
                                         else _COMPACT(v))
                 for key, v in payload.items()]) + "}"
-        else:
-            text = _COMPACT(payload)
     except ValueError:
         raise ValueError("non-finite result: the output holds a NaN or an infinity") from None
     sys.stdout.write(text + "\n")

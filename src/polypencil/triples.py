@@ -193,9 +193,12 @@ def sample_resolvents(t: GeneralizedStandardTriple, count, rng, radius=2.0, avoi
     Returns (points, resolvents), the resolvents stacked one (n, n) matrix
     per point.  Each comes from the inverse the guard already computed, as
     X (M^-1 Y), so no sample matrix is factored twice; verify_triple takes
-    them in place of its own solves.
+    them in place of its own solves.  They agree with its solves to
+    rounding, and to the bit for a triple of make_triple, whose Y = [I; 0]
+    makes M^-1 Y the first columns of M^-1.
     """
-    zs, resolvents = [], []
+    n = t.pencil.n
+    zs, resolvents = [], [np.empty((0, n, n), dtype=complex)]
     for points, inverses in _accepted(t.pencil, count, rng, radius, avoid):
         zs += points
         resolvents.append(t.x @ (inverses @ t.y))

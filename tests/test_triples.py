@@ -250,6 +250,14 @@ class TestSamplePoints:
         states = [r.bit_generator.state for r in rngs]
         assert states[1] == states[0] and states[2] == states[0]
 
+    def test_zero_samples_draw_nothing(self, rng):
+        t = make_triple(build(random_polynomial("monomial", 2, 3, np.random.default_rng(1))))
+        state = rng.bit_generator.state
+        assert sample_points(t.pencil, 0, rng) == []
+        zs, resolvents = sample_resolvents(t, 0, rng)
+        assert zs == [] and resolvents.shape == (0, 2, 2) and resolvents.dtype == complex
+        assert rng.bit_generator.state == state
+
     def test_refused_candidates_are_replaced_in_order(self):
         # M = diag(1, 1e-12 z) has rcond_F close to 1e-12 |z|: the guard refuses
         # every draw inside about |z| < 1, a quarter of the disk
