@@ -172,9 +172,6 @@ def cmd_bary(args):
     basis = parse_basis(doc["basis"], grade)
     if not isinstance(basis, Hermite):
         raise DocumentError("bary needs a lagrange or hermite basis")
-    if grade is not None and grade != basis.grade:
-        raise DocumentError(
-            f"grade {grade} does not match the basis, whose grade is {basis.grade}")
     weights = barycentric_weights(basis)
     return {
         "weights": [scalar_to_json(w) for w in weights],

@@ -131,11 +131,28 @@ def matrix_to_json(m) -> str:
 
 
 def parse_basis(desc, grade):
+    """The basis a description names; grade is the document's, None when it gives none.
+
+    Every fault of the description, and every grade the basis contradicts,
+    raises DocumentError; only duplicate nodes raise DuplicateNodesError.
+    """
     if not isinstance(desc, dict) or "kind" not in desc:
         raise DocumentError('basis must be an object with a "kind" key')
     kind = desc["kind"]
     if kind not in BASIS_KINDS:
         raise DocumentError(f"unknown basis kind {kind!r}; expected one of {', '.join(BASIS_KINDS)}")
+    try:
+        basis = _basis(kind, desc, grade)
+    except (ValueError, BadConfluencyError) as exc:  # a constructor refused the description
+        raise DocumentError(str(exc)) from exc
+    if isinstance(basis, Hermite) and grade is not None and grade != basis.grade:
+        raise DocumentError(
+            f"grade {grade} does not match the basis, whose grade is {basis.grade}")
+    return basis
+
+
+def _basis(kind, desc, grade):
+    """The basis of a known kind; a constructor's ValueError or BadConfluencyError propagates."""
     if kind == "monomial":
         return Monomial()
     if kind == "shifted":
@@ -146,14 +163,10 @@ def parse_basis(desc, grade):
         return ChebyshevT()
     if kind == "legendre":
         return LegendreP()
-    if kind == "newton":
-        nodes = desc.get("nodes")
-        if not isinstance(nodes, list) or not nodes:
-            raise DocumentError("newton basis needs a nonempty node list")
-        if grade is not None and len(nodes) < grade:
-            raise DocumentError(f"newton basis of grade {grade} needs {grade} nodes, "
-                                f"got {len(nodes)}")
-        return Newton(nodes=tuple(parse_scalar(t) for t in nodes))
+    if kind == "bernstein":
+        if grade is None:
+            raise DocumentError("bernstein basis needs the document grade")
+        return Bernstein(grade=grade)
     if kind == "custom":
         rec = desc.get("recurrence")
         if not isinstance(rec, dict) or "alpha" not in rec:
@@ -165,28 +178,21 @@ def parse_basis(desc, grade):
         if grade is not None and len(alpha) < grade:
             raise DocumentError(f"custom recurrence of grade {grade} needs {grade} alpha values, "
                                 f"got {len(alpha)}")
-        try:
-            return CustomThreeTerm(alpha=alpha, beta=beta, gamma=gamma)
-        except ValueError as exc:
-            raise DocumentError(str(exc)) from exc
-    if kind == "bernstein":
-        if grade is None:
-            raise DocumentError("bernstein basis needs the document grade")
-        return Bernstein(grade=grade)
-    if kind == "lagrange":
-        nodes = desc.get("nodes")
-        if not isinstance(nodes, list) or len(nodes) < 1:
-            raise DocumentError("lagrange basis needs a node list")
-        return Lagrange(nodes=tuple(parse_scalar(t) for t in nodes))
-    confl = desc.get("confluencies")
+        return CustomThreeTerm(alpha=alpha, beta=beta, gamma=gamma)
     nodes = desc.get("nodes")
-    if not isinstance(nodes, list) or not isinstance(confl, list):
-        raise DocumentError("hermite basis needs node and confluency lists")
+    if not isinstance(nodes, list) or not nodes:
+        raise DocumentError(f"{kind} basis needs a nonempty node list")
+    if kind == "newton" and grade is not None and len(nodes) < grade:
+        raise DocumentError(f"newton basis of grade {grade} needs {grade} nodes, got {len(nodes)}")
     nodes = tuple(parse_scalar(t) for t in nodes)
-    try:
-        return Hermite(nodes=nodes, confluencies=tuple(confl))
-    except BadConfluencyError as exc:
-        raise DocumentError(str(exc)) from exc
+    if kind == "newton":
+        return Newton(nodes=nodes)
+    if kind == "lagrange":
+        return Lagrange(nodes=nodes)
+    confl = desc.get("confluencies")
+    if not isinstance(confl, list):
+        raise DocumentError("hermite basis needs a confluency list")
+    return Hermite(nodes=nodes, confluencies=tuple(confl))
 
 
 def parse_header(doc, *keys):
@@ -203,7 +209,13 @@ def parse_header(doc, *keys):
 
 
 def parse_document(doc) -> MatrixPolynomial:
-    """Validate a parsed JSON object and build the matrix polynomial."""
+    """Validate a parsed JSON object and build the matrix polynomial.
+
+    The payload is one nonempty list: the basis fixes its key, Hermite
+    groups are checked against the confluencies and flattened, and the
+    grade (declared, else the count of coefficients less one, else the
+    basis's) fixes its count.  Every schema fault raises DocumentError.
+    """
     grade = parse_header(doc, "basis", "n")
     n = doc["n"]
     if not is_integer(n) or n < 1:
@@ -212,42 +224,26 @@ def parse_document(doc) -> MatrixPolynomial:
     if len(payload_keys) != 1:
         raise DocumentError("document needs exactly one of coefficients | samples | hermite_samples")
     key = payload_keys[0]
-    if key == "coefficients" and grade is None:
-        if not isinstance(doc[key], list) or not doc[key]:
-            raise DocumentError("coefficients must be a nonempty list of matrices")
-        grade = len(doc[key]) - 1
+    mats = doc[key]
+    if not isinstance(mats, list) or not mats:
+        raise DocumentError(f"{key} must be a nonempty list")
+    if grade is None and key == "coefficients":
+        grade = len(mats) - 1
     basis = parse_basis(doc["basis"], grade)
     takes = ("samples" if isinstance(basis, Lagrange)
              else "hermite_samples" if isinstance(basis, Hermite) else "coefficients")
     if key != takes:
         raise DocumentError(f"a {doc['basis']['kind']} basis takes {takes}, not {key}")
-    if key == "coefficients":
-        mats = doc[key]
-        if not isinstance(mats, list) or not mats:
-            raise DocumentError("coefficients must be a nonempty list of matrices")
-        if grade is not None and len(mats) != grade + 1:
-            raise DocumentError(f"grade {grade} needs {grade + 1} coefficient matrices")
-        return MatrixPolynomial.from_coefficients(basis, [parse_matrix(m, n) for m in mats])
-    if key == "samples":
-        mats = doc[key]
-        if not isinstance(mats, list) or not mats:
-            raise DocumentError("samples must be a nonempty list of matrices")
-        if grade is not None and len(mats) != grade + 1:
-            raise DocumentError(f"grade {grade} needs {grade + 1} sample matrices")
-        if len(mats) != len(basis.nodes):
-            raise DocumentError(f"{len(basis.nodes)} nodes need {len(basis.nodes)} sample "
-                                f"matrices, got {len(mats)}")
-        return MatrixPolynomial.from_samples(basis, [parse_matrix(m, n) for m in mats])
-    groups = doc[key]
-    if not isinstance(groups, list) or not all(isinstance(g, list) for g in groups):
-        raise DocumentError("hermite_samples must be a list of per-node matrix lists")
-    if grade is not None and grade != basis.grade:
+    if key == "hermite_samples":
+        sizes = [len(g) if isinstance(g, list) else None for g in mats]
+        if sizes != list(basis.confluencies):
+            raise DocumentError(f"hermite_samples group sizes {sizes} do not match the "
+                                f"confluencies {list(basis.confluencies)}")
+        mats = [m for group in mats for m in group]
+    if grade is None:
+        grade = basis.grade
+    if len(mats) != grade + 1:
+        # the Hermite count already matches: its groups match the confluencies
         raise DocumentError(
-            f"grade {grade} does not match the confluencies (sum - 1 = {basis.grade})")
-    sizes = [len(g) for g in groups]
-    if sizes != list(basis.confluencies):
-        raise DocumentError(f"hermite_samples group sizes {sizes} do not match the "
-                            f"confluencies {list(basis.confluencies)}")
-    return MatrixPolynomial.from_hermite_samples(
-        basis, [[parse_matrix(m, n) for m in g] for g in groups]
-    )
+            f"grade {grade} needs {grade + 1} {key[:-1]} matrices, got {len(mats)}")
+    return MatrixPolynomial(basis, [parse_matrix(m, n) for m in mats])

@@ -369,8 +369,8 @@ def _accepted_shift(c1, c0, rng):
         angle = rng.uniform(0.0, 2.0 * np.pi)
         candidate = SHIFT_RADIUS * complex(np.cos(angle), np.sin(angle))
         m = candidate * c1 - c0
-        inverse = guarded_inverse(m)
-        if inverse is not None:
+        inverse, ok = guarded_inverse(m)
+        if ok:
             return candidate, inverse @ c1, d_r, m, c1
     raise SingularPencilEverywhereError(
         f"no acceptable shift among {MAX_SHIFT_TRIES} tries; pencil may be singular"

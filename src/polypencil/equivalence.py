@@ -57,9 +57,10 @@ class EquivalencePair:
     monomial: CompanionPencil
 
 
-def _right_div(x, a):
-    """x @ a^-1 via a transposed solve."""
-    return np.linalg.solve(a.T, x.T).T
+def _times_inverse(x, a, a_inverse):
+    """x a^-1 from a's inverse and one refinement step: a solve's accuracy, and exact zeros kept."""
+    y = x @ a_inverse
+    return y + (x - y @ a) @ a_inverse
 
 
 def monomial_form(p: MatrixPolynomial) -> MatrixPolynomial:
@@ -80,11 +81,14 @@ def equivalence_degree_graded(p: MatrixPolynomial) -> EquivalencePair:
     """E, F with E C_phi F = C_monomial for a three-term or Bernstein polynomial.
 
     F is the null-vector change-of-basis matrix (tensored with the identity).
-    E is solved from the leading-term equation, E = (C1_m F^-1) C1_phi^-1
-    with one LAPACK inverse, when rcond_F(C1_phi) >= PIVOT_GUARD, and from
-    the constant-term equation, E = C0_m F^-1 C0_phi^-1, otherwise.  The
-    other equation is left to verify_equivalence, like every other check
-    of the pair.  SingularC0Error means both terms are singular.
+    E is solved from the leading-term equation, E = C1_m F^-1 C1_phi^-1,
+    when rcond_F(C1_phi) >= PIVOT_GUARD, and from the constant-term
+    equation, E = C0_m F^-1 C0_phi^-1, otherwise.  F^-1 is the LAPACK
+    inverse of the small change-of-basis matrix tensored with the identity,
+    so E keeps the exact zeros of the inverse of a triangular F; C_m F^-1
+    takes one refinement step against F.  The other equation is left to
+    verify_equivalence, like every other check of the pair.
+    SingularC0Error means both terms are singular.
     """
     if not isinstance(p.basis, (ThreeTermBasis, Bernstein)):
         raise UnsupportedBasisError("degree-graded equivalence needs coefficient data")
@@ -92,12 +96,14 @@ def equivalence_degree_graded(p: MatrixPolynomial) -> EquivalencePair:
     pc_m = build_three_term(monomial_form(p))
     f_small = null_vector_basis_matrix(p.basis, p.grade)
     f = np.kron(f_small, np.eye(p.n, dtype=complex))
-    lead_inverse = guarded_inverse(pc_phi.c1)
-    if lead_inverse is not None:
-        e = _right_div(pc_m.c1, f) @ lead_inverse
+    f_inverse = np.kron(np.linalg.inv(f_small), np.eye(p.n, dtype=complex))
+    lead_inverse, ok = guarded_inverse(pc_phi.c1)
+    if ok:
+        e = _times_inverse(pc_m.c1, f, f_inverse) @ lead_inverse
     else:
+        x = _times_inverse(pc_m.c0, f, f_inverse)
         try:
-            e = _right_div(_right_div(pc_m.c0, f), pc_phi.c0)
+            e = np.linalg.solve(pc_phi.c0.T, x.T).T  # x C0_phi^-1
         except np.linalg.LinAlgError as exc:
             raise SingularC0Error(
                 "both the leading and the constant term of the basis pencil are singular") from exc

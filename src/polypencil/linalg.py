@@ -4,8 +4,9 @@ Everything operates on plain ``numpy.ndarray`` values with dtype complex128.
 Every factorization the package runs calls LAPACK through ``numpy.linalg``,
 stacked over sample points where there are several, and the hand-written
 elimination here has no runtime caller: ``guarded_inverse`` is the LAPACK
-inverse with its rcond test, on which ``eigen`` accepts a shift and
-``equivalence`` solves E from the leading term, and
+inverse with its rcond test, on which ``eigen`` accepts a shift,
+``triples`` keeps sample points and ``equivalence`` solves E from the
+leading term, and
 ``algebraic.verify_algebraic`` checks the resolvent identity with LAPACK
 instead of a determinant ratio.
 
@@ -18,6 +19,7 @@ the benchmark refresh (ROADMAP item 1).
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,11 +136,21 @@ PIVOT_GUARD = 1e-12
 
 
 def guarded_inverse(m):
-    """LAPACK's M^-1 when rcond_F(M) >= PIVOT_GUARD, else None (also for an exactly singular M)."""
+    """(M^-1, ok) for a matrix or a stack of them: ok where rcond_F(M) >= PIVOT_GUARD.
+
+    One LAPACK call inverts the stack; when an exactly singular member makes
+    it raise, the members are inverted one by one, and that one alone is
+    left NaN and refused.
+    """
+    m = np.asarray(m)
     try:
         inverse = np.linalg.inv(m)
     except np.linalg.LinAlgError:
-        return None
-    with np.errstate(over="ignore", invalid="ignore"):
-        rcond = 1.0 / (np.linalg.norm(m) * np.linalg.norm(inverse))
-    return inverse if rcond >= PIVOT_GUARD else None
+        inverse = np.full_like(m, np.nan)
+        for k in np.ndindex(m.shape[:-2]):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                inverse[k] = np.linalg.inv(m[k])
+    with np.errstate(all="ignore"):  # an overflowing M or M^-1 is refused, not warned about
+        rcond = 1.0 / (np.linalg.norm(m, "fro", axis=(-2, -1))
+                       * np.linalg.norm(inverse, "fro", axis=(-2, -1)))
+    return inverse, rcond >= PIVOT_GUARD

@@ -15,7 +15,7 @@ import numpy as np
 
 from .bases import one_coefficients
 from .errors import DimensionMismatchError, SingularMatrixError, SingularPencilError
-from .linalg import PIVOT_GUARD, as_cmatrix, sip
+from .linalg import as_cmatrix, guarded_inverse, sip
 from .matpoly import MatrixPolynomial, evaluate
 from .pencils import CompanionPencil
 
@@ -128,29 +128,8 @@ def similarity_triple(t: GeneralizedStandardTriple, s) -> GeneralizedStandardTri
                         moved[:, 2 * size:])
 
 
-def _inverses(ms: np.ndarray) -> np.ndarray:
-    """The stacked inverses of ms; a member LAPACK cannot invert is all NaN.
-
-    A stacked inverse raises for the whole stack when one member is exactly
-    singular, so the members are then inverted one by one.
-    """
-    try:
-        return np.linalg.inv(ms)
-    except np.linalg.LinAlgError:
-        out = np.full_like(ms, np.nan)
-        for k, m in enumerate(ms):
-            try:
-                out[k] = np.linalg.inv(m)
-            except np.linalg.LinAlgError:
-                pass
-        return out
-
-
 def _accepted(pc: CompanionPencil, count, rng, radius, avoid):
-    """The rounds of sample_points: per round, the points kept and M^-1 = (z C1 - C0)^-1 at each.
-
-    An exactly singular M has a NaN inverse, so a NaN rcond, and is refused.
-    """
+    """The rounds of sample_points: per round, the points kept and M^-1 = (z C1 - C0)^-1 at each."""
     found = 0
     budget = 200 * count
     while found < count:
@@ -162,12 +141,7 @@ def _accepted(pc: CompanionPencil, count, rng, radius, avoid):
             z = complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))
             if abs(z) <= radius and not any(abs(z - a) < 1e-3 for a in avoid):
                 pending.append(z)
-        ms = pc.at(pending)
-        inverses = _inverses(ms)
-        with np.errstate(all="ignore"):  # an overflowing M or M^-1 is refused, not warned about
-            norms = np.linalg.norm(ms, "fro", axis=(-2, -1)) * np.linalg.norm(
-                inverses, "fro", axis=(-2, -1))
-            ok = 1.0 / norms >= PIVOT_GUARD
+        inverses, ok = guarded_inverse(pc.at(pending))
         found += int(ok.sum())
         yield [z for z, keep in zip(pending, ok) if keep], inverses[ok]
 

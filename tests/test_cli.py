@@ -678,13 +678,24 @@ class TestBaryCommand:
          "grade": 7, "hermite_samples": [[[[1]], [[0]]], [[[2]]]]},
     ], ids=["lagrange-3-nodes", "hermite-confluencies-2-1"])
     def test_grade_the_basis_contradicts_exits_2(self, tmp_path, capsys, doc):
-        # the same document is a schema fault for pencil as well
+        # one schema fault, one message, from every command that reads the document
         path = write(tmp_path, "doc.json", doc)
-        assert run(capsys, "pencil", path)[:2] == (2, "")
-        code, out, err = run(capsys, "bary", path)
-        assert (code, out) == (2, "")
-        assert err == (f"error: grade {doc['grade']} does not match the basis, "
-                       f"whose grade is 2\n")
+        for argv in contract_commands(path, write(tmp_path, "c.json", [[1]])):
+            assert run(capsys, *argv) == (2, "", f"error: grade {doc['grade']} does not "
+                                                 f"match the basis, whose grade is 2\n"), argv[0]
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"basis": {"kind": "hermite", "nodes": [], "confluencies": []}, "n": 1,
+          "hermite_samples": [[[[1]]]]}, "hermite basis needs a nonempty node list"),
+        ({"basis": {"kind": "lagrange", "nodes": []}, "n": 1, "samples": [[[1]]]},
+         "lagrange basis needs a nonempty node list"),
+        ({"basis": {"kind": "bernstein"}, "n": 1, "grade": 0, "coefficients": [[[1]]]},
+         "Bernstein grade must be >= 1"),
+    ], ids=["hermite-no-nodes", "lagrange-no-nodes", "bernstein-grade-0"])
+    def test_basis_fault_exits_2_from_every_command(self, tmp_path, capsys, doc, message):
+        path = write(tmp_path, "doc.json", doc)
+        for argv in contract_commands(path, write(tmp_path, "c.json", [[1]])):
+            assert run(capsys, *argv) == (2, "", f"error: {message}\n"), argv[0]
 
 
 class TestOtherBases:
@@ -781,11 +792,15 @@ class TestDocumentValidation:
         doc = dict(NEWTON_DOC, basis={"kind": "newton", "nodes": [1, 0.5]})
         self._assert_schema_fault(capsys, "nodes", "eig", write(tmp_path, "d.json", doc))
 
+    def test_bernstein_document_of_one_matrix_exits_2(self, tmp_path, capsys):
+        doc = {"basis": {"kind": "bernstein"}, "n": 1, "coefficients": [[[1]]]}
+        self._assert_schema_fault(capsys, "Bernstein grade", "eig", write(tmp_path, "d.json", doc))
+
     def test_hermite_grade_mismatch(self, tmp_path, capsys):
         doc = dict(HERMITE_ONE)
         doc["grade"] = 5
         code, _, err = run(capsys, "pencil", write(tmp_path, "d.json", doc))
-        assert code == 2 and "confluencies" in err
+        assert code == 2 and err == "error: grade 5 does not match the basis, whose grade is 6\n"
 
     @pytest.mark.parametrize("doc, word", [
         (dict(LAGRANGE_EYE, samples=LAGRANGE_EYE["samples"][:2]), "sample matrices"),
@@ -963,13 +978,13 @@ def scalars(count, seed):
 
 
 @st.composite
-def valid_documents(draw):
-    """A valid document of one of the ten kinds: n 1-3, grade 1-4, some blocks zero.
+def valid_documents(draw, kinds=TEN_KINDS):
+    """A valid document of one of the kinds: n 1-3, grade 1-4, some blocks zero.
 
     A Bernstein pencil needs grade 2 or more, and one block stays nonzero,
     so that P is regular.
     """
-    kind = draw(st.sampled_from(TEN_KINDS))
+    kind = draw(st.sampled_from(kinds))
     n, grade = draw(st.integers(1, 3)), draw(st.integers(2 if kind == "bernstein" else 1, 4))
     seed = draw(st.integers(0, 2**32 - 1))
     nodes = draw(st.lists(st.integers(-8, 8), min_size=grade + 1, max_size=grade + 1,
@@ -1026,6 +1041,78 @@ def test_exit_contract_holds_on_generated_documents(tmp_path_factory, doc):
         assert fault is None, (argv[0], fault)
         interpolating = doc["basis"]["kind"] in ("lagrange", "hermite")
         assert code != 2 or (argv[0] == "bary" and not interpolating), (argv[0], doc)
+
+
+# each fact a document can break, with the kinds whose documents hold it
+BROKEN_FACTS = {"grade": TEN_KINDS, "payload key": TEN_KINDS,
+                "no nodes": ("newton", "lagrange", "hermite"), "group size": ("hermite",),
+                "bernstein grade": ("bernstein",)}
+PAYLOAD_KEYS = ("coefficients", "samples", "hermite_samples")
+
+
+@st.composite
+def broken_documents(draw, fact):
+    """(doc, bary_reads): a valid_documents() draw with the fact broken.
+
+    bary_reads is True when the broken fact is in the basis or the grade,
+    the only parts of a document that bary reads.
+    """
+    doc = draw(valid_documents(BROKEN_FACTS[fact]))
+    basis, kind = doc["basis"], doc["basis"]["kind"]
+    if fact == "grade":
+        step = draw(st.sampled_from([1, -1]))
+        doc["grade"] += step
+        # an interpolation basis fixes the grade; Newton nodes and custom alphas bound it
+        return doc, kind in ("lagrange", "hermite") or (step == 1 and kind in ("newton", "custom"))
+    if fact == "payload key":
+        payload = next(key for key in PAYLOAD_KEYS if key in doc)
+        doc[draw(st.sampled_from([k for k in PAYLOAD_KEYS if k != payload]))] = doc.pop(payload)
+        return doc, False
+    if fact == "no nodes":
+        basis["nodes"] = []
+        if kind == "hermite":
+            basis["confluencies"] = []
+        return doc, True
+    if fact == "group size":
+        groups = doc["hermite_samples"]
+        i = draw(st.integers(0, len(groups) - 1))
+        groups[i] = groups[i][:-1] if draw(st.booleans()) else groups[i] + groups[i][:1]
+        return doc, False
+    if draw(st.booleans()):  # a Bernstein grade below 1, declared or counted
+        doc["grade"] = 0
+        return doc, True
+    del doc["grade"]
+    doc["coefficients"] = doc["coefficients"][:1]
+    return doc, False
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("fact", BROKEN_FACTS)
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_one_broken_fact_is_one_schema_fault_on_every_command(tmp_path_factory, fact, data):
+    """Every command exits 2 with the same one-line message and no traceback.
+
+    bary reads only the basis and the grade, so it joins the others when
+    the broken fact is there.
+    """
+    doc, bary_reads = data.draw(broken_documents(fact))
+    folder = tmp_path_factory.mktemp("broken")
+    doc_path = write(folder, "d.json", doc)
+    c_path = write(folder, "c.json", np.eye(doc["n"]).tolist())
+    outcomes = {}
+    for argv in contract_commands(doc_path, c_path):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        outcomes[argv[0]] = (code, out.getvalue(), err.getvalue())
+    bary = outcomes.pop("bary")
+    assert len(set(outcomes.values())) == 1, outcomes
+    code, out, err = outcomes["pencil"]
+    assert (code, out) == (2, ""), doc
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    if bary_reads:
+        assert bary == (code, out, err), doc
 
 
 @pytest.mark.parametrize("kind", TEN_KINDS)

@@ -108,11 +108,27 @@ class TestDegreeGraded:
         assert np.count_nonzero(pair.e[~kept]) == 0
         assert verify_equivalence(pair) <= 1e-10
 
+    @pytest.mark.parametrize("kind", [k for k in COEFF_KINDS if k != "bernstein"] + ["custom"])
+    @pytest.mark.parametrize("n, ell", [(2, 8), (3, 5), (4, 15)])
+    def test_first_block_column_of_e_is_exactly_zero_below_the_corner(self, kind, n, ell):
+        # F is block upper triangular, so the inverse of F keeps exact zeros
+        # below its first block, and C1_m and C1_phi are block diagonal
+        p = random_polynomial(kind, n, ell, np.random.default_rng(ell))
+        pair = equivalence_degree_graded(p)
+        assert np.count_nonzero(pair.e[n:, :n]) == 0
+        assert verify_equivalence(pair) <= 1e-9
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bernstein_grade_15_meets_the_cli_tol(self, seed):
+        # F is not triangular and ill conditioned: E from its bare inverse misses 1e-8
+        p = random_polynomial("bernstein", 4, 15, np.random.default_rng(seed))
+        assert verify_equivalence(equivalence_degree_graded(p)) <= 1e-8
+
     def test_singular_leading_coefficient_falls_back_to_the_constant_term(self, rng):
         coeffs = [rng.standard_normal((2, 2)) for _ in range(3)] + [np.zeros((2, 2))]
         coeffs[0] += 3.0 * np.eye(2)  # P(0) = P_0 - P_2 stays nonsingular
         p = MatrixPolynomial.from_coefficients(ChebyshevT(), coeffs)
-        assert guarded_inverse(build(p).c1) is None
+        assert not guarded_inverse(build(p).c1)[1]
         assert verify_equivalence(equivalence_degree_graded(p)) <= 1e-10
 
     @pytest.mark.parametrize("seed", range(10))

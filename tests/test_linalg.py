@@ -7,6 +7,7 @@ from polypencil import SingularMatrixError
 from polypencil.linalg import (
     as_cmatrix,
     det,
+    guarded_inverse,
     lu_factor,
     lu_solve,
     sip,
@@ -126,3 +127,14 @@ def test_sip_involution():
     for n in (1, 2, 5, 9):
         j = sip(n)
         assert np.array_equal(j @ j, np.eye(n))
+
+
+def test_guarded_inverse_refuses_each_singular_member_alone():
+    # exactly singular, then rcond_F about 1e-13: both refused, the others kept
+    ms = np.array([np.eye(2), np.diag([1.0, 0.0]), np.diag([1.0, 1e-13]), 2 * np.eye(2)],
+                  dtype=complex)
+    inverses, ok = guarded_inverse(ms)
+    assert ok.tolist() == [True, False, False, True]
+    assert np.array_equal(inverses[3], np.linalg.inv(ms[3]))
+    inverse, ok = guarded_inverse(ms[1])
+    assert not ok and np.isnan(inverse).all()
