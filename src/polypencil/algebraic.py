@@ -18,7 +18,7 @@ from .matpoly import MatrixPolynomial, evaluate
 from .pencils import CompanionPencil
 from .triples import GeneralizedStandardTriple, verify_triple
 
-__all__ = ["build_algebraic", "composed_triple", "verify_algebraic", "ratio_spread"]
+__all__ = ["build_algebraic", "composed_triple", "h_values", "verify_algebraic", "ratio_spread"]
 
 
 def build_algebraic(ta: GeneralizedStandardTriple, tb: GeneralizedStandardTriple,
@@ -74,13 +74,14 @@ def _values(poly, zs):
     return np.array([np.atleast_2d(np.asarray(poly(z), dtype=complex)) for z in zs])
 
 
-def _h_values(a, b, c, zs):
-    """H(z) = z A(z) B(z) + C at every z of the 1-D array zs, stacked.
+def h_values(a, b, c, zs):
+    """H(z) = z A(z) B(z) + C at every z of the sequence zs, stacked.
 
     An overflow anywhere in A, B or H raises NonFiniteError naming the first
     point it hit, with numpy's warnings off: a non-finite H(z) would make
     every check downstream read NaN.
     """
+    zs = np.asarray(zs, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         a_values = _values(a, zs)
         b_values = a_values if b is a else _values(b, zs)  # a square z p_k p_k + c: p_k once
@@ -104,21 +105,20 @@ def verify_algebraic(t: GeneralizedStandardTriple, a, b, c, zs) -> float:
     resolvents from one stacked LAPACK solve.  Unlike the
     ratio det(z DH - EH) / det H(z), it sees a wrong XH or YH.
     """
-    zs = np.asarray(zs, dtype=complex)
-    return verify_triple(t, _h_values(a, b, c, zs), zs)
+    return verify_triple(t, h_values(a, b, c, zs), zs)
 
 
-def ratio_spread(t: GeneralizedStandardTriple, a, b, c, zs) -> float:
+def ratio_spread(t: GeneralizedStandardTriple, h, zs) -> float:
     """Relative spread of det(z DH - EH) / det H(z) over the samples.
 
-    Both determinants come from one batched ``np.linalg.slogdet`` each.  This
-    is the check verify_algebraic replaced; ``alglin`` still reports it under
+    ``h`` holds H's values at ``zs``, as h_values returns them.  Both
+    determinants come from one batched ``np.linalg.slogdet`` each.  This is
+    the check verify_algebraic replaced; ``alglin`` still reports it under
     ``ratio_spread`` beside the new ``residual``, until the benchmark's alglin
     check reads ``residual``.
     """
-    zs = np.asarray(zs, dtype=complex)
     sign_t, log_t = np.linalg.slogdet(t.pencil.at(zs))
-    sign_h, log_h = np.linalg.slogdet(_h_values(a, b, c, zs))
+    sign_h, log_h = np.linalg.slogdet(h)
     ratios = sign_t * sign_h.conj() * np.exp(log_t - log_h)  # a sign has modulus 1
     mean = ratios.mean()
     return float(np.max(np.abs(ratios - mean)) / abs(mean))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import Basis, Bernstein, Hermite, Lagrange, ThreeTermBasis, phi_rows
+from .bases import Basis, Bernstein, Hermite, ThreeTermBasis, phi_rows
 from .errors import DimensionMismatchError, UnsupportedBasisError
 
 __all__ = ["MatrixPolynomial", "evaluate"]
@@ -75,20 +75,6 @@ class MatrixPolynomial:
         if not isinstance(basis, (ThreeTermBasis, Bernstein)):
             raise UnsupportedBasisError("coefficient payload needs a three-term or Bernstein basis")
         return cls(basis, coefficients)
-
-    @classmethod
-    def from_samples(cls, basis, samples):
-        if not isinstance(basis, Lagrange):
-            raise UnsupportedBasisError("sample payload needs a Lagrange basis")
-        return cls(basis, samples)
-
-    @classmethod
-    def from_hermite_samples(cls, basis, samples_per_node):
-        if not isinstance(basis, Hermite):
-            raise UnsupportedBasisError("derivative payload needs a Hermite basis")
-        if [len(group) for group in samples_per_node] != list(basis.confluencies):
-            raise ValueError("need one sample group per node, its size the node confluency")
-        return cls(basis, [m for group in samples_per_node for m in group])
 
     def __call__(self, z):
         return evaluate(self, z)

@@ -56,6 +56,7 @@ def make_triple(pc: CompanionPencil) -> GeneralizedStandardTriple:
 # sample points per stacked LAPACK call: bounds each stack at _CHUNK * N^2
 # entries whatever the sample count
 _CHUNK = 64
+_RADIUS = 2.0
 
 
 def _resolvents(t: GeneralizedStandardTriple, zs: np.ndarray) -> np.ndarray:
@@ -128,7 +129,7 @@ def similarity_triple(t: GeneralizedStandardTriple, s) -> GeneralizedStandardTri
                         moved[:, 2 * size:])
 
 
-def _accepted(pc: CompanionPencil, count, rng, radius, avoid):
+def _accepted(pc: CompanionPencil, count, rng):
     """The rounds of sample_points: per round, the points kept and M^-1 = (z C1 - C0)^-1 at each."""
     found = 0
     budget = 200 * count
@@ -138,42 +139,41 @@ def _accepted(pc: CompanionPencil, count, rng, radius, avoid):
         pending = []
         while budget and found + len(pending) < count and len(pending) < _CHUNK:
             budget -= 1
-            z = complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))
-            if abs(z) <= radius and not any(abs(z - a) < 1e-3 for a in avoid):
+            z = complex(rng.uniform(-_RADIUS, _RADIUS), rng.uniform(-_RADIUS, _RADIUS))
+            if abs(z) <= _RADIUS:
                 pending.append(z)
         inverses, ok = guarded_inverse(pc.at(pending))
         found += int(ok.sum())
         yield [z for z, keep in zip(pending, ok) if keep], inverses[ok]
 
 
-def sample_points(pc: CompanionPencil, count, rng, radius=2.0, avoid=()):
+def sample_points(pc: CompanionPencil, count, rng):
     """Random sample points for resolvent checks, guarded against the spectrum.
 
-    Draws z uniformly on the disk |z| <= radius, discarding draws that land
-    on an avoided point (interpolation nodes, typically), and candidates
-    where rcond = 1 / (||M||_F ||M^-1||_F) of M = z C1 - C0 is below
-    PIVOT_GUARD.  Each round draws just enough candidates to complete the
-    count, at most _CHUNK, and tests them with one batched inverse; rejected
-    ones are replaced in the next round, so the accepted points and the RNG
-    state are those of testing every draw as it comes.  At most 200 * count
-    draws are made.
+    Draws z uniformly on the disk |z| <= 2, discarding candidates where
+    rcond = 1 / (||M||_F ||M^-1||_F) of M = z C1 - C0 is below PIVOT_GUARD.
+    Each round draws just enough candidates to complete the count, at most
+    _CHUNK, and tests them with one batched inverse; rejected ones are
+    replaced in the next round, so the accepted points and the RNG state are
+    those of testing every draw as it comes.  At most 200 * count draws are
+    made.
     """
-    return [z for points, _ in _accepted(pc, count, rng, radius, avoid) for z in points]
+    return [z for points, _ in _accepted(pc, count, rng) for z in points]
 
 
-def sample_resolvents(t: GeneralizedStandardTriple, count, rng, radius=2.0, avoid=()):
+def sample_resolvents(t: GeneralizedStandardTriple, count, rng):
     """sample_points on t's pencil, with X (z C1 - C0)^-1 Y at each point.
 
     Returns (points, resolvents), the resolvents stacked one (n, n) matrix
     per point.  Each comes from the inverse the guard already computed, as
     X (M^-1 Y), so no sample matrix is factored twice; verify_triple takes
     them in place of its own solves.  They agree with its solves to
-    rounding, and to the bit for a triple of make_triple, whose Y = [I; 0]
-    makes M^-1 Y the first columns of M^-1.
+    rounding, and to the bit for a triple of make_triple or build_algebraic,
+    whose Y = [I; 0] makes M^-1 Y the first columns of M^-1.
     """
     n = t.pencil.n
     zs, resolvents = [], [np.empty((0, n, n), dtype=complex)]
-    for points, inverses in _accepted(t.pencil, count, rng, radius, avoid):
+    for points, inverses in _accepted(t.pencil, count, rng):
         zs += points
         resolvents.append(t.x @ (inverses @ t.y))
     return zs, np.concatenate(resolvents)

@@ -14,6 +14,7 @@ from polypencil import (
     ShiftedMonomial,
     Taylor,
 )
+from polypencil.linalg import PIVOT_GUARD
 
 COEFF_KINDS = ("monomial", "shifted", "taylor", "newton", "chebyshev", "legendre", "bernstein")
 ALL_KINDS = COEFF_KINDS + ("lagrange", "hermite")
@@ -78,12 +79,30 @@ def random_polynomial(kind, n, ell, rng):
     if kind == "lagrange":
         samples = [rand_matrix(rng, n) for _ in basis.nodes]
         scale = max(np.linalg.norm(s) for s in samples)
-        return MatrixPolynomial.from_samples(basis, [s / scale for s in samples])
+        return MatrixPolynomial(basis, [s / scale for s in samples])
     groups = [[rand_matrix(rng, n) for _ in range(s)] for s in basis.confluencies]
     scale = max(np.linalg.norm(m) for g in groups for m in g)
-    return MatrixPolynomial.from_hermite_samples(
-        basis, [[m / scale for m in g] for g in groups]
-    )
+    return hermite_polynomial(basis, [[m / scale for m in g] for g in groups])
+
+
+def hermite_polynomial(basis, groups):
+    """The polynomial of Hermite data given per node, as a document's hermite_samples.
+
+    Each group holds P(tau), P'(tau)/1!, P''(tau)/2!, ... of one node; the
+    data array is the groups end to end.
+    """
+    return MatrixPolynomial(basis, [m for group in groups for m in group])
+
+
+def one_at_a_time(pc, count, rng, radius=2.0):
+    """The reference sampler: draw z on the disk |z| <= radius, keep it when
+    rcond_F(z C1 - C0) >= PIVOT_GUARD on its own, and repeat."""
+    out = []
+    while len(out) < count:
+        z = complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))
+        if abs(z) <= radius and 1.0 / np.linalg.cond(pc.at(z), "fro") >= PIVOT_GUARD:
+            out.append(z)
+    return out
 
 
 def poly_nodes(p):

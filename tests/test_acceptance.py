@@ -9,7 +9,7 @@ from contextlib import contextmanager
 import numpy as np
 
 import golden
-from conftest import ALL_KINDS, poly_nodes, random_polynomial
+from conftest import ALL_KINDS, hermite_polynomial, one_at_a_time, poly_nodes, random_polynomial
 from polypencil import (
     Bernstein,
     ChebyshevT,
@@ -67,7 +67,7 @@ def hermite_constant_one():
     basis = Hermite(nodes=golden.HERMITE_SCALAR_NODES,
                     confluencies=golden.HERMITE_SCALAR_CONFL)
     groups = [scalar([1, 0]), scalar([1]), scalar([1]), scalar([1, 0, 0])]
-    return MatrixPolynomial.from_hermite_samples(basis, groups)
+    return hermite_polynomial(basis, groups)
 
 
 def section_examples():
@@ -78,12 +78,12 @@ def section_examples():
         Bernstein(grade=3), golden.BERNSTEIN_MONIC_COEFFS)
     yield "bernstein singular", MatrixPolynomial.from_coefficients(
         Bernstein(grade=3), golden.BERNSTEIN_SINGULAR_COEFFS)
-    yield "lagrange", MatrixPolynomial.from_samples(
+    yield "lagrange", MatrixPolynomial(
         Lagrange(nodes=golden.LAGRANGE_NODES), [np.eye(2)] * 3)
     yield "hermite scalar", hermite_constant_one()
     basis = Hermite(nodes=golden.HERMITE_MATRIX_NODES,
                     confluencies=golden.HERMITE_MATRIX_CONFL)
-    yield "hermite matrix", MatrixPolynomial.from_hermite_samples(
+    yield "hermite matrix", hermite_polynomial(
         basis, golden.HERMITE_MATRIX_RHO)
 
 
@@ -115,7 +115,7 @@ def test_criterion_3_resolvent_identity_suite():
         for name, p in section_examples():
             pc = build(p)
             t = make_triple(pc)
-            zs = sample_points(pc, 10, rng, radius=1.5, avoid=poly_nodes(p))
+            zs = one_at_a_time(pc, 10, rng, radius=1.5)
             residual = verify_triple(t, p, zs)
             assert residual <= 1e-8, (name, residual)
 
@@ -154,8 +154,8 @@ def test_criterion_5_equivalence_goldens():
 
         rng = np.random.default_rng(5)
         rho = rng.standard_normal(4)
-        pl = MatrixPolynomial.from_samples(Lagrange(nodes=golden.EQUIV_LAGRANGE_NODES),
-                                           scalar(rho))
+        pl = MatrixPolynomial(Lagrange(nodes=golden.EQUIV_LAGRANGE_NODES),
+                              scalar(rho))
         pairl = equivalence_lagrange(pl)
         assert np.max(np.abs(pairl.e - golden.EQUIV_LAGRANGE_E)) <= 1e-12
         assert np.max(np.abs(pairl.f - golden.EQUIV_LAGRANGE_F)) <= 1e-12
@@ -163,8 +163,8 @@ def test_criterion_5_equivalence_goldens():
 
         ascending = [-1.0, -0.5, 0.5, 1.0]
         rho = rng.standard_normal(4)
-        pm = monomial_form(MatrixPolynomial.from_samples(Lagrange(nodes=ascending),
-                                                         scalar(rho)))
+        pm = monomial_form(MatrixPolynomial(Lagrange(nodes=ascending),
+                                            scalar(rho)))
         expected = golden.lagrange_monomial_coefficients([float(v) for v in rho])
         for k in range(4):
             assert abs(pm.data[k][0, 0] - float(expected[k])) <= 1e-12
@@ -214,7 +214,7 @@ def test_criterion_8_chebyshev_example_via_resolvent_only():
         pc = build(p)
         t = make_triple(pc)
         rng = np.random.default_rng(8)
-        zs = sample_points(pc, 10, rng, radius=1.5)
+        zs = one_at_a_time(pc, 10, rng, radius=1.5)
         assert verify_triple(t, p, zs) <= 1e-8
 
 
@@ -226,7 +226,7 @@ def test_criterion_9_similarity_and_flip_invariance():
             p = random_polynomial(kind, int(rng.integers(1, 3)), int(rng.integers(2, 5)), rng)
             pc = build(p)
             t = make_triple(pc)
-            zs = sample_points(pc, 5, rng, avoid=poly_nodes(p))
+            zs = sample_points(pc, 5, rng)
             flipped = flip_triple(t)
             s = np.eye(pc.size) + 0.2 * rng.standard_normal((pc.size, pc.size))
             moved = similarity_triple(t, s)

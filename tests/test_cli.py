@@ -16,12 +16,15 @@ import golden
 from conftest import TEN_KINDS, random_polynomial
 from polypencil import (
     MatrixPolynomial,
+    algebraic,
     build,
+    build_algebraic,
     cli,
     eigen,
     make_triple,
     sample_points,
     triples,
+    verify_algebraic,
     verify_triple,
 )
 from polypencil.cli import _emit, main
@@ -602,6 +605,38 @@ class TestAlglinCommand:
         assert doc["residual"] <= 1e-12 and doc["pass"] is True
         assert doc["ratio_spread"] <= 1e-8
 
+    def test_sample_on_the_spectrum_is_redrawn(self, tmp_path, capsys):
+        # A(z) = z - z0 with z0 the first draw of seed 0, B(z) = 1 of grade 1, C = 0:
+        # z DH - EH is singular at z0, so the guard refuses it and draws another point
+        rng = np.random.default_rng(0)
+        z0 = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        a = write(tmp_path, "a.json", {"basis": {"kind": "monomial"}, "n": 1,
+                                       "coefficients": [[[[-z0.real, -z0.imag]]], [[1]]]})
+        b = write(tmp_path, "b.json", {"basis": {"kind": "monomial"}, "n": 1,
+                                       "coefficients": [[[1]], [[0]]]})
+        code, out, err = run(capsys, "alglin", a, b, "--c", write(tmp_path, "c.json", [[0]]))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["residual"] <= 1e-12
+
+    def test_wrapped_matrix_exits_2(self, tmp_path, capsys):
+        a = write(tmp_path, "a.json", SQUARE_PLUS_ONE)
+        c = write(tmp_path, "c.json", {"matrix": [[3]]})
+        code, out, err = run(capsys, "alglin", a, a, "--c", c)
+        assert (code, out) == (2, "") and err == "error: expected an 1x1 matrix\n"
+
+    def test_h_is_evaluated_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        real = algebraic.h_values
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(algebraic, "h_values", counted)
+        a = write(tmp_path, "a.json", SQUARE_PLUS_ONE)
+        code, _, _ = run(capsys, "alglin", a, a, "--c", write(tmp_path, "c.json", [[3]]))
+        assert code == 0 and len(calls) == 1
+
 
 class TestEquivCommand:
     def test_bernstein_reference(self, tmp_path, capsys):
@@ -785,7 +820,7 @@ class TestDocumentValidation:
 
     def test_non_finite_coupling_matrix_exits_2(self, tmp_path, capsys):
         a = write(tmp_path, "a.json", SQUARE_PLUS_ONE)
-        c = write(tmp_path, "c.json", {"matrix": [[[0.0, float("nan")]]]})
+        c = write(tmp_path, "c.json", [[[0.0, float("nan")]]])
         self._assert_schema_fault(capsys, "finite", "alglin", a, a, "--c", c)
 
     def test_too_few_newton_nodes_exits_2(self, tmp_path, capsys):
@@ -1148,8 +1183,24 @@ def test_verify_residual_is_verify_triples_at_the_same_points(tmp_path, capsys, 
     path = write(tmp_path, "d.json", polynomial_document(kind, p))
     code, out, _ = run(capsys, "verify", path, "--seed", "9", "--samples", "70")
     t = make_triple(build(p))
-    zs = sample_points(t.pencil, 70, np.random.default_rng(9), avoid=getattr(p.basis, "nodes", ()))
+    zs = sample_points(t.pencil, 70, np.random.default_rng(9))
     assert code in (0, 5) and json.loads(out)["max_residual"] == verify_triple(t, p, zs)
+
+
+@pytest.mark.parametrize("kind", TEN_KINDS)
+def test_alglin_residual_is_verify_algebraic_at_the_same_points(tmp_path, capsys, kind):
+    """alglin's residual, from the guard's inverses, is verify_algebraic's, bit for bit."""
+    other = TEN_KINDS[(TEN_KINDS.index(kind) + 1) % len(TEN_KINDS)]
+    pa = random_polynomial(kind, 2, 3, np.random.default_rng(13))
+    pb = random_polynomial(other, 2, 4, np.random.default_rng(14))
+    c = [[1, 0.5], [-0.25, 1]]
+    a = write(tmp_path, "a.json", polynomial_document(kind, pa))
+    b = write(tmp_path, "b.json", polynomial_document(other, pb))
+    code, out, _ = run(capsys, "alglin", a, b, "--c", write(tmp_path, "c.json", c),
+                       "--seed", "9", "--samples", "70")
+    t = build_algebraic(make_triple(build(pa)), make_triple(build(pb)), c)
+    zs = sample_points(t.pencil, 70, np.random.default_rng(9))
+    assert code in (0, 5) and json.loads(out)["residual"] == verify_algebraic(t, pa, pb, c, zs)
 
 
 def test_parser_is_built_once_and_reused(tmp_path, capsys):

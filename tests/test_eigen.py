@@ -105,8 +105,8 @@ class TestGeneralizedEigenvalues:
         assert all(res <= 1e-10 for _, res in result.finite)
 
     def test_constant_identity_lagrange(self):
-        p = MatrixPolynomial.from_samples(Lagrange(nodes=golden.LAGRANGE_NODES),
-                                          [np.eye(2)] * 3)
+        p = MatrixPolynomial(Lagrange(nodes=golden.LAGRANGE_NODES),
+                             [np.eye(2)] * 3)
         pc = build(p)
         result = generalized_eigenvalues(pc, p)
         # det(z C1 - C0) is the constant 1: everything is at infinity
@@ -124,8 +124,8 @@ class TestGeneralizedEigenvalues:
             coeffs = [rand_matrix(rng, n) for _ in range(ell + 1)]
             pm = MatrixPolynomial.from_coefficients(Monomial(), coeffs)
             nodes = [complex(np.cos(np.pi * k / ell)) for k in range(ell + 1)]
-            p = MatrixPolynomial.from_samples(Lagrange(nodes=nodes),
-                                              [evaluate(pm, t) for t in nodes])
+            p = MatrixPolynomial(Lagrange(nodes=nodes),
+                                 [evaluate(pm, t) for t in nodes])
             result = generalized_eigenvalues(build(p), p)
             assert result.infinite_count >= 2 * n
 
@@ -347,9 +347,9 @@ class TestCertifiedFinitePart:
     def test_rank_deficient_samples_refuse_the_deflation(self, rng):
         p = random_polynomial("lagrange", 2, 4, rng)
         _finite_part(build(p))
-        rows_equal = MatrixPolynomial.from_samples(p.basis, [np.vstack([s[0], s[0]])
-                                                             for s in p.data])
-        zero = MatrixPolynomial.from_samples(p.basis, [np.zeros((2, 2))] * len(p.data))
+        rows_equal = MatrixPolynomial(p.basis, [np.vstack([s[0], s[0]])
+                                                for s in p.data])
+        zero = MatrixPolynomial(p.basis, [np.zeros((2, 2))] * len(p.data))
         for singular in (rows_equal, zero):
             with pytest.raises(SingularPencilEverywhereError, match="pencil is singular"):
                 _finite_part(build(singular))
@@ -408,8 +408,8 @@ class TestStaircase:
     @pytest.mark.parametrize("p", [
         # P(z) = [[1, z], [z, z^2]]: its samples have full row rank, so the
         # arrowhead deflates and the staircase finds the common left null vector
-        MatrixPolynomial.from_samples(Lagrange(nodes=[1, 0.5, -0.5, -1]),
-                                      [np.array([[1, t], [t, t * t]]) for t in [1, 0.5, -0.5, -1]]),
+        MatrixPolynomial(Lagrange(nodes=[1, 0.5, -0.5, -1]),
+                         [np.array([[1, t], [t, t * t]]) for t in [1, 0.5, -0.5, -1]]),
         MatrixPolynomial.from_coefficients(Monomial(), [np.array([[1, 0], [0, 0]]),
                                                         np.array([[0, 1], [1, 0]]),
                                                         np.array([[0, 0], [0, 1]])]),
@@ -426,7 +426,7 @@ class TestStaircase:
         rng = np.random.default_rng(seed)
         coeffs = [rand_matrix(rng, n) for _ in range(degree + 1)]
         pm = MatrixPolynomial.from_coefficients(Monomial(), coeffs)
-        p = MatrixPolynomial.from_samples(Lagrange(nodes=nodes), [evaluate(pm, t) for t in nodes])
+        p = MatrixPolynomial(Lagrange(nodes=nodes), [evaluate(pm, t) for t in nodes])
         pc = build(p)
         result = generalized_eigenvalues(pc, None, rng=np.random.default_rng(seed))
         assert len(result.finite) == n * degree and result.infinite_count == pc.size - n * degree

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import golden
-from conftest import COEFF_KINDS, random_polynomial
+from conftest import COEFF_KINDS, hermite_polynomial, random_polynomial
 from polypencil import (
     Bernstein,
     ChebyshevT,
@@ -142,7 +142,7 @@ class TestLagrange:
     def test_reference_pair(self, rng):
         nodes = golden.EQUIV_LAGRANGE_NODES
         rho = scalar(rng.standard_normal(4))
-        p = MatrixPolynomial.from_samples(Lagrange(nodes=nodes), rho)
+        p = MatrixPolynomial(Lagrange(nodes=nodes), rho)
         pair = equivalence_lagrange(p)
         assert np.max(np.abs(pair.e - golden.EQUIV_LAGRANGE_E)) <= 1e-12
         assert np.max(np.abs(pair.f - golden.EQUIV_LAGRANGE_F)) <= 1e-12
@@ -154,7 +154,7 @@ class TestLagrange:
         for _ in range(5):
             rho = [F(int(v), 8) for v in rng.integers(-40, 40, size=4)]
             expected = golden.lagrange_monomial_coefficients(rho)
-            p = MatrixPolynomial.from_samples(
+            p = MatrixPolynomial(
                 Lagrange(nodes=ascending), scalar([float(r) for r in rho]))
             pm = monomial_form(p)
             got = [pm.data[k][0, 0].real for k in range(4)]
@@ -163,7 +163,7 @@ class TestLagrange:
 
     def test_constant_one(self):
         nodes = golden.EQUIV_LAGRANGE_NODES
-        p = MatrixPolynomial.from_samples(Lagrange(nodes=nodes), scalar([1, 1, 1, 1]))
+        p = MatrixPolynomial(Lagrange(nodes=nodes), scalar([1, 1, 1, 1]))
         pm = monomial_form(p)
         coeffs = [c[0, 0].real for c in pm.data]
         assert coeffs == pytest.approx([1, 0, 0, 0, 0, 0], abs=1e-12)
@@ -172,8 +172,8 @@ class TestLagrange:
 
     def test_padded_pencil_shape(self, rng):
         nodes = golden.EQUIV_LAGRANGE_NODES
-        p = MatrixPolynomial.from_samples(Lagrange(nodes=nodes),
-                                          scalar(rng.standard_normal(4)))
+        p = MatrixPolynomial(Lagrange(nodes=nodes),
+                             scalar(rng.standard_normal(4)))
         pm = build_three_term(monomial_form(p))
         assert pm.size == 5
         assert np.allclose(pm.c1, np.diag([0, 1, 1, 1, 1]))
@@ -207,8 +207,8 @@ class TestHermite:
 
     def test_monomial_form_of_taylor_data(self):
         # p(z) = 1 + 2z + 3z^2: p(0) = 1, p'(0) = 2 and p(1) = 6
-        p = MatrixPolynomial.from_hermite_samples(Hermite(nodes=[0.0, 1.0], confluencies=[2, 1]),
-                                                  [scalar([1, 2]), scalar([6])])
+        p = hermite_polynomial(Hermite(nodes=[0.0, 1.0], confluencies=[2, 1]),
+                               [scalar([1, 2]), scalar([6])])
         coeffs = [c[0, 0] for c in monomial_form(p).data]
         assert coeffs == pytest.approx([1, 2, 3, 0, 0], abs=1e-12)
 
@@ -238,11 +238,11 @@ def test_pair_matrices_are_nonsingular(rng):
         bernstein_reference_poly(),
     ]
     pairs = [equivalence_degree_graded(p) for p in cases]
-    lag = MatrixPolynomial.from_samples(Lagrange(nodes=golden.EQUIV_LAGRANGE_NODES),
-                                        scalar(rng.standard_normal(4)))
+    lag = MatrixPolynomial(Lagrange(nodes=golden.EQUIV_LAGRANGE_NODES),
+                           scalar(rng.standard_normal(4)))
     pairs.append(equivalence_lagrange(lag))
-    her = MatrixPolynomial.from_hermite_samples(Hermite(nodes=[1.0, 0.0], confluencies=[2, 1]),
-                                                [scalar([1, 2]), scalar([3])])
+    her = hermite_polynomial(Hermite(nodes=[1.0, 0.0], confluencies=[2, 1]),
+                             [scalar([1, 2]), scalar([3])])
     pairs.append(equivalence_lagrange(her))
     for pair in pairs:
         assert abs(det(pair.e)) > 1e-12
@@ -271,8 +271,8 @@ def test_lagrange_grade_23_pair_holds(seed):
 
 def test_pair_carries_the_pencils_it_relates(rng):
     cheb = MatrixPolynomial.from_coefficients(ChebyshevT(), scalar(rng.standard_normal(5) + 2.0))
-    lag = MatrixPolynomial.from_samples(Lagrange(nodes=golden.EQUIV_LAGRANGE_NODES),
-                                        scalar(rng.standard_normal(4)))
+    lag = MatrixPolynomial(Lagrange(nodes=golden.EQUIV_LAGRANGE_NODES),
+                           scalar(rng.standard_normal(4)))
     for p, pair in ((cheb, equivalence_degree_graded(cheb)), (lag, equivalence_lagrange(lag))):
         pm = build_three_term(monomial_form(p))
         for got, want in ((pair.phi, build(p)), (pair.monomial, pm)):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import golden
-from conftest import ALL_KINDS, TEN_KINDS, poly_nodes, random_polynomial
+from conftest import ALL_KINDS, TEN_KINDS, hermite_polynomial, poly_nodes, random_polynomial
 from polypencil import (
     Bernstein,
     ChebyshevT,
@@ -23,15 +23,15 @@ def test_monomial_square():
 
 
 def test_lagrange_constant_identity():
-    p = MatrixPolynomial.from_samples(Lagrange(nodes=golden.LAGRANGE_NODES),
-                                      [np.eye(2)] * 3)
+    p = MatrixPolynomial(Lagrange(nodes=golden.LAGRANGE_NODES),
+                         [np.eye(2)] * 3)
     assert np.allclose(p(0.3), np.eye(2), atol=1e-14)
 
 
 def test_lagrange_node_value_is_stored_not_computed(rng):
     basis = Lagrange(nodes=[1.0, 0.0, -1.0])
     samples = [rng.standard_normal((2, 2)) for _ in range(3)]
-    p = MatrixPolynomial.from_samples(basis, samples)
+    p = MatrixPolynomial(basis, samples)
     for k, tau in enumerate(basis.nodes):
         assert np.array_equal(evaluate(p, tau), samples[k])
 
@@ -39,14 +39,14 @@ def test_lagrange_node_value_is_stored_not_computed(rng):
 def test_near_node_snap():
     basis = Lagrange(nodes=[1.0, 0.0, -1.0])
     samples = [np.eye(1) * v for v in (4.0, 5.0, 6.0)]
-    p = MatrixPolynomial.from_samples(basis, samples)
+    p = MatrixPolynomial(basis, samples)
     assert evaluate(p, 1.0 + 0.5 * NODE_SNAP)[0, 0] == 4.0
 
 
 def test_hermite_matrix_example_value():
     basis = Hermite(nodes=golden.HERMITE_MATRIX_NODES,
                     confluencies=golden.HERMITE_MATRIX_CONFL)
-    p = MatrixPolynomial.from_hermite_samples(basis, golden.HERMITE_MATRIX_RHO)
+    p = hermite_polynomial(basis, golden.HERMITE_MATRIX_RHO)
     assert np.allclose(evaluate(p, 2.0), [[1.0, -2.0], [-3.0, 1.0]], atol=1e-12)
     for z in (0.4 + 0.1j, -1.3, 2.5 - 1.0j):
         assert np.allclose(evaluate(p, z), golden.hermite_matrix_value(z), atol=1e-10)
@@ -56,7 +56,7 @@ def test_hermite_node_values(rng):
     basis = Hermite(nodes=[0.7, -0.2], confluencies=[2, 3])
     groups = [[rng.standard_normal((2, 2)) for _ in range(2)],
               [rng.standard_normal((2, 2)) for _ in range(3)]]
-    p = MatrixPolynomial.from_hermite_samples(basis, groups)
+    p = hermite_polynomial(basis, groups)
     assert np.array_equal(evaluate(p, 0.7), groups[0][0])
     assert np.array_equal(evaluate(p, -0.2), groups[1][0])
 
@@ -67,7 +67,7 @@ def test_hermite_single_node_is_taylor_polynomial(rng):
     coeffs = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
               for _ in range(ell + 1)]
     basis = Hermite(nodes=[tau], confluencies=[ell + 1])
-    p = MatrixPolynomial.from_hermite_samples(basis, [coeffs])
+    p = hermite_polynomial(basis, [coeffs])
     for _ in range(10):
         z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         taylor = sum(c * (z - tau) ** k for k, c in enumerate(coeffs))
@@ -81,7 +81,7 @@ def test_chebyshev_to_lagrange_consistency(rng):
     p = MatrixPolynomial.from_coefficients(ChebyshevT(), coeffs)
     nodes = [np.cos(np.pi * k / ell) for k in range(ell + 1)]
     samples = [evaluate(p, t) for t in nodes]
-    q = MatrixPolynomial.from_samples(Lagrange(nodes=nodes), samples)
+    q = MatrixPolynomial(Lagrange(nodes=nodes), samples)
     for _ in range(20):
         z = complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.5, 0.5))
         a, b = evaluate(p, z), evaluate(q, z)
@@ -91,16 +91,11 @@ def test_chebyshev_to_lagrange_consistency(rng):
 class TestValidation:
     def test_mismatched_sample_count(self):
         with pytest.raises(ValueError):
-            MatrixPolynomial.from_samples(Lagrange(nodes=[0.0, 1.0]), [np.eye(2)])
+            MatrixPolynomial(Lagrange(nodes=[0.0, 1.0]), [np.eye(2)])
 
     def test_mismatched_block_sizes(self):
         with pytest.raises(Exception):
             MatrixPolynomial.from_coefficients(Monomial(), [np.eye(2), np.eye(3)])
-
-    def test_confluency_group_size(self):
-        basis = Hermite(nodes=[0.0], confluencies=[2])
-        with pytest.raises(ValueError):
-            MatrixPolynomial.from_hermite_samples(basis, [[np.eye(1)]])
 
     def test_count_must_match_the_bernstein_grade(self):
         with pytest.raises(ValueError):

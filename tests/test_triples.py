@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import golden
-from conftest import ALL_KINDS, TEN_KINDS, poly_nodes, random_polynomial
+from conftest import ALL_KINDS, TEN_KINDS, hermite_polynomial, one_at_a_time, random_polynomial
 from polypencil import (
     Bernstein,
     ChebyshevT,
@@ -30,7 +30,6 @@ from polypencil import (
     transpose_triple,
     verify_triple,
 )
-from polypencil.linalg import PIVOT_GUARD
 from polypencil.triples import _CHUNK
 
 
@@ -59,14 +58,14 @@ class TestMakeTriple:
         basis = Hermite(nodes=golden.HERMITE_SCALAR_NODES,
                         confluencies=golden.HERMITE_SCALAR_CONFL)
         groups = [scalar([1, 0]), scalar([1]), scalar([1]), scalar([1, 0, 0])]
-        t = make_triple(build(MatrixPolynomial.from_hermite_samples(basis, groups)))
+        t = make_triple(build(hermite_polynomial(basis, groups)))
         assert np.array_equal(t.x, golden.HERMITE_SCALAR_X)
 
 
 class TestResolvent:
     def test_lagrange_identity_polynomial(self):
-        p = MatrixPolynomial.from_samples(Lagrange(nodes=golden.LAGRANGE_NODES),
-                                          [np.eye(2)] * 3)
+        p = MatrixPolynomial(Lagrange(nodes=golden.LAGRANGE_NODES),
+                             [np.eye(2)] * 3)
         t = make_triple(build(p))
         assert np.allclose(resolvent(t, 0.7), np.eye(2), atol=1e-12)
 
@@ -78,7 +77,7 @@ class TestResolvent:
     def test_hermite_matrix_closed_form(self):
         basis = Hermite(nodes=golden.HERMITE_MATRIX_NODES,
                         confluencies=golden.HERMITE_MATRIX_CONFL)
-        p = MatrixPolynomial.from_hermite_samples(basis, golden.HERMITE_MATRIX_RHO)
+        p = hermite_polynomial(basis, golden.HERMITE_MATRIX_RHO)
         t = make_triple(build(p))
         for z in (0.4, 2.0 + 1.0j, -1.7, 3.3 - 0.2j):
             expected = golden.hermite_matrix_resolvent(z)
@@ -113,15 +112,15 @@ def reference_examples(rng):
                                              golden.BERNSTEIN_MONIC_COEFFS)
     yield MatrixPolynomial.from_coefficients(Bernstein(grade=3),
                                              golden.BERNSTEIN_SINGULAR_COEFFS)
-    yield MatrixPolynomial.from_samples(Lagrange(nodes=golden.LAGRANGE_NODES),
-                                        [np.eye(2)] * 3)
+    yield MatrixPolynomial(Lagrange(nodes=golden.LAGRANGE_NODES),
+                           [np.eye(2)] * 3)
     basis = Hermite(nodes=golden.HERMITE_SCALAR_NODES,
                     confluencies=golden.HERMITE_SCALAR_CONFL)
-    yield MatrixPolynomial.from_hermite_samples(
+    yield hermite_polynomial(
         basis, [scalar([1, 0]), scalar([1]), scalar([1]), scalar([1, 0, 0])])
     basis = Hermite(nodes=golden.HERMITE_MATRIX_NODES,
                     confluencies=golden.HERMITE_MATRIX_CONFL)
-    yield MatrixPolynomial.from_hermite_samples(basis, golden.HERMITE_MATRIX_RHO)
+    yield hermite_polynomial(basis, golden.HERMITE_MATRIX_RHO)
 
 
 class TestVerifyTriple:
@@ -129,7 +128,7 @@ class TestVerifyTriple:
         for p in reference_examples(rng):
             pc = build(p)
             t = make_triple(pc)
-            zs = sample_points(pc, 10, rng, radius=1.0, avoid=poly_nodes(p))
+            zs = one_at_a_time(pc, 10, rng, radius=1.0)
             assert verify_triple(t, p, zs) <= 1e-9
 
     def test_hermite_clustered_nodes(self, rng):
@@ -138,8 +137,8 @@ class TestVerifyTriple:
         nodes, confl = [0.72, 0.75, 0.79, 0.82, 0.86], [2, 3, 1, 3, 2]
         groups = [[rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
                    for _ in range(s)] for s in confl]
-        p = MatrixPolynomial.from_hermite_samples(Hermite(nodes=nodes, confluencies=confl),
-                                                  groups)
+        p = hermite_polynomial(Hermite(nodes=nodes, confluencies=confl),
+                               groups)
         zs = [0.788 + 0.1 * np.exp(2j * np.pi * k / 10) for k in range(10)]
         assert verify_triple(make_triple(build(p)), p, zs) <= 1e-8
 
@@ -156,7 +155,7 @@ class TestVerifyTriple:
         p = random_polynomial("newton", 2, 3, rng)
         pc = build(p)
         t = make_triple(pc)
-        zs = sample_points(pc, 5, rng, avoid=poly_nodes(p))
+        zs = sample_points(pc, 5, rng)
         base = verify_triple(t, p, zs)
         s = np.eye(pc.size) + 0.2 * rng.standard_normal((pc.size, pc.size))
         moved = similarity_triple(t, s)
@@ -168,7 +167,7 @@ def test_stacked_verify_matches_pointwise_resolvents(kind, rng):
     """The one stacked solve gives the residual of solving point by point."""
     p = random_polynomial(kind, 2, 4, rng)
     t = make_triple(build(p))
-    zs = sample_points(t.pencil, 8, rng, avoid=poly_nodes(p))
+    zs = sample_points(t.pencil, 8, rng)
     eye = np.eye(p.n)
     pointwise = max(np.linalg.norm(resolvent(t, z) @ evaluate(p, z) - eye) for z in zs)
     assert verify_triple(t, p, zs) == pytest.approx(pointwise, rel=1e-12, abs=0.0)
@@ -198,20 +197,9 @@ def test_large_sample_counts_use_bounded_stacks(rng, monkeypatch):
     assert residual == pytest.approx(pointwise, rel=1e-12, abs=0.0)
 
 
-def one_at_a_time(pc, count, rng, radius=2.0, avoid=()):
-    """The reference sampler: draw one candidate, test its rcond_F on its own, repeat."""
-    out = []
-    while len(out) < count:
-        z = complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))
-        if abs(z) <= radius and not any(abs(z - a) < 1e-3 for a in avoid):
-            if 1.0 / np.linalg.cond(pc.at(z), "fro") >= PIVOT_GUARD:
-                out.append(z)
-    return out
-
-
-def sampled_points(t, count, rng, **kwargs):
+def sampled_points(t, count, rng):
     """The points of sample_resolvents, after checking that each resolvent is X M^-1 Y there."""
-    zs, resolvents = sample_resolvents(t, count, rng, **kwargs)
+    zs, resolvents = sample_resolvents(t, count, rng)
     assert resolvents.shape == (len(zs), t.pencil.n, t.pencil.n)
     for z, r in zip(zs, resolvents):
         assert np.allclose(r, resolvent(t, z), rtol=1e-10, atol=0.0)
@@ -242,11 +230,10 @@ class TestSamplePoints:
     def test_points_and_rng_state_are_those_of_one_draw_at_a_time(self, kind):
         p = random_polynomial(kind, 2, 5, np.random.default_rng(3))
         t = make_triple(build(p))
-        avoid = poly_nodes(p)
         rngs = [np.random.default_rng(17) for _ in range(3)]
-        expected = one_at_a_time(t.pencil, 70, rngs[0], avoid=avoid)
-        assert sample_points(t.pencil, 70, rngs[1], avoid=avoid) == expected
-        assert sampled_points(t, 70, rngs[2], avoid=avoid) == expected
+        expected = one_at_a_time(t.pencil, 70, rngs[0])
+        assert sample_points(t.pencil, 70, rngs[1]) == expected
+        assert sampled_points(t, 70, rngs[2]) == expected
         states = [r.bit_generator.state for r in rngs]
         assert states[1] == states[0] and states[2] == states[0]
 
@@ -305,7 +292,17 @@ def test_defining_identity_random(kind, n, ell, rng):
     p = random_polynomial(kind, n, ell, rng)
     pc = build(p)
     t = make_triple(pc)
-    zs = sample_points(pc, 10, rng, avoid=poly_nodes(p))
+    zs = sample_points(pc, 10, rng)
+    assert verify_triple(t, p, zs) <= 1e-8
+
+
+@pytest.mark.parametrize("kind", ["newton", "lagrange", "hermite"])
+@pytest.mark.parametrize("n,ell", [(1, 3), (2, 5), (3, 4)])
+def test_defining_identity_at_and_near_the_nodes(kind, n, ell, rng):
+    """The identity needs no distance from a node: evaluate divides by no z - tau."""
+    p = random_polynomial(kind, n, ell, rng)
+    t = make_triple(build(p))
+    zs = [tau + offset for tau in p.basis.nodes for offset in (0, 1e-9, 1e-6j, 1e-4, 1e-3j)]
     assert verify_triple(t, p, zs) <= 1e-8
 
 
@@ -314,7 +311,7 @@ def test_similarity_invariance_of_resolvent(kind, rng):
     p = random_polynomial(kind, 2, 3, rng)
     pc = build(p)
     t = make_triple(pc)
-    zs = sample_points(pc, 5, rng, avoid=poly_nodes(p))
+    zs = sample_points(pc, 5, rng)
     for _ in range(5):
         s = np.eye(pc.size) + 0.25 * rng.standard_normal((pc.size, pc.size))
         moved = similarity_triple(t, s)
@@ -328,7 +325,7 @@ def test_flip_consistency(kind, rng):
     pc = build(p)
     t = make_triple(pc)
     flipped = flip_triple(t)
-    zs = sample_points(pc, 5, rng, avoid=poly_nodes(p))
+    zs = sample_points(pc, 5, rng)
     for z in zs:
         assert np.max(np.abs(resolvent(flipped, z) - resolvent(t, z))) <= 1e-9
 
@@ -340,7 +337,7 @@ def test_transpose_consistency(kind, rng):
     pc = build(p)
     t = make_triple(pc)
     moved = transpose_triple(t)
-    zs = sample_points(pc, 5, rng, avoid=poly_nodes(p))
+    zs = sample_points(pc, 5, rng)
     for z in zs:
         assert np.max(np.abs(resolvent(moved, z) - resolvent(t, z).T)) <= 1e-9
 
