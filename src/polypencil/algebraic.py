@@ -53,7 +53,7 @@ def build_algebraic(ta: GeneralizedStandardTriple, tb: GeneralizedStandardTriple
     xh[:, na + n:] = tb.x
     yh = np.zeros((N, n), dtype=complex)
     yh[:na, :] = ta.y
-    pc = CompanionPencil(c1=dh, c0=eh, n=n, ell=None)
+    pc = CompanionPencil(c1=dh, c0=eh, n=n)
     return GeneralizedStandardTriple(x=xh, pencil=pc, y=yh)
 
 

@@ -5,7 +5,7 @@ Supported families:
 * three-term recurrence bases (monomial, shifted monomial, Taylor, Newton,
   Chebyshev T, Legendre P, and user-supplied recurrences), satisfying
   ``z*phi_k = alpha_k*phi_{k+1} + beta_k*phi_k + gamma_k*phi_{k-1}``;
-* the Bernstein basis of a fixed grade on [0, 1];
+* the Bernstein basis on [0, 1];
 * Hermite interpolational bases on distinct nodes with confluencies, and
   Lagrange bases, the Hermite subclass with every confluency 1, so each
   function here has one interpolation branch.
@@ -133,13 +133,10 @@ class CustomThreeTerm(ThreeTermBasis):
 
 @dataclass(frozen=True)
 class Bernstein(Basis):
-    """Bernstein basis B_k^grade on the interval [0, 1]."""
+    """Bernstein basis B_k(z) = C(ell, k) z^k (1 - z)^(ell - k) on [0, 1], for every grade.
 
-    grade: int = 1
-
-    def __post_init__(self):
-        if self.grade < 1:
-            raise ValueError("Bernstein grade must be >= 1")
+    ell is the grade of the polynomial written in it: its count of coefficients less one.
+    """
 
 
 @dataclass(frozen=True)
@@ -283,8 +280,6 @@ def phi_rows(basis: Basis, count: int, zs) -> np.ndarray:
             columns.append(cur)
         return np.stack(columns, axis=1) * inv[:, None] ** (ell - np.arange(count))
     if isinstance(basis, Bernstein):
-        if ell != basis.grade:
-            raise ValueError(f"{count} values do not match Bernstein grade {basis.grade}")
         k = np.arange(count)
         binom = np.array([comb(ell, j) for j in k], dtype=float)
         return binom * (z * inv)[:, None] ** k * ((1.0 - z) * inv)[:, None] ** (ell - k)
@@ -330,8 +325,6 @@ def one_coefficients(basis: Basis, ell: int) -> np.ndarray:
         row[-1] = 1.0
         return row
     if isinstance(basis, Bernstein):
-        if ell != basis.grade:
-            raise ValueError(f"grade {ell} does not match Bernstein grade {basis.grade}")
         return np.arange(1, ell + 1, dtype=complex) / ell
     if isinstance(basis, Hermite):
         if ell != basis.grade:
@@ -386,8 +379,6 @@ def monomial_rows(basis: Basis, count: int) -> np.ndarray:
     ell = count - 1
     rows = np.zeros((count, count), dtype=complex)
     if isinstance(basis, Bernstein):
-        if ell != basis.grade:
-            raise ValueError(f"{count} rows do not match Bernstein grade {basis.grade}")
         for k in range(count):
             for j in range(count - k):  # z^(k+j) sits in column ell - k - j
                 rows[ell - k, ell - k - j] = comb(ell, k) * comb(ell - k, j) * (-1) ** j
@@ -422,8 +413,6 @@ def null_vector_basis_matrix(basis: Basis, ell: int) -> np.ndarray:
             raise ValueError("grade must be >= 1")
         return monomial_rows(basis, ell)
     if isinstance(basis, Bernstein):
-        if ell != basis.grade:
-            raise ValueError(f"grade {ell} does not match Bernstein grade {basis.grade}")
         out = np.zeros((ell, ell), dtype=complex)
         for k in range(ell):
             poly = np.array([1.0 + 0.0j])  # descending coefficients of (1-z)^k

@@ -126,7 +126,11 @@ def cmd_verify(args):
 def cmd_alglin(args):
     pa = parse_document(_load_json(args.a))
     pb = parse_document(_load_json(args.b))
-    c = parse_matrix(_load_json(args.c), pa.n)
+    c_doc = _load_json(args.c)
+    try:
+        c = parse_matrix(c_doc, pa.n)
+    except DocumentError as exc:
+        raise DocumentError(f"--c file {args.c}: {exc}") from None
     t = alg.build_algebraic(make_triple(build(pa)), make_triple(build(pb)), c)
     zs, resolvents = sample_resolvents(t, args.samples, np.random.default_rng(args.seed))
     h = alg.h_values(pa, pb, c, zs)

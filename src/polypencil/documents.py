@@ -43,6 +43,7 @@ __all__ = [
     "parse_document",
 ]
 
+_JSON_KINDS = {dict: "an object", str: "a string", bool: "a boolean", type(None): "null"}
 BASIS_KINDS = (
     "monomial", "shifted", "taylor", "newton", "chebyshev", "legendre",
     "custom", "bernstein", "lagrange", "hermite",
@@ -75,7 +76,12 @@ def parse_matrix(rows, n) -> np.ndarray:
     entry.
     """
     if not isinstance(rows, list) or len(rows) != n:
-        raise DocumentError(f"expected an {n}x{n} matrix")
+        # "an" where n is read with a vowel first: eight, eleven, eighteen, eighty, ...
+        digits = str(n)
+        a = "an" if digits[0] == "8" or digits[:2] in ("11", "18") and len(digits) % 3 == 2 else "a"
+        got = f"a list of length {len(rows)}" if isinstance(rows, list) else _JSON_KINDS.get(
+            type(rows), "a number")
+        raise DocumentError(f"expected {a} {n}x{n} matrix, got {got}")
     out = _numeric_matrix(rows, n)
     if out is not None:
         return out
@@ -164,9 +170,9 @@ def _basis(kind, desc, grade):
     if kind == "legendre":
         return LegendreP()
     if kind == "bernstein":
-        if grade is None:
-            raise DocumentError("bernstein basis needs the document grade")
-        return Bernstein(grade=grade)
+        if grade is not None and grade < 1:
+            raise DocumentError("Bernstein grade must be >= 1")
+        return Bernstein()
     if kind == "custom":
         rec = desc.get("recurrence")
         if not isinstance(rec, dict) or "alpha" not in rec:

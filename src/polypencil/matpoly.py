@@ -56,7 +56,7 @@ class MatrixPolynomial:
         if not np.isfinite(data).all():
             raise ValueError("coefficient contains non-finite entries")
         basis = self.basis
-        if isinstance(basis, (Bernstein, Hermite)) and len(data) != basis.grade + 1:
+        if isinstance(basis, Hermite) and len(data) != basis.grade + 1:
             raise ValueError(f"{len(data)} matrices do not match the grade {basis.grade} "
                              f"of the {type(basis).__name__} basis")
         data.flags.writeable = False

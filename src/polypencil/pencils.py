@@ -50,18 +50,18 @@ class CompanionPencil:
     """The pair (C1, C0) of N x N matrices with its construction metadata.
 
     ``basis`` is None for transformed and composed pencils, whose X and Y
-    come with them in a triple; ``ell`` is None for compositions.
+    come with them in a triple.
     """
 
     c1: np.ndarray
     c0: np.ndarray
     n: int
-    ell: int
     basis: Basis = None
 
     def __post_init__(self):
-        if self.c1.shape != self.c0.shape or self.c1.shape[0] != self.c1.shape[1]:
-            raise DimensionMismatchError("C1 and C0 must be square with equal shapes")
+        shape = self.c1.shape
+        if self.c0.shape != shape or shape[0] != shape[1] or shape[0] % self.n:
+            raise DimensionMismatchError("C1 and C0 must be equal squares of whole n x n blocks")
         if not (np.isfinite(self.c1).all() and np.isfinite(self.c0).all()):
             raise NonFiniteError("pencil has non-finite entries: building it overflowed")
 
@@ -129,7 +129,7 @@ def build_three_term(p: MatrixPolynomial) -> CompanionPencil:
         c0[_blk(i, n), _blk(i, n)] = (b / a) * eye
         if i + 1 < ell:
             c0[_blk(i, n), _blk(i + 1, n)] = (g / a) * eye
-    return CompanionPencil(c1=c1, c0=c0, n=n, ell=ell, basis=p.basis)
+    return CompanionPencil(c1=c1, c0=c0, n=n, basis=p.basis)
 
 
 @_quiet
@@ -138,8 +138,8 @@ def build_bernstein(p: MatrixPolynomial) -> CompanionPencil:
     if not isinstance(p.basis, Bernstein):
         raise UnsupportedBasisError("build_bernstein needs a Bernstein coefficient polynomial")
     ell, n = p.grade, p.n
-    if ell < 2:
-        raise GradeTooSmallError("Bernstein pencil needs grade >= 2")
+    if ell < 1:
+        raise GradeTooSmallError("Bernstein pencil needs grade >= 1")
     coeff = p.data
     N = ell * n
     eye = np.eye(n, dtype=complex)
@@ -152,7 +152,7 @@ def build_bernstein(p: MatrixPolynomial) -> CompanionPencil:
     c1[_blk(0, n), _blk(0, n)] = coeff[ell] / ell - coeff[ell - 1]
     for i in range(1, ell):
         c1[_blk(i, n), _blk(i, n)] = ((i + 1.0) / (ell - i)) * eye
-    return CompanionPencil(c1=c1, c0=c0, n=n, ell=ell, basis=p.basis)
+    return CompanionPencil(c1=c1, c0=c0, n=n, basis=p.basis)
 
 
 def build_lagrange(p: MatrixPolynomial) -> CompanionPencil:
@@ -193,4 +193,4 @@ def build_hermite(p: MatrixPolynomial) -> CompanionPencil:
             if j > 0:
                 c0[_blk(col, n), _blk(col - 1, n)] = eye
         start += s
-    return CompanionPencil(c1=c1, c0=c0, n=n, ell=ell, basis=p.basis)
+    return CompanionPencil(c1=c1, c0=c0, n=n, basis=p.basis)

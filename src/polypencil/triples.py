@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bases import one_coefficients
+from .bases import Hermite, one_coefficients
 from .errors import DimensionMismatchError, SingularMatrixError, SingularPencilError
 from .linalg import as_cmatrix, guarded_inverse, sip
 from .matpoly import MatrixPolynomial, evaluate
@@ -39,14 +39,14 @@ class GeneralizedStandardTriple:
 
 
 def make_triple(pc: CompanionPencil) -> GeneralizedStandardTriple:
-    """Attach the universal X and Y to a pencil as a builder returned it."""
+    """Attach the universal X and Y to a pencil as a builder returned it.
+
+    Its grade is the block count, less the two structural blocks of an interpolation pencil.
+    """
     if pc.basis is None:
         raise ValueError("pencil carries no basis; transform or compose its triple instead")
-    n = pc.n
-    blocks = pc.size // n
-    row = one_coefficients(pc.basis, pc.ell)
-    if row.shape[0] != blocks:
-        raise DimensionMismatchError("pencil size does not match its basis metadata")
+    n, blocks = pc.n, pc.size // pc.n
+    row = one_coefficients(pc.basis, blocks - 2 if isinstance(pc.basis, Hermite) else blocks)
     x = np.kron(row.reshape(1, -1), np.eye(n, dtype=complex))
     y = np.zeros((pc.size, n), dtype=complex)
     y[:n, :] = np.eye(n, dtype=complex)

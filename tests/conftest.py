@@ -50,7 +50,7 @@ def make_basis(kind, ell, rng):
     if kind == "legendre":
         return LegendreP()
     if kind == "bernstein":
-        return Bernstein(grade=ell)
+        return Bernstein()
     if kind == "custom":
         return CustomThreeTerm(alpha=tuple(rng.uniform(0.5, 1.5, ell)),
                                beta=tuple(0.2 * rng.standard_normal(ell)),

@@ -75,9 +75,9 @@ def section_examples():
                                                           golden.CHEBYSHEV_COEFFS)
     yield "newton", newton_polynomial()
     yield "bernstein monic", MatrixPolynomial.from_coefficients(
-        Bernstein(grade=3), golden.BERNSTEIN_MONIC_COEFFS)
+        Bernstein(), golden.BERNSTEIN_MONIC_COEFFS)
     yield "bernstein singular", MatrixPolynomial.from_coefficients(
-        Bernstein(grade=3), golden.BERNSTEIN_SINGULAR_COEFFS)
+        Bernstein(), golden.BERNSTEIN_SINGULAR_COEFFS)
     yield "lagrange", MatrixPolynomial(
         Lagrange(nodes=golden.LAGRANGE_NODES), [np.eye(2)] * 3)
     yield "hermite scalar", hermite_constant_one()
@@ -99,12 +99,12 @@ def test_criterion_1_newton_golden_pencil():
 
 def test_criterion_2_bernstein_golden_pencils():
     with criterion(2, "Bernstein reference C1/X and singular-leading entry", 1.0):
-        monic = MatrixPolynomial.from_coefficients(Bernstein(grade=3),
+        monic = MatrixPolynomial.from_coefficients(Bernstein(),
                                                    golden.BERNSTEIN_MONIC_COEFFS)
         pc = build(monic)
         assert np.max(np.abs(pc.c1 - golden.BERNSTEIN_MONIC_C1)) <= 1e-12
         assert np.max(np.abs(make_triple(pc).x - golden.BERNSTEIN_MONIC_X)) <= 1e-12
-        singular = MatrixPolynomial.from_coefficients(Bernstein(grade=3),
+        singular = MatrixPolynomial.from_coefficients(Bernstein(),
                                                       golden.BERNSTEIN_SINGULAR_COEFFS)
         assert abs(build(singular).c1[1, 0] - 5099.0 / 5940.0) <= 1e-12
 
@@ -145,7 +145,7 @@ def test_criterion_4_determinant_identity_randomized():
 
 def test_criterion_5_equivalence_goldens():
     with criterion(5, "strict-equivalence reference E/F and coefficient forms", 1.0):
-        pb = MatrixPolynomial.from_coefficients(Bernstein(grade=4),
+        pb = MatrixPolynomial.from_coefficients(Bernstein(),
                                                 scalar(golden.EQUIV_BERNSTEIN_A))
         pair = equivalence_degree_graded(pb)
         assert np.max(np.abs(pair.e - golden.EQUIV_BERNSTEIN_E)) <= 1e-12
@@ -182,7 +182,7 @@ def test_criterion_6_algebraic_linearization():
                                 lambda z: [[z * z + 2.0]], c, zs) <= 1e-7
 
         pmix_a = MatrixPolynomial.from_coefficients(ChebyshevT(), scalar([0.4, -0.7, 1.2]))
-        pmix_b = MatrixPolynomial.from_coefficients(Bernstein(grade=2), scalar([0.9, 0.2, -1.1]))
+        pmix_b = MatrixPolynomial.from_coefficients(Bernstein(), scalar([0.9, 0.2, -1.1]))
         cm = np.array([[1.0]])
         t_mixed = build_algebraic(make_triple(build(pmix_a)), make_triple(build(pmix_b)), cm)
         assert verify_algebraic(t_mixed, pmix_a, pmix_b, cm, zs) <= 1e-7

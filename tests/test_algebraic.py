@@ -68,7 +68,7 @@ class TestScalarOracle:
 
 def test_mixed_bases(rng):
     pa = MatrixPolynomial.from_coefficients(ChebyshevT(), scalar([0.3, -0.2, 1.1]))
-    pb = MatrixPolynomial.from_coefficients(Bernstein(grade=2), scalar([0.8, 0.1, -0.9]))
+    pb = MatrixPolynomial.from_coefficients(Bernstein(), scalar([0.8, 0.1, -0.9]))
     c = np.array([[1.0]])
     t = build_algebraic(make_triple(build(pa)), make_triple(build(pb)), c)
     spread = verify_algebraic(t, pa, pb, c, SAMPLES)

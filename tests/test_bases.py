@@ -56,7 +56,7 @@ class TestRecurrenceRow:
 
     def test_non_three_term_rejected(self):
         with pytest.raises(UnsupportedBasisError):
-            recurrence_row(Bernstein(grade=3), 1)
+            recurrence_row(Bernstein(), 1)
 
 
 def phi_value(basis, count, k, z):
@@ -77,7 +77,7 @@ class TestEvalPhi:
 
     def test_bernstein_binomial(self):
         expected = 3.0 * (1 / 3) * (2 / 3) ** 2
-        assert phi_value(Bernstein(grade=3), 4, 1, 1 / 3) == pytest.approx(expected)
+        assert phi_value(Bernstein(), 4, 1, 1 / 3) == pytest.approx(expected)
         assert expected == pytest.approx(4 / 9)
 
     def test_chebyshev_cosine_identity(self, rng):
@@ -107,7 +107,7 @@ class TestOneCoefficients:
         assert np.array_equal(one_coefficients(Monomial(), 4), [0, 0, 0, 1])
 
     def test_bernstein(self):
-        assert np.allclose(one_coefficients(Bernstein(grade=5), 5),
+        assert np.allclose(one_coefficients(Bernstein(), 5),
                            [1 / 5, 2 / 5, 3 / 5, 4 / 5, 1.0])
 
     def test_hermite(self):
@@ -299,7 +299,7 @@ class TestNullVectorBasisMatrix:
         assert np.allclose(rows, [[2, 0, -1], [0, 1, 0], [0, 0, 1]])
 
     def test_bernstein_reference(self):
-        rows = null_vector_basis_matrix(Bernstein(grade=4), 4)
+        rows = null_vector_basis_matrix(Bernstein(), 4)
         assert np.max(np.abs(rows - golden.EQUIV_BERNSTEIN_F)) <= 1e-12
 
     def test_lagrange_reference(self):
@@ -328,7 +328,7 @@ def test_monomial_rows_expand_phi(kind, rng):
     if kind == "hermite":
         basis = Hermite(nodes=spread_nodes(rng, 3), confluencies=[3, 2, 3])
     else:
-        basis = Bernstein(grade=6) if kind == "bernstein" else Lagrange(nodes=spread_nodes(rng, 8))
+        basis = Bernstein() if kind == "bernstein" else Lagrange(nodes=spread_nodes(rng, 8))
     count = 7 if kind == "bernstein" else 8
     rows = monomial_rows(basis, count)  # phi_{count-1} .. phi_0, descending powers
     zs = rng.uniform(0, 1, 5) * np.exp(2j * np.pi * rng.uniform(size=5))

@@ -403,6 +403,20 @@ class TestMatrixParser:
         path = write(tmp_path, "d.json", self.DOCS[payload] % token)
         assert run(capsys, "eig", path) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("rows, n, message", [
+        ({"matrix": [[3]]}, 1, "expected a 1x1 matrix, got an object"),
+        ([[1, 0]], 2, "expected a 2x2 matrix, got a list of length 1"),
+        ("eye", 8, "expected an 8x8 matrix, got a string"),
+        (None, 11, "expected an 11x11 matrix, got null"),
+        (True, 18, "expected an 18x18 matrix, got a boolean"),
+        (3.5, 81, "expected an 81x81 matrix, got a number"),
+        (3, 111, "expected a 111x111 matrix, got a number"),
+    ])
+    def test_refused_matrix_says_what_it_got(self, rows, n, message):
+        with pytest.raises(DocumentError) as info:
+            parse_matrix(rows, n)
+        assert str(info.value) == message
+
     def test_faulty_row_before_a_faulty_entry_is_reported_first(self):
         with pytest.raises(DocumentError, match="matrix row 0 must have 2 entries"):
             parse_matrix([[1.0], [True, 2.0]], 2)
@@ -622,7 +636,8 @@ class TestAlglinCommand:
         a = write(tmp_path, "a.json", SQUARE_PLUS_ONE)
         c = write(tmp_path, "c.json", {"matrix": [[3]]})
         code, out, err = run(capsys, "alglin", a, a, "--c", c)
-        assert (code, out) == (2, "") and err == "error: expected an 1x1 matrix\n"
+        assert (code, out) == (2, "")
+        assert err == f"error: --c file {c}: expected a 1x1 matrix, got an object\n"
 
     def test_h_is_evaluated_once(self, tmp_path, capsys, monkeypatch):
         calls = []
@@ -753,6 +768,21 @@ class TestOtherBases:
             code, out, _ = run(capsys, "verify", write(tmp_path, "d.json", doc))
             assert code == 0, kind
             assert json.loads(out)["pass"] is True
+
+    def test_bernstein_grade_one_document(self, tmp_path, capsys):
+        # P(z) = 2 B_0 - B_1 = 2 - 3z, whose one eigenvalue is 2/3
+        path = write(tmp_path, "d.json", {"basis": {"kind": "bernstein"}, "n": 1, "grade": 1,
+                                          "coefficients": [[[2]], [[-1]]]})
+        payloads = {}
+        for command in ("pencil", "eig", "verify", "equiv"):
+            code, out, err = run(capsys, command, path)
+            assert (code, err) == (0, ""), command
+            payloads[command] = json.loads(out)
+        assert payloads["pencil"]["N"] == 1
+        assert as_complex_matrix(payloads["pencil"]["X"]).tolist() == [[1]]
+        assert abs(complex(*payloads["eig"]["finite"][0]) - 2 / 3) <= 1e-15
+        assert payloads["verify"]["max_residual"] <= 1e-15
+        assert payloads["equiv"]["deviation"] <= 1e-15
 
 
 class TestDocumentValidation:
@@ -1016,11 +1046,10 @@ def scalars(count, seed):
 def valid_documents(draw, kinds=TEN_KINDS):
     """A valid document of one of the kinds: n 1-3, grade 1-4, some blocks zero.
 
-    A Bernstein pencil needs grade 2 or more, and one block stays nonzero,
-    so that P is regular.
+    One block stays nonzero, so that P is regular.
     """
     kind = draw(st.sampled_from(kinds))
-    n, grade = draw(st.integers(1, 3)), draw(st.integers(2 if kind == "bernstein" else 1, 4))
+    n, grade = draw(st.integers(1, 3)), draw(st.integers(1, 4))
     seed = draw(st.integers(0, 2**32 - 1))
     nodes = draw(st.lists(st.integers(-8, 8), min_size=grade + 1, max_size=grade + 1,
                           unique=True))

@@ -170,7 +170,7 @@ class TestEigenResidual:
         assert 0.5 <= value <= 2.0
 
     def test_bernstein_example_eigenvalues(self):
-        p = MatrixPolynomial.from_coefficients(Bernstein(grade=3),
+        p = MatrixPolynomial.from_coefficients(Bernstein(),
                                                golden.BERNSTEIN_MONIC_COEFFS)
         result = generalized_eigenvalues(build(p), p)
         assert result.finite

@@ -32,7 +32,7 @@ def scalar(values):
 
 
 def bernstein_reference_poly():
-    return MatrixPolynomial.from_coefficients(Bernstein(grade=4),
+    return MatrixPolynomial.from_coefficients(Bernstein(),
                                               scalar(golden.EQUIV_BERNSTEIN_A))
 
 
@@ -73,7 +73,7 @@ class TestDegreeGraded:
     def test_block_bernstein(self, rng):
         coeffs = [rng.standard_normal((2, 2)) for _ in range(4)]
         coeffs[0] += 3.0 * np.eye(2)
-        p = MatrixPolynomial.from_coefficients(Bernstein(grade=3), coeffs)
+        p = MatrixPolynomial.from_coefficients(Bernstein(), coeffs)
         pair = equivalence_degree_graded(p)
         assert verify_equivalence(pair) <= 1e-10
 
@@ -231,7 +231,7 @@ def test_pair_matrices_are_nonsingular(rng):
     from polypencil.linalg import det
 
     cases = [
-        MatrixPolynomial.from_coefficients(Bernstein(grade=3),
+        MatrixPolynomial.from_coefficients(Bernstein(),
                                            scalar(rng.standard_normal(4) + 2.0)),
         MatrixPolynomial.from_coefficients(ChebyshevT(),
                                            scalar(rng.standard_normal(5) + 2.0)),

@@ -4,7 +4,6 @@ import pytest
 import golden
 from conftest import ALL_KINDS, TEN_KINDS, hermite_polynomial, poly_nodes, random_polynomial
 from polypencil import (
-    Bernstein,
     ChebyshevT,
     Hermite,
     Lagrange,
@@ -96,10 +95,6 @@ class TestValidation:
     def test_mismatched_block_sizes(self):
         with pytest.raises(Exception):
             MatrixPolynomial.from_coefficients(Monomial(), [np.eye(2), np.eye(3)])
-
-    def test_count_must_match_the_bernstein_grade(self):
-        with pytest.raises(ValueError):
-            MatrixPolynomial(Bernstein(grade=3), [np.eye(2), np.eye(2)])
 
     def test_data_is_read_only(self, rng):
         p = random_polynomial("chebyshev", 2, 3, rng)

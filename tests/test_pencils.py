@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import golden
-from conftest import ALL_KINDS, hermite_polynomial, poly_nodes, random_polynomial
+from conftest import ALL_KINDS, hermite_polynomial, one_at_a_time, poly_nodes, random_polynomial
 from polypencil import (
     Bernstein,
     ChebyshevT,
     CompanionPencil,
+    DimensionMismatchError,
     GradeTooSmallError,
     Hermite,
     Lagrange,
@@ -21,12 +22,15 @@ from polypencil import (
     build_hermite,
     build_lagrange,
     build_three_term,
+    equivalence_degree_graded,
     evaluate,
     flip_triple,
     make_triple,
     recurrence_row,
     similarity_triple,
     transpose_triple,
+    verify_equivalence,
+    verify_triple,
 )
 from polypencil.linalg import det
 
@@ -91,14 +95,14 @@ class TestThreeTerm:
 
 class TestBernstein:
     def test_monic_reference(self):
-        p = MatrixPolynomial.from_coefficients(Bernstein(grade=3),
+        p = MatrixPolynomial.from_coefficients(Bernstein(),
                                                golden.BERNSTEIN_MONIC_COEFFS)
         pc = build_bernstein(p)
         assert np.max(np.abs(pc.c1 - golden.BERNSTEIN_MONIC_C1)) <= 1e-12
         assert np.max(np.abs(pc.c0 - golden.BERNSTEIN_MONIC_C0)) <= 1e-12
 
     def test_singular_leading_reference(self):
-        p = MatrixPolynomial.from_coefficients(Bernstein(grade=3),
+        p = MatrixPolynomial.from_coefficients(Bernstein(),
                                                golden.BERNSTEIN_SINGULAR_COEFFS)
         pc = build_bernstein(p)
         assert np.max(np.abs(pc.c1[:2, :2] - golden.BERNSTEIN_SINGULAR_C1_BLOCK)) <= 1e-12
@@ -106,15 +110,30 @@ class TestBernstein:
 
     def test_scalar_squared_factor(self):
         # p = B_0^2 = (1-z)^2
-        p = MatrixPolynomial.from_coefficients(Bernstein(grade=2), scalar([1, 0, 0]))
+        p = MatrixPolynomial.from_coefficients(Bernstein(), scalar([1, 0, 0]))
         pc = build_bernstein(p)
         assert np.allclose(pc.c0, [[0, -1], [1, 0]])
         assert np.allclose(pc.c1, [[0, -1], [1, 2]])
         for z in (0.0, 0.5, 2.0):
             assert det(pc.at(z)) == pytest.approx((1.0 - z) ** 2)
 
+    def test_one_instance_serves_every_grade(self, rng):
+        # the grade is the count of coefficients less one, so X = [1, 2, ..., ell]/ell (x) I
+        basis = Bernstein()
+        for ell in range(1, 7):
+            p = MatrixPolynomial(basis, rng.standard_normal((ell + 1, 2, 2))
+                                 + 1j * rng.standard_normal((ell + 1, 2, 2)))
+            pc = build(p)
+            t = make_triple(pc)
+            zs = one_at_a_time(pc, 10, rng)
+            det_matches_polynomial(pc, p, zs)
+            assert verify_triple(t, p, zs) <= 1e-9
+            x = np.kron(np.arange(1, ell + 1) / ell, np.eye(2))
+            assert np.max(np.abs(t.x - x)) <= 1e-15
+            assert verify_equivalence(equivalence_degree_graded(p)) <= 1e-8
+
     def test_grade_too_small(self):
-        p = MatrixPolynomial.from_coefficients(Bernstein(grade=1), scalar([1, 2]))
+        p = MatrixPolynomial.from_coefficients(Bernstein(), scalar([1]))
         with pytest.raises(GradeTooSmallError):
             build_bernstein(p)
 
@@ -326,7 +345,7 @@ class TestNonFinitePencil:
 
     @pytest.mark.parametrize("basis, coeffs", [
         (Newton(nodes=[1.0, 1e308]), [1, 1, 2]),  # (b / a) * P_2 overflows
-        (Bernstein(grade=2), [0, -1.7e308, 1.7e308]),  # P_2 / 2 - P_1 overflows
+        (Bernstein(), [0, -1.7e308, 1.7e308]),  # P_2 / 2 - P_1 overflows
     ], ids=["newton", "bernstein"])
     def test_overflowing_builder_raises_without_a_warning(self, basis, coeffs):
         p = MatrixPolynomial.from_coefficients(basis, scalar(coeffs))
@@ -335,10 +354,16 @@ class TestNonFinitePencil:
             with pytest.raises(NonFiniteError, match="non-finite entries"):
                 build(p)
 
+    def test_constructor_rejects_a_size_of_part_blocks(self):
+        # make_triple reads the grade off the block count, so the blocks must be whole
+        with pytest.raises(DimensionMismatchError):
+            CompanionPencil(c1=np.eye(3, dtype=complex), c0=np.eye(3, dtype=complex), n=2,
+                            basis=Monomial())
+
     def test_constructor_rejects_a_non_finite_member(self):
         c1 = np.eye(2, dtype=complex)
         c0 = np.array([[1.0, np.inf], [0.0, 1.0]], dtype=complex)
         with pytest.raises(NonFiniteError):
-            CompanionPencil(c1=c1, c0=c0, n=1, ell=2)
+            CompanionPencil(c1=c1, c0=c0, n=1)
         with pytest.raises(NonFiniteError):
-            CompanionPencil(c1=c0 * np.nan, c0=c1, n=1, ell=2)
+            CompanionPencil(c1=c0 * np.nan, c0=c1, n=1)

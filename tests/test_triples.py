@@ -49,7 +49,7 @@ class TestMakeTriple:
         assert np.array_equal(t.y, expected_y)
 
     def test_bernstein_reference_x(self):
-        p = MatrixPolynomial.from_coefficients(Bernstein(grade=3),
+        p = MatrixPolynomial.from_coefficients(Bernstein(),
                                                golden.BERNSTEIN_MONIC_COEFFS)
         t = make_triple(build(p))
         assert np.max(np.abs(t.x - golden.BERNSTEIN_MONIC_X)) <= 1e-15
@@ -90,7 +90,7 @@ class TestResolvent:
         size = n * ell
         c1, c0 = (rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
                   for _ in range(2))
-        pc = CompanionPencil(c1=c1, c0=c0, n=n, ell=ell)
+        pc = CompanionPencil(c1=c1, c0=c0, n=n)
         t = GeneralizedStandardTriple(x=rng.standard_normal((n, size)) + 0j, pencil=pc,
                                       y=rng.standard_normal((size, n)) + 1j)
         z = 0.3 - 0.8j
@@ -108,9 +108,9 @@ def reference_examples(rng):
     yield MatrixPolynomial.from_coefficients(ChebyshevT(), golden.CHEBYSHEV_COEFFS)
     yield MatrixPolynomial.from_coefficients(Newton(nodes=golden.NEWTON_NODES),
                                              golden.NEWTON_COEFFS)
-    yield MatrixPolynomial.from_coefficients(Bernstein(grade=3),
+    yield MatrixPolynomial.from_coefficients(Bernstein(),
                                              golden.BERNSTEIN_MONIC_COEFFS)
-    yield MatrixPolynomial.from_coefficients(Bernstein(grade=3),
+    yield MatrixPolynomial.from_coefficients(Bernstein(),
                                              golden.BERNSTEIN_SINGULAR_COEFFS)
     yield MatrixPolynomial(Lagrange(nodes=golden.LAGRANGE_NODES),
                            [np.eye(2)] * 3)
@@ -215,7 +215,7 @@ class TestSamplePoints:
         draws = [complex(twin.uniform(-2, 2), twin.uniform(-2, 2)) for _ in range(40)]
         disk = [z for z in draws if abs(z) <= 2.0]
         z0 = disk[0]
-        pc = CompanionPencil(c1=np.eye(2, dtype=complex), c0=np.diag([z0, 1.0]), n=2, ell=1)
+        pc = CompanionPencil(c1=np.eye(2, dtype=complex), c0=np.diag([z0, 1.0]), n=2)
         assert np.linalg.matrix_rank(pc.at(z0)) == 1
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.inv(pc.at(disk[:4]))  # the stacked inverse refuses the whole chunk
@@ -249,7 +249,7 @@ class TestSamplePoints:
         # M = diag(1, 1e-12 z) has rcond_F close to 1e-12 |z|: the guard refuses
         # every draw inside about |z| < 1, a quarter of the disk
         pc = CompanionPencil(c1=np.diag([0.0, 1e-12]).astype(complex),
-                             c0=np.diag([-1.0, 0.0]).astype(complex), n=2, ell=1)
+                             c0=np.diag([-1.0, 0.0]).astype(complex), n=2)
         rngs = [np.random.default_rng(5) for _ in range(2)]
         zs = sample_points(pc, 90, rngs[0])
         assert zs == one_at_a_time(pc, 90, rngs[1])
@@ -258,14 +258,14 @@ class TestSamplePoints:
 
     def test_singular_everywhere_raises(self, rng):
         flat = np.diag([1.0, 0.0]).astype(complex)
-        pc = CompanionPencil(c1=flat, c0=flat, n=2, ell=1)
+        pc = CompanionPencil(c1=flat, c0=flat, n=2)
         with pytest.raises(SingularPencilError):
             sample_points(pc, 3, rng)
 
     def test_rejects_candidates_below_the_rcond_guard(self, rng):
         # scaling one row by 1e-14 puts rcond near 1e-14 < PIVOT_GUARD at every z
         c1 = np.diag([1.0, 1e-14]).astype(complex)
-        pc = CompanionPencil(c1=c1, c0=c1 * 3.0, n=2, ell=1)
+        pc = CompanionPencil(c1=c1, c0=c1 * 3.0, n=2)
         with pytest.raises(SingularPencilError):
             sample_points(pc, 2, rng)
 
