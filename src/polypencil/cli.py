@@ -126,6 +126,9 @@ def cmd_verify(args):
 def cmd_alglin(args):
     pa = parse_document(_load_json(args.a))
     pb = parse_document(_load_json(args.b))
+    if pb.n != pa.n:
+        raise DocumentError(f"A and B must share the block dimension: {args.a} has n = {pa.n}, "
+                            f"{args.b} has n = {pb.n}")
     c_doc = _load_json(args.c)
     try:
         c = parse_matrix(c_doc, pa.n)

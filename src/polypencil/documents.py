@@ -6,9 +6,10 @@ n x n matrices, ascending basis index), ``samples`` (one matrix per node), or
 ``hermite_samples`` (per node, a list of matrices: value, then scaled
 derivatives ascending).  Complex scalars are two-element [re, im] arrays;
 bare numbers are accepted on input and normalized to pairs on output.
-Output matrices are written as JSON text by matrix_to_json, one format call
-per row, and spliced into the CLI's payload: the bytes are those json.dumps
-writes for the nested lists of pairs.
+Output matrices are written as JSON text by matrix_to_json and spliced into
+the CLI's payload: an exact +0.0 comes from the text's layout, float.__repr__
+runs only for the other entries, and the bytes are those json.dumps writes
+for the nested lists of pairs.
 """
 
 from __future__ import annotations
@@ -122,18 +123,28 @@ def scalar_to_json(z) -> list:
 def matrix_to_json(m) -> str:
     """The JSON text of m as rows of [re, im] pairs, byte for byte what json.dumps writes.
 
-    Each row is one ``%`` call on a format string of ``[%r, %r]`` pairs built
-    once per matrix; ``%r`` is float.__repr__, the json module's float writer,
-    and the per-row float lists are not GC-tracked, unlike one list per entry.
+    The text is laid out once as a list of pieces, "0.0" in every float slot
+    between the separators, and only the floats whose bits are not those of
+    +0.0 are overwritten with float.__repr__, the json module's float writer:
+    the cost follows the nonzero entries, not the size of the matrix.  -0.0
+    has its own bits and its own repr, so it is written like any other value.
     A NaN or an infinity raises ValueError, as json.dumps(allow_nan=False) does.
     """
     m = np.atleast_2d(np.asarray(m, dtype=complex))
     if not np.isfinite(m).all():
         raise ValueError("Out of range float values are not JSON compliant")
     rows, cols = m.shape
-    row = "[" + ", ".join(["[%r, %r]"] * cols) + "]"
-    values = np.stack([m.real, m.imag], -1).reshape(rows, 2 * cols).tolist()
-    return "[" + ", ".join([row % tuple(r) for r in values]) + "]"
+    if not m.size:  # no float slot: an empty row per row, or no row at all
+        return "[" + ", ".join(["[]"] * rows) + "]"
+    values = np.stack([m.real, m.imag], -1).reshape(-1)
+    # float k sits at pieces[2k] and the separator after it at pieces[2k + 1];
+    # the separator after a row's last pair closes that row, or the matrix
+    pieces = ["0.0", ", ", "0.0", "], ["] * (rows * cols)
+    pieces[4 * cols - 1::4 * cols] = ["]], [["] * (rows - 1) + ["]]]"]
+    slots = np.flatnonzero(values.view(np.int64))  # +0.0 is the one float with no bit set
+    for k, v in zip((2 * slots).tolist(), values[slots].tolist()):
+        pieces[k] = repr(v)
+    return "[[[" + "".join(pieces)
 
 
 def parse_basis(desc, grade):

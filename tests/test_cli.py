@@ -301,6 +301,11 @@ EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.7976931348623157e308
                -12.0, 1e16, 2.0 ** 53, 0.1, 1 / 3, -2.5e-17, 123456789.125]
 
 
+def views(m):
+    """m itself, its transpose, or a reversed and strided slice of it."""
+    return st.sampled_from([m, m.T, m[::-1, ::2]])
+
+
 @st.composite
 def complex_matrices(draw):
     """A random complex matrix of shape 1 x 1, n x N or N x n, possibly a non-contiguous view."""
@@ -311,12 +316,31 @@ def complex_matrices(draw):
     count = 2 * shape[0] * shape[1]
     values = draw(st.lists(part, min_size=count, max_size=count))
     m = np.array(values).view(complex).reshape(shape)
-    view = draw(st.sampled_from(["plain", "transposed", "sliced"]))
-    if view == "transposed":
-        return m.T
-    if view == "sliced":
-        return m[::-1, ::2]
-    return m
+    return draw(views(m))
+
+
+@st.composite
+def zero_heavy_matrices(draw):
+    """A complex matrix whose parts are mostly exact +0.0 and -0.0, as a pencil's are.
+
+    Whole rows and columns may be zero, or the whole matrix; the shapes take
+    in 1 x 1, 1 x k and k x 1; and the matrix may be a transposed or sliced view.
+    """
+    k, other = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    shape = draw(st.sampled_from([(1, 1), (1, k), (k, 1), (k, other)]))
+    zero = st.sampled_from([0.0, 0.0, 0.0, -0.0])
+    part = st.one_of(zero, zero, zero, st.sampled_from(EDGE_FLOATS),
+                     st.floats(allow_nan=False, allow_infinity=False))
+    count = 2 * shape[0] * shape[1]
+    values = draw(st.lists(part, min_size=count, max_size=count))
+    m = np.array(values).view(complex).reshape(shape)
+    blank = draw(st.sampled_from([complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)]))
+    if draw(st.sampled_from(["lines", "lines", "lines", "all"])) == "all":
+        m[...] = blank
+    else:
+        m[draw(st.lists(st.integers(0, shape[0] - 1), max_size=shape[0])), :] = blank
+        m[:, draw(st.lists(st.integers(0, shape[1] - 1), max_size=shape[1]))] = blank
+    return draw(views(m))
 
 
 class TestWriter:
@@ -337,6 +361,26 @@ class TestWriter:
     @given(m=complex_matrices())
     def test_matrix_to_json_is_json_dumps_of_the_list_form(self, m):
         assert matrix_to_json(m) == json.dumps(np.stack([m.real, m.imag], -1).tolist())
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(m=zero_heavy_matrices())
+    def test_zero_heavy_matrix_is_written_as_json_dumps_writes_it(self, m):
+        assert matrix_to_json(m) == json.dumps(np.stack([m.real, m.imag], -1).tolist())
+        payload = {"C1": m, "N": m.shape[0]}
+        for pretty in (False, True):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                _emit(payload, pretty)
+            assert out.getvalue() == list_writer(payload, pretty)
+
+    @pytest.mark.parametrize("shape, text", [((0, 3), "[]"), ((3, 0), "[[], [], []]"),
+                                             ((0, 0), "[]")], ids=["0x3", "3x0", "0x0"])
+    def test_empty_matrix_is_written_as_json_dumps_writes_it(self, capsys, shape, text):
+        m = np.zeros(shape, dtype=complex)
+        assert matrix_to_json(m) == json.dumps(np.stack([m.real, m.imag], -1).tolist()) == text
+        for pretty in (False, True):
+            _emit({"X": m}, pretty)
+            assert capsys.readouterr().out == list_writer({"X": m}, pretty)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
     def test_non_finite_matrix_raises_as_json_dumps_does(self, bad):
@@ -638,6 +682,17 @@ class TestAlglinCommand:
         code, out, err = run(capsys, "alglin", a, a, "--c", c)
         assert (code, out) == (2, "")
         assert err == f"error: --c file {c}: expected a 1x1 matrix, got an object\n"
+
+    def test_block_sizes_of_a_and_b_that_differ_exit_2(self, tmp_path, capsys):
+        a = write(tmp_path, "a.json", {"basis": {"kind": "monomial"}, "n": 1,
+                                       "coefficients": [[[1]], [[2]]]})
+        b = write(tmp_path, "b.json", {"basis": {"kind": "monomial"}, "n": 2,
+                                       "coefficients": [np.eye(2).tolist(), np.eye(2).tolist()]})
+        c = write(tmp_path, "c.json", [[1]])
+        code, out, err = run(capsys, "alglin", a, b, "--c", c)
+        assert (code, out) == (2, "")
+        assert err == (f"error: A and B must share the block dimension: {a} has n = 1, "
+                       f"{b} has n = 2\n")
 
     def test_h_is_evaluated_once(self, tmp_path, capsys, monkeypatch):
         calls = []
@@ -1179,13 +1234,15 @@ def test_one_broken_fact_is_one_schema_fault_on_every_command(tmp_path_factory, 
         assert bary == (code, out, err), doc
 
 
+@pytest.mark.parametrize("n, grade", [(2, 4), (1, 1), (3, 2)])
 @pytest.mark.parametrize("kind", TEN_KINDS)
 def test_every_subcommand_prints_what_the_list_writer_printed(tmp_path, capsys, monkeypatch,
-                                                               kind):
+                                                               kind, n, grade):
     """stdout, compact and --pretty, equals json.dumps of the payload with lists for matrices."""
-    p = random_polynomial(kind, 2, 4, np.random.default_rng(11))
+    p = random_polynomial(kind, n, grade, np.random.default_rng(11))
     doc_path = write(tmp_path, "d.json", polynomial_document(kind, p))
-    c_path = write(tmp_path, "c.json", [[1, 0.5], [-0.25, 1]])
+    c = np.eye(n) + 0.5 * np.eye(n, k=1) - 0.25 * np.eye(n, k=-1)
+    c_path = write(tmp_path, "c.json", c.tolist())
     payloads = []
     real_emit = cli._emit
 
