@@ -77,7 +77,7 @@ import numpy as np
 
 from .bases import Hermite, phi_rows
 from .errors import NoConvergenceError, SingularPencilEverywhereError
-from .linalg import as_cmatrix, guarded_inverse
+from .linalg import as_cmatrix, guarded_solve
 # Unused here: bench/test_bench.py::test_patch_replaces_every_binding_and_restores_it
 # checks that the span tracer rebinds this name; it goes with the benchmark
 # refresh (ROADMAP item 1).
@@ -357,19 +357,20 @@ def _quarter_step(sums, exponents):
 def _accepted_shift(c1, c0, rng):
     """(sigma, A, d_r, M, B) for the first shift whose balanced pencil matrix is well conditioned.
 
-    With B = D_l C1 D_r, M = sigma B - D_l C0 D_r is inverted by LAPACK and
-    sigma is accepted when rcond_F(M) >= PIVOT_GUARD; then A = M^-1 B, whose
-    eigenvectors V give the pencil's as D_r V.  A singular M moves on to
-    the next candidate.
+    With B = D_l C1 D_r, M = sigma B - D_l C0 D_r is inverted by one LAPACK
+    solve against I (built once for all tries), and sigma is accepted when
+    rcond_F(M) >= PIVOT_GUARD; then A = M^-1 B, whose eigenvectors V give
+    the pencil's as D_r V.  A singular M moves on to the next candidate.
     """
     d_l, d_r = _balancing(c1, c0)
     c1 = d_l[:, None] * c1 * d_r
-    c0 = d_l[:, None] * c0 * d_r
+    # D_l C0 D_r is formed at each try and not kept, so I costs no memory at the peak
+    eye = np.eye(len(c1), dtype=complex)
     for _ in range(MAX_SHIFT_TRIES):
         angle = rng.uniform(0.0, 2.0 * np.pi)
         candidate = SHIFT_RADIUS * complex(np.cos(angle), np.sin(angle))
-        m = candidate * c1 - c0
-        inverse, ok = guarded_inverse(m)
+        m = candidate * c1 - d_l[:, None] * c0 * d_r
+        inverse, ok = guarded_solve(m, eye)
         if ok:
             return candidate, inverse @ c1, d_r, m, c1
     raise SingularPencilEverywhereError(

@@ -31,7 +31,7 @@ from .bases import (
     null_vector_basis_matrix,
 )
 from .errors import SingularC0Error, UnsupportedBasisError
-from .linalg import guarded_inverse
+from .linalg import guarded_solve
 from .matpoly import MatrixPolynomial
 from .pencils import CompanionPencil, build, build_hermite, build_three_term
 
@@ -97,7 +97,7 @@ def equivalence_degree_graded(p: MatrixPolynomial) -> EquivalencePair:
     f_small = null_vector_basis_matrix(p.basis, p.grade)
     f = np.kron(f_small, np.eye(p.n, dtype=complex))
     f_inverse = np.kron(np.linalg.inv(f_small), np.eye(p.n, dtype=complex))
-    lead_inverse, ok = guarded_inverse(pc_phi.c1)
+    lead_inverse, ok = guarded_solve(pc_phi.c1, np.eye(pc_phi.size, dtype=complex))
     if ok:
         e = _times_inverse(pc_m.c1, f, f_inverse) @ lead_inverse
     else:

@@ -3,12 +3,12 @@
 Everything operates on plain ``numpy.ndarray`` values with dtype complex128.
 Every factorization the package runs calls LAPACK through ``numpy.linalg``,
 stacked over sample points where there are several, and the hand-written
-elimination here has no runtime caller: ``guarded_inverse`` is the LAPACK
-inverse with its rcond test, on which ``eigen`` accepts a shift,
-``triples`` keeps sample points and ``equivalence`` solves E from the
-leading term, and
-``algebraic.verify_algebraic`` checks the resolvent identity with LAPACK
-instead of a determinant ratio.
+elimination here has no runtime caller: ``guarded_solve`` is the LAPACK
+solve with its rcond test, on which ``eigen`` accepts a shift and
+``equivalence`` solves E from the leading term (both pass B = I and take
+the inverse), and ``triples`` keeps sample points with M^-1 Y, the same
+solve ``verify_triple`` runs; ``algebraic.verify_algebraic`` checks the
+resolvent identity with LAPACK instead of a determinant ratio.
 
 ``LUFactors``, ``lu_factor``, ``lu_solve`` and ``det`` stay only because
 the benchmark names them:
@@ -34,7 +34,7 @@ __all__ = [
     "lu_solve",
     "det",
     "PIVOT_GUARD",
-    "guarded_inverse",
+    "guarded_solve",
 ]
 
 
@@ -129,28 +129,31 @@ def det(a) -> complex:
     return complex(f.parity * np.prod(np.diag(f.lu)))
 
 
-# Below this rcond_F(M) = 1 / (||M||_F ||M^-1||_F) a pencil matrix M counts as
+# Below this rcond_F = 1 / (||M||_F ||M^-1 B||_F) a pencil matrix M counts as
 # numerically singular: its shift or sample point is redrawn, and a leading
 # term C1 sends the strict equivalence to its constant term.
 PIVOT_GUARD = 1e-12
 
 
-def guarded_inverse(m):
-    """(M^-1, ok) for a matrix or a stack of them: ok where rcond_F(M) >= PIVOT_GUARD.
+def guarded_solve(m, b):
+    """(M^-1 B, ok) for a matrix or a stack: ok where 1 / (||M||_F ||M^-1 B||_F) >= PIVOT_GUARD.
 
-    One LAPACK call inverts the stack; when an exactly singular member makes
-    it raise, the members are inverted one by one, and that one alone is
-    left NaN and refused.
+    B = I gives LAPACK's M^-1 bit for bit, and the rcond_F of M.  A stack
+    takes a (1, N, k) B: NumPy < 2 reads a 2-D one as a stack of vectors.
+    One LAPACK call solves the stack; when an exactly singular member makes
+    it raise, the members are solved one by one, and that one alone is left
+    NaN and refused.
     """
     m = np.asarray(m)
     try:
-        inverse = np.linalg.inv(m)
+        solution = np.linalg.solve(m, b)
     except np.linalg.LinAlgError:
-        inverse = np.full_like(m, np.nan)
+        b = np.broadcast_to(b, m.shape[:-1] + np.shape(b)[-1:])
+        solution = np.full(b.shape, np.nan, dtype=complex)
         for k in np.ndindex(m.shape[:-2]):
             with contextlib.suppress(np.linalg.LinAlgError):
-                inverse[k] = np.linalg.inv(m[k])
-    with np.errstate(all="ignore"):  # an overflowing M or M^-1 is refused, not warned about
+                solution[k] = np.linalg.solve(m[k], b[k])
+    with np.errstate(all="ignore"):  # an overflowing M or M^-1 B is refused, not warned about
         rcond = 1.0 / (np.linalg.norm(m, "fro", axis=(-2, -1))
-                       * np.linalg.norm(inverse, "fro", axis=(-2, -1)))
-    return inverse, rcond >= PIVOT_GUARD
+                       * np.linalg.norm(solution, "fro", axis=(-2, -1)))
+    return solution, rcond >= PIVOT_GUARD

@@ -15,7 +15,7 @@ import numpy as np
 
 from .bases import Hermite, one_coefficients
 from .errors import DimensionMismatchError, SingularMatrixError, SingularPencilError
-from .linalg import as_cmatrix, guarded_inverse, sip
+from .linalg import as_cmatrix, guarded_solve, sip
 from .matpoly import MatrixPolynomial, evaluate
 from .pencils import CompanionPencil
 
@@ -129,8 +129,8 @@ def similarity_triple(t: GeneralizedStandardTriple, s) -> GeneralizedStandardTri
                         moved[:, 2 * size:])
 
 
-def _accepted(pc: CompanionPencil, count, rng):
-    """The rounds of sample_points: per round, the points kept and M^-1 = (z C1 - C0)^-1 at each."""
+def _accepted(pc: CompanionPencil, y, count, rng):
+    """The rounds of sampling: per round, the points kept and M^-1 Y, M = z C1 - C0, at each."""
     found = 0
     budget = 200 * count
     while found < count:
@@ -142,38 +142,39 @@ def _accepted(pc: CompanionPencil, count, rng):
             z = complex(rng.uniform(-_RADIUS, _RADIUS), rng.uniform(-_RADIUS, _RADIUS))
             if abs(z) <= _RADIUS:
                 pending.append(z)
-        inverses, ok = guarded_inverse(pc.at(pending))
+        solutions, ok = guarded_solve(pc.at(pending), y[None])
         found += int(ok.sum())
-        yield [z for z, keep in zip(pending, ok) if keep], inverses[ok]
+        yield [z for z, keep in zip(pending, ok) if keep], solutions[ok]
 
 
 def sample_points(pc: CompanionPencil, count, rng):
     """Random sample points for resolvent checks, guarded against the spectrum.
 
     Draws z uniformly on the disk |z| <= 2, discarding candidates where
-    rcond = 1 / (||M||_F ||M^-1||_F) of M = z C1 - C0 is below PIVOT_GUARD.
+    1 / (||M||_F ||M^-1 Y||_F) of M = z C1 - C0 is below PIVOT_GUARD, with
+    Y = I_N[:, :n], the Y of every make_triple and build_algebraic triple.
     Each round draws just enough candidates to complete the count, at most
-    _CHUNK, and tests them with one batched inverse; rejected ones are
-    replaced in the next round, so the accepted points and the RNG state are
-    those of testing every draw as it comes.  At most 200 * count draws are
-    made.
+    _CHUNK, and tests them with one batched solve (linalg.guarded_solve);
+    rejected ones are replaced in the next round, so the accepted points and
+    the RNG state are those of testing every draw as it comes.  At most
+    200 * count draws are made.
     """
-    return [z for points, _ in _accepted(pc, count, rng) for z in points]
+    y = np.eye(pc.size, pc.n, dtype=complex)
+    return [z for points, _ in _accepted(pc, y, count, rng) for z in points]
 
 
 def sample_resolvents(t: GeneralizedStandardTriple, count, rng):
     """sample_points on t's pencil, with X (z C1 - C0)^-1 Y at each point.
 
     Returns (points, resolvents), the resolvents stacked one (n, n) matrix
-    per point.  Each comes from the inverse the guard already computed, as
-    X (M^-1 Y), so no sample matrix is factored twice; verify_triple takes
-    them in place of its own solves.  They agree with its solves to
-    rounding, and to the bit for a triple of make_triple or build_algebraic,
-    whose Y = [I; 0] makes M^-1 Y the first columns of M^-1.
+    per point.  The guard reads t's own Y, and each resolvent is X (M^-1 Y)
+    from the M^-1 Y it solved for, the same solve verify_triple runs, so no
+    sample matrix is factored twice; verify_triple takes them in place of
+    its own solves, and they equal those to the bit.
     """
     n = t.pencil.n
     zs, resolvents = [], [np.empty((0, n, n), dtype=complex)]
-    for points, inverses in _accepted(t.pencil, count, rng):
+    for points, solutions in _accepted(t.pencil, t.y, count, rng):
         zs += points
-        resolvents.append(t.x @ (inverses @ t.y))
+        resolvents.append(t.x @ solutions)
     return zs, np.concatenate(resolvents)

@@ -96,13 +96,27 @@ def hermite_polynomial(basis, groups):
 
 def one_at_a_time(pc, count, rng, radius=2.0):
     """The reference sampler: draw z on the disk |z| <= radius, keep it when
-    rcond_F(z C1 - C0) >= PIVOT_GUARD on its own, and repeat."""
+    1 / (||M||_F ||M^-1 Y||_F) >= PIVOT_GUARD for M = z C1 - C0 on its own,
+    with M^-1 Y solved for Y = I_N[:, :n], and repeat."""
+    y = np.eye(pc.size, pc.n)
     out = []
     while len(out) < count:
         z = complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))
-        if abs(z) <= radius and 1.0 / np.linalg.cond(pc.at(z), "fro") >= PIVOT_GUARD:
+        if abs(z) > radius:
+            continue
+        m = pc.at(z)
+        try:
+            solved = np.linalg.solve(m, y)
+        except np.linalg.LinAlgError:  # exactly singular
+            continue
+        if 1.0 / (np.linalg.norm(m) * np.linalg.norm(solved)) >= PIVOT_GUARD:
             out.append(z)
     return out
+
+
+def refuse_inverse(*args, **kwargs):
+    """Stands in for numpy.linalg.inv where a path must solve, not invert."""
+    raise AssertionError("numpy.linalg.inv was called")
 
 
 def poly_nodes(p):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden
-from conftest import TEN_KINDS, random_polynomial
+from conftest import TEN_KINDS, random_polynomial, refuse_inverse
 from polypencil import (
     MatrixPolynomial,
     algebraic,
@@ -1263,10 +1263,13 @@ def test_every_subcommand_prints_what_the_list_writer_printed(tmp_path, capsys, 
 
 
 @pytest.mark.parametrize("kind", TEN_KINDS)
-def test_verify_residual_is_verify_triples_at_the_same_points(tmp_path, capsys, kind):
-    """The resolvents from the guard's inverses give verify_triple's value, bit for bit."""
+def test_verify_residual_is_verify_triples_at_the_same_points(tmp_path, capsys, monkeypatch,
+                                                              kind):
+    """The resolvents from the guard's solves give verify_triple's value, bit for bit,
+    and no sample matrix is inverted."""
     p = random_polynomial(kind, 3, 5, np.random.default_rng(12))
     path = write(tmp_path, "d.json", polynomial_document(kind, p))
+    monkeypatch.setattr(np.linalg, "inv", refuse_inverse)
     code, out, _ = run(capsys, "verify", path, "--seed", "9", "--samples", "70")
     t = make_triple(build(p))
     zs = sample_points(t.pencil, 70, np.random.default_rng(9))
@@ -1274,14 +1277,17 @@ def test_verify_residual_is_verify_triples_at_the_same_points(tmp_path, capsys, 
 
 
 @pytest.mark.parametrize("kind", TEN_KINDS)
-def test_alglin_residual_is_verify_algebraic_at_the_same_points(tmp_path, capsys, kind):
-    """alglin's residual, from the guard's inverses, is verify_algebraic's, bit for bit."""
+def test_alglin_residual_is_verify_algebraic_at_the_same_points(tmp_path, capsys, monkeypatch,
+                                                               kind):
+    """alglin's residual, from the guard's solves, is verify_algebraic's, bit for bit,
+    and no sample matrix is inverted."""
     other = TEN_KINDS[(TEN_KINDS.index(kind) + 1) % len(TEN_KINDS)]
     pa = random_polynomial(kind, 2, 3, np.random.default_rng(13))
     pb = random_polynomial(other, 2, 4, np.random.default_rng(14))
     c = [[1, 0.5], [-0.25, 1]]
     a = write(tmp_path, "a.json", polynomial_document(kind, pa))
     b = write(tmp_path, "b.json", polynomial_document(other, pb))
+    monkeypatch.setattr(np.linalg, "inv", refuse_inverse)
     code, out, _ = run(capsys, "alglin", a, b, "--c", write(tmp_path, "c.json", c),
                        "--seed", "9", "--samples", "70")
     t = build_algebraic(make_triple(build(pa)), make_triple(build(pb)), c)

@@ -7,7 +7,7 @@ from polypencil import SingularMatrixError
 from polypencil.linalg import (
     as_cmatrix,
     det,
-    guarded_inverse,
+    guarded_solve,
     lu_factor,
     lu_solve,
     sip,
@@ -129,12 +129,38 @@ def test_sip_involution():
         assert np.array_equal(j @ j, np.eye(n))
 
 
-def test_guarded_inverse_refuses_each_singular_member_alone():
-    # exactly singular, then rcond_F about 1e-13: both refused, the others kept
-    ms = np.array([np.eye(2), np.diag([1.0, 0.0]), np.diag([1.0, 1e-13]), 2 * np.eye(2)],
-                  dtype=complex)
-    inverses, ok = guarded_inverse(ms)
+def test_guarded_solve_refuses_each_singular_member_alone():
+    # exactly singular, then 1 / (||M||_F ||M^-1 B||_F) about 1e-13: both
+    # refused, the others kept.  B = I_3[:, :2] goes in as a (1, N, n) stack,
+    # and the exactly singular member is refused though B misses its null row
+    ms = np.array([np.eye(3), np.diag([1.0, 1.0, 0.0]), np.diag([1.0, 1e-13, 1.0]),
+                   2 * np.eye(3)], dtype=complex)
+    b = np.eye(3, 2, dtype=complex)[None]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(ms, b)
+    solutions, ok = guarded_solve(ms, b)
     assert ok.tolist() == [True, False, False, True]
-    assert np.array_equal(inverses[3], np.linalg.inv(ms[3]))
-    inverse, ok = guarded_inverse(ms[1])
-    assert not ok and np.isnan(inverse).all()
+    assert solutions.shape == (4, 3, 2) and np.isnan(solutions[1]).all()
+    for k in (0, 2, 3):
+        assert np.array_equal(solutions[k], np.linalg.solve(ms[k], b[0]))
+    solution, ok = guarded_solve(ms[1], b[0])
+    assert not ok and solution.shape == (3, 2) and np.isnan(solution).all()
+
+
+@pytest.mark.parametrize("n", [1, 8, 37, 120])
+def test_guarded_solve_against_the_identity_is_the_lapack_inverse(n):
+    rng = np.random.default_rng(n)
+    eye = np.eye(n, dtype=complex)
+    stack = rand(rng, 5 * n, n).reshape(5, n, n)
+    inverses, ok = guarded_solve(stack, eye[None])
+    assert ok.all() and np.array_equal(inverses, np.linalg.inv(stack))
+    inverse, ok = guarded_solve(stack[2], eye)
+    assert ok and np.array_equal(inverse, np.linalg.inv(stack[2]))
+
+
+def test_guarded_solve_reads_the_columns_b_uses():
+    # M^-1 e_1 = e_1 is as well conditioned as can be; M^-1 itself is not
+    m = np.diag([1.0, 1e-13]).astype(complex)
+    assert guarded_solve(m, np.eye(2, 1))[1]
+    assert not guarded_solve(m, np.eye(2))[1]
+    assert guarded_solve(m[None], np.eye(2, 1)[None])[1].tolist() == [True]

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 import golden
-from conftest import ALL_KINDS, TEN_KINDS, hermite_polynomial, one_at_a_time, random_polynomial
+from conftest import (
+    ALL_KINDS,
+    TEN_KINDS,
+    hermite_polynomial,
+    one_at_a_time,
+    random_polynomial,
+    refuse_inverse,
+)
 from polypencil import (
     Bernstein,
     ChebyshevT,
@@ -30,7 +37,7 @@ from polypencil import (
     transpose_triple,
     verify_triple,
 )
-from polypencil.triples import _CHUNK
+from polypencil.triples import _CHUNK, _resolvents
 
 
 def scalar(values):
@@ -180,11 +187,13 @@ def test_large_sample_counts_use_bounded_stacks(rng, monkeypatch):
     p = random_polynomial("chebyshev", 2, 3, rng)
     t = make_triple(build(p))
     stacks = []
-    for name in ("solve", "inv"):
-        def spy(a, *args, _real=getattr(np.linalg, name), **kwargs):
-            stacks.append(len(a))
-            return _real(a, *args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, spy)
+
+    def spy(a, *args, _real=np.linalg.solve, **kwargs):
+        stacks.append(len(a))
+        return _real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    monkeypatch.setattr(np.linalg, "inv", refuse_inverse)
     count = 3 * _CHUNK + 5
     zs = sample_points(t.pencil, count, rng)
     residual = verify_triple(t, p, zs)
@@ -202,8 +211,28 @@ def sampled_points(t, count, rng):
     zs, resolvents = sample_resolvents(t, count, rng)
     assert resolvents.shape == (len(zs), t.pencil.n, t.pencil.n)
     for z, r in zip(zs, resolvents):
-        assert np.allclose(r, resolvent(t, z), rtol=1e-10, atol=0.0)
+        assert np.array_equal(r, resolvent(t, z))
     return zs
+
+
+@pytest.mark.parametrize("kind", TEN_KINDS + ("algebraic",))
+def test_sampling_solves_what_verify_triple_solves_and_inverts_nothing(kind, rng, monkeypatch):
+    """sample_resolvents gives verify_triple's own solves, bit for bit, for a
+    triple of make_triple or build_algebraic and for its similarity and
+    transposed triples, whose Y is no block of the identity."""
+    if kind == "algebraic":
+        ta, tb = (make_triple(build(random_polynomial(k, 2, 3, rng)))
+                  for k in ("chebyshev", "hermite"))
+        t = build_algebraic(ta, tb, np.array([[1.0, 0.5], [-0.25, 1.0]]))
+    else:
+        t = make_triple(build(random_polynomial(kind, 2, 4, rng)))
+    s = np.eye(t.pencil.size) + 0.25 * rng.standard_normal((t.pencil.size, t.pencil.size))
+    moved = (t, similarity_triple(t, s), transpose_triple(t))
+    monkeypatch.setattr(np.linalg, "inv", refuse_inverse)
+    for u in moved:
+        zs, resolvents = sample_resolvents(u, 10, copy.deepcopy(rng))
+        assert len(zs) == 10 and np.array_equal(resolvents, _resolvents(u, np.array(zs)))
+    assert sample_points(t.pencil, 10, copy.deepcopy(rng)) == sample_resolvents(t, 10, rng)[0]
 
 
 class TestSamplePoints:
@@ -217,8 +246,8 @@ class TestSamplePoints:
         z0 = disk[0]
         pc = CompanionPencil(c1=np.eye(2, dtype=complex), c0=np.diag([z0, 1.0]), n=2)
         assert np.linalg.matrix_rank(pc.at(z0)) == 1
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.inv(pc.at(disk[:4]))  # the stacked inverse refuses the whole chunk
+        with pytest.raises(np.linalg.LinAlgError):  # the stacked solve refuses the whole chunk
+            np.linalg.solve(pc.at(disk[:4]), np.eye(2, dtype=complex)[None])
         if sampler == "points":
             zs = sample_points(pc, 3, rng)
         else:
@@ -255,6 +284,17 @@ class TestSamplePoints:
         assert zs == one_at_a_time(pc, 90, rngs[1])
         assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
         assert min(abs(z) for z in zs) > 0.9
+
+    def test_guard_reads_only_the_columns_the_triple_uses(self):
+        # M = diag(z + 3, 1e-13): M^-1 is near singular everywhere, but
+        # M^-1 Y = e_1 / (z + 3) for Y = I_2[:, :1], and every draw is kept
+        pc = CompanionPencil(c1=np.diag([1.0, 0.0]).astype(complex),
+                             c0=np.diag([-3.0, -1e-13]).astype(complex), n=1)
+        rngs = [np.random.default_rng(6) for _ in range(3)]
+        zs = sample_points(pc, 5, rngs[0])
+        assert zs == one_at_a_time(pc, 5, rngs[1])
+        assert zs == [z for z in (complex(rngs[2].uniform(-2, 2), rngs[2].uniform(-2, 2))
+                                  for _ in range(12)) if abs(z) <= 2.0][:5]
 
     def test_singular_everywhere_raises(self, rng):
         flat = np.diag([1.0, 0.0]).astype(complex)
