@@ -61,9 +61,8 @@ def is_integer(v) -> bool:
 
 def _check_nodes(nodes):
     nodes = tuple(complex(t) for t in nodes)
-    for t in nodes:
-        if not (np.isfinite(t.real) and np.isfinite(t.imag)):
-            raise ValueError("nodes must be finite")
+    if not np.isfinite(np.array(nodes, dtype=complex)).all():
+        raise ValueError("nodes must be finite")
     if len(set(nodes)) != len(nodes):
         raise DuplicateNodesError("duplicate node in node list")
     return nodes
@@ -389,10 +388,10 @@ def monomial_rows(basis: Basis, count: int) -> np.ndarray:
     cur = np.zeros(count, dtype=complex)
     cur[-1] = 1.0  # phi_0 = 1
     rows[count - 1] = cur
+    shifted = np.zeros(count, dtype=complex)  # z * phi_k within a fixed-width window
     for k in range(count - 1):
         a, b, g = recurrence_row(basis, k)
-        shifted = np.roll(cur, -1)
-        shifted[-1] = 0.0  # multiply by z within a fixed-width window
+        shifted[:-1] = cur[1:]
         nxt = (shifted - b * cur - g * prev) / a
         prev, cur = cur, nxt
         rows[count - 2 - k] = cur

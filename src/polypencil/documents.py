@@ -7,9 +7,10 @@ n x n matrices, ascending basis index), ``samples`` (one matrix per node), or
 derivatives ascending).  Complex scalars are two-element [re, im] arrays;
 bare numbers are accepted on input and normalized to pairs on output.
 Output matrices are written as JSON text by matrix_to_json and spliced into
-the CLI's payload: an exact +0.0 comes from the text's layout, float.__repr__
-runs only for the other entries, and the bytes are those json.dumps writes
-for the nested lists of pairs.
+the CLI's payload: +0.0 and -0.0 are fixed text, float.__repr__ runs only
+for the other entries, and the bytes are those json.dumps writes for the
+nested lists of pairs.  A payload is read in one array pass, and entry by
+entry only where that refuses it, so every fault keeps parse_scalar's words.
 """
 
 from __future__ import annotations
@@ -83,9 +84,9 @@ def parse_matrix(rows, n) -> np.ndarray:
         got = f"a list of length {len(rows)}" if isinstance(rows, list) else _JSON_KINDS.get(
             type(rows), "a number")
         raise DocumentError(f"expected {a} {n}x{n} matrix, got {got}")
-    out = _numeric_matrix(rows, n)
+    out = _numeric([rows], n)
     if out is not None:
-        return out
+        return out[0]
     out = np.zeros((n, n), dtype=complex)
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
@@ -95,24 +96,26 @@ def parse_matrix(rows, n) -> np.ndarray:
     return out
 
 
-def _numeric_matrix(rows, n):
-    """rows as a complex array when every entry is a finite float or int, or a pair of them."""
-    if not all(type(row) is list and len(row) == n for row in rows):
+def _numeric(mats, n):
+    """mats as one complex (k, n, n) array if all entries are finite numbers, all bare or paired."""
+    if not all(type(m) is list and len(m) == n and all(type(row) is list and len(row) == n
+                                                        for row in m) for m in mats):
         return None
-    kinds = {type(x) for row in rows for v in row for x in (v if type(v) is list else (v,))}
-    if not kinds <= {float, int}:  # bool, None, str, dict and nested lists are refused
-        return None
+    entries = [v for m in mats for row in m for v in row]
+    pairs = set(map(type, entries)) == {list}
+    if pairs:
+        if set(map(len, entries)) != {2}:
+            return None
+        entries = [x for v in entries for x in v]
+    if not set(map(type, entries)) <= {float, int}:  # bool, None, str, dict, nested lists,
+        return None  # and bare entries mixed with pairs, are refused
     try:
-        a = np.array(rows, dtype=float)
-    except (ValueError, OverflowError):  # mixed bare and paired entries, an integer beyond float
+        a = np.array(entries, dtype=float)
+    except OverflowError:  # an integer beyond the float range
         return None
     if not np.isfinite(a).all():
         return None
-    if a.shape == (n, n):
-        return a.astype(complex)
-    if a.shape == (n, n, 2):
-        return a.view(complex)[..., 0]
-    return None
+    return (a.view(complex) if pairs else a.astype(complex)).reshape(len(mats), n, n)
 
 
 def scalar_to_json(z) -> list:
@@ -124,26 +127,26 @@ def matrix_to_json(m) -> str:
     """The JSON text of m as rows of [re, im] pairs, byte for byte what json.dumps writes.
 
     The text is laid out once as a list of pieces, "0.0" in every float slot
-    between the separators, and only the floats whose bits are not those of
-    +0.0 are overwritten with float.__repr__, the json module's float writer:
-    the cost follows the nonzero entries, not the size of the matrix.  -0.0
-    has its own bits and its own repr, so it is written like any other value.
-    A NaN or an infinity raises ValueError, as json.dumps(allow_nan=False) does.
+    between the separators; of the floats, read through a float64 view of m,
+    only those whose bits are not those of +0.0 are overwritten: -0.0 with
+    its fixed text, any other with float.__repr__, the json module's float
+    writer.  The cost follows the nonzero entries, not the size of the
+    matrix.  NaN or infinity raises ValueError, as json.dumps(allow_nan=False).
     """
     m = np.atleast_2d(np.asarray(m, dtype=complex))
-    if not np.isfinite(m).all():
+    values = np.ascontiguousarray(m).view(np.float64).reshape(-1)  # re, im of each entry
+    if not np.isfinite(values).all():
         raise ValueError("Out of range float values are not JSON compliant")
     rows, cols = m.shape
     if not m.size:  # no float slot: an empty row per row, or no row at all
         return "[" + ", ".join(["[]"] * rows) + "]"
-    values = np.stack([m.real, m.imag], -1).reshape(-1)
     # float k sits at pieces[2k] and the separator after it at pieces[2k + 1];
     # the separator after a row's last pair closes that row, or the matrix
     pieces = ["0.0", ", ", "0.0", "], ["] * (rows * cols)
     pieces[4 * cols - 1::4 * cols] = ["]], [["] * (rows - 1) + ["]]]"]
     slots = np.flatnonzero(values.view(np.int64))  # +0.0 is the one float with no bit set
     for k, v in zip((2 * slots).tolist(), values[slots].tolist()):
-        pieces[k] = repr(v)
+        pieces[k] = repr(v) if v else "-0.0"  # -0.0 is the one left that is false
     return "[[[" + "".join(pieces)
 
 
@@ -263,4 +266,5 @@ def parse_document(doc) -> MatrixPolynomial:
         # the Hermite count already matches: its groups match the confluencies
         raise DocumentError(
             f"grade {grade} needs {grade + 1} {key[:-1]} matrices, got {len(mats)}")
-    return MatrixPolynomial(basis, [parse_matrix(m, n) for m in mats])
+    data = _numeric(mats, n)
+    return MatrixPolynomial(basis, [parse_matrix(m, n) for m in mats] if data is None else data)

@@ -31,7 +31,7 @@ from .bases import (
     null_vector_basis_matrix,
 )
 from .errors import SingularC0Error, UnsupportedBasisError
-from .linalg import guarded_solve
+from .linalg import guarded_solve, kron_eye
 from .matpoly import MatrixPolynomial
 from .pencils import CompanionPencil, build, build_hermite, build_three_term
 
@@ -95,8 +95,8 @@ def equivalence_degree_graded(p: MatrixPolynomial) -> EquivalencePair:
     pc_phi = build(p)
     pc_m = build_three_term(monomial_form(p))
     f_small = null_vector_basis_matrix(p.basis, p.grade)
-    f = np.kron(f_small, np.eye(p.n, dtype=complex))
-    f_inverse = np.kron(np.linalg.inv(f_small), np.eye(p.n, dtype=complex))
+    f = kron_eye(f_small, p.n)
+    f_inverse = kron_eye(np.linalg.inv(f_small), p.n)
     lead_inverse, ok = guarded_solve(pc_phi.c1, np.eye(pc_phi.size, dtype=complex))
     if ok:
         e = _times_inverse(pc_m.c1, f, f_inverse) @ lead_inverse
@@ -132,8 +132,8 @@ def equivalence_lagrange(p: MatrixPolynomial) -> EquivalencePair:
             # 1 * power would turn an imaginary -0.0 into +0.0
             e_small[1 + r, col] = comb(ell - r, d) * power if d else power
     f_small = null_vector_basis_matrix(p.basis, ell)
-    e = np.kron(e_small, np.eye(n, dtype=complex))
-    f = np.kron(f_small, np.eye(n, dtype=complex))
+    e = kron_eye(e_small, n)
+    f = kron_eye(f_small, n)
     return EquivalencePair(e=e, f=f, phi=build_hermite(p),
                            monomial=build_three_term(monomial_form(p)))
 

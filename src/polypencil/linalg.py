@@ -29,6 +29,7 @@ from .errors import DimensionMismatchError, SingularMatrixError
 __all__ = [
     "as_cmatrix",
     "sip",
+    "kron_eye",
     "LUFactors",
     "lu_factor",
     "lu_solve",
@@ -53,6 +54,12 @@ def as_cmatrix(a, name="matrix"):
 def sip(n: int) -> np.ndarray:
     """Anti-identity J (ones on the anti-diagonal); J @ J == I."""
     return np.eye(n, dtype=complex)[::-1].copy()
+
+
+def kron_eye(a, n: int) -> np.ndarray:
+    """np.kron(a, I_n) of a 2-D complex a as one broadcast product: the same bits, -0.0 too."""
+    eye = np.eye(n, dtype=complex)
+    return (a[:, None, :, None] * eye[None, :, None, :]).reshape(a.shape[0] * n, a.shape[1] * n)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,10 @@ CompanionPencil rejects such a pencil itself with NonFiniteError, the one
 check every caller meets.  Sizes: N = n*ell for three-term and
 Bernstein bases, N = n*(ell+2) for Lagrange and Hermite bases.  The latter
 carry 2n eigenvalues at infinity by their structure alone; the builders
-keep them, and ``eigen`` deflates them before it solves.
+keep them, and ``eigen`` deflates them before it solves.  A builder fills
+a (blocks, n, blocks, n) array: the first block row takes the data in one
+slice, and each other kind of block (a scalar times I_n, stacked over the
+block rows) goes in by one fancy-index assignment; a reshape gives N x N.
 """
 
 from __future__ import annotations
@@ -74,10 +77,6 @@ class CompanionPencil:
         return np.asarray(z, dtype=complex)[..., None, None] * self.c1 - self.c0
 
 
-def _blk(i, n):
-    return slice(i * n, (i + 1) * n)
-
-
 def build(p: MatrixPolynomial) -> CompanionPencil:
     """Dispatch to the builder matching the polynomial's basis."""
     if isinstance(p.basis, ThreeTermBasis):
@@ -114,22 +113,22 @@ def build_three_term(p: MatrixPolynomial) -> CompanionPencil:
     N = ell * n
     eye = np.eye(n, dtype=complex)
     a_top, b_top, g_top = recurrence_row(p.basis, ell - 1)
-    c1 = np.zeros((N, N), dtype=complex)
-    c1[_blk(0, n), _blk(0, n)] = coeff[ell] / a_top
-    c0 = np.zeros((N, N), dtype=complex)
-    c0[_blk(0, n), _blk(0, n)] = (b_top / a_top) * coeff[ell] - coeff[ell - 1]
+    c1, c0 = np.zeros((2, ell, n, ell, n), dtype=complex)  # [block row, row, block col, col]
+    c1[0, :, 0] = coeff[ell] / a_top
+    c0[0] = -coeff[ell - 1::-1].transpose(1, 0, 2)
+    c0[0, :, 0] = (b_top / a_top) * coeff[ell] - coeff[ell - 1]
     if ell > 1:
-        c0[_blk(0, n), _blk(1, n)] = (g_top / a_top) * coeff[ell] - coeff[ell - 2]
-    for j in range(2, ell):
-        c0[_blk(0, n), _blk(j, n)] = -coeff[ell - 1 - j]
-    for i in range(1, ell):
-        a, b, g = recurrence_row(p.basis, ell - 1 - i)
-        c1[_blk(i, n), _blk(i, n)] = eye / a
-        c0[_blk(i, n), _blk(i - 1, n)] = eye
-        c0[_blk(i, n), _blk(i, n)] = (b / a) * eye
-        if i + 1 < ell:
-            c0[_blk(i, n), _blk(i + 1, n)] = (g / a) * eye
-    return CompanionPencil(c1=c1, c0=c0, n=n, basis=p.basis)
+        c0[0, :, 1] = (g_top / a_top) * coeff[ell] - coeff[ell - 2]
+        # alpha, beta/alpha, gamma/alpha of band rows i = 1 .. ell-1, divided as Python numbers
+        band = np.array([(a, b / a, g / a) for a, b, g in (
+            recurrence_row(p.basis, ell - 1 - i) for i in range(1, ell))], dtype=complex)
+        a, b_a, g_a = band.T[..., None, None]
+        i = np.arange(1, ell)
+        c1[i, :, i] = eye / a
+        c0[i, :, i - 1] = eye
+        c0[i, :, i] = b_a * eye
+        c0[i[:-1], :, i[:-1] + 1] = g_a[:-1] * eye
+    return CompanionPencil(c1=c1.reshape(N, N), c0=c0.reshape(N, N), n=n, basis=p.basis)
 
 
 @_quiet
@@ -143,16 +142,14 @@ def build_bernstein(p: MatrixPolynomial) -> CompanionPencil:
     coeff = p.data
     N = ell * n
     eye = np.eye(n, dtype=complex)
-    c0 = np.zeros((N, N), dtype=complex)
-    for j in range(ell):
-        c0[_blk(0, n), _blk(j, n)] = -coeff[ell - 1 - j]
-    for i in range(1, ell):
-        c0[_blk(i, n), _blk(i - 1, n)] = eye
+    i = np.arange(1, ell)
+    c0 = np.zeros((ell, n, ell, n), dtype=complex)  # [block row, row, block col, col]
+    c0[0] = -coeff[ell - 1::-1].transpose(1, 0, 2)
+    c0[i, :, i - 1] = eye
     c1 = c0.copy()
-    c1[_blk(0, n), _blk(0, n)] = coeff[ell] / ell - coeff[ell - 1]
-    for i in range(1, ell):
-        c1[_blk(i, n), _blk(i, n)] = ((i + 1.0) / (ell - i)) * eye
-    return CompanionPencil(c1=c1, c0=c0, n=n, basis=p.basis)
+    c1[0, :, 0] = coeff[ell] / ell - coeff[ell - 1]
+    c1[i, :, i] = ((i + 1.0) / (ell - i))[:, None, None] * eye
+    return CompanionPencil(c1=c1.reshape(N, N), c0=c0.reshape(N, N), n=n, basis=p.basis)
 
 
 def build_lagrange(p: MatrixPolynomial) -> CompanionPencil:
@@ -178,19 +175,19 @@ def build_hermite(p: MatrixPolynomial) -> CompanionPencil:
     if ell < 1:
         raise GradeTooSmallError("interpolation pencil needs grade >= 1")
     beta = barycentric_weights(p.basis)
+    confl = p.basis.confluencies
     N = (ell + 2) * n
     eye = np.eye(n, dtype=complex)
     c1 = np.eye(N, dtype=complex)
-    c1[_blk(0, n), _blk(0, n)] = 0.0
-    c0 = np.zeros((N, N), dtype=complex)
-    start = 0  # the node's payload offset; its block columns are start+1 .. start+s
-    for tau, s in zip(p.basis.nodes, p.basis.confluencies):
-        for j in range(s):
-            col = start + 1 + j
-            c0[_blk(0, n), _blk(col, n)] = -p.data[start + s - 1 - j]
-            c0[_blk(col, n), _blk(0, n)] = beta[start + j] * eye
-            c0[_blk(col, n), _blk(col, n)] = tau * eye
-            if j > 0:
-                c0[_blk(col, n), _blk(col - 1, n)] = eye
-        start += s
-    return CompanionPencil(c1=c1, c0=c0, n=n, basis=p.basis)
+    c1[:n, :n] = 0.0
+    # block column c + 1 belongs to datum c, position j of a node whose s data start at
+    # `start`; the data row lists each node's data in descending order
+    s, start = np.repeat(confl, confl), np.repeat(np.cumsum(confl) - confl, confl)
+    j = np.arange(ell + 1) - start
+    col = np.arange(1, ell + 2)
+    c0 = np.zeros((ell + 2, n, ell + 2, n), dtype=complex)
+    c0[0, :, 1:] = -p.data[start + s - 1 - j].transpose(1, 0, 2)
+    c0[col, :, 0] = beta[:, None, None] * eye
+    c0[col, :, col] = np.repeat(np.array(p.basis.nodes), confl)[:, None, None] * eye
+    c0[col[j > 0], :, col[j > 0] - 1] = eye
+    return CompanionPencil(c1=c1, c0=c0.reshape(N, N), n=n, basis=p.basis)

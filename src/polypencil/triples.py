@@ -15,7 +15,7 @@ import numpy as np
 
 from .bases import Hermite, one_coefficients
 from .errors import DimensionMismatchError, SingularMatrixError, SingularPencilError
-from .linalg import as_cmatrix, guarded_solve, sip
+from .linalg import as_cmatrix, guarded_solve, kron_eye, sip
 from .matpoly import MatrixPolynomial, evaluate
 from .pencils import CompanionPencil
 
@@ -47,7 +47,7 @@ def make_triple(pc: CompanionPencil) -> GeneralizedStandardTriple:
         raise ValueError("pencil carries no basis; transform or compose its triple instead")
     n, blocks = pc.n, pc.size // pc.n
     row = one_coefficients(pc.basis, blocks - 2 if isinstance(pc.basis, Hermite) else blocks)
-    x = np.kron(row.reshape(1, -1), np.eye(n, dtype=complex))
+    x = kron_eye(row[None], n)
     y = np.zeros((pc.size, n), dtype=complex)
     y[:n, :] = np.eye(n, dtype=complex)
     return GeneralizedStandardTriple(x=x, pencil=pc, y=y)

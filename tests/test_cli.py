@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden
+import reference
 from conftest import TEN_KINDS, random_polynomial, refuse_inverse
 from polypencil import (
     MatrixPolynomial,
@@ -415,6 +416,69 @@ class TestWriter:
         path = write(tmp_path, "d.json", SQUARE_PLUS_ONE)
         assert run(capsys, "pencil", path, *pretty) == (
             3, "", "error: non-finite result: the output holds a NaN or an infinity\n")
+
+
+def cheb_doc(m1, m2=None, m0=None):
+    """A grade-2 chebyshev document, n = 2, whose middle coefficient is m1."""
+    mats = [m0 or [[1.0, 0.5], [0.25, 2.0]], m1, m2 or [[1, 0], [0, 1]]]
+    return {"basis": {"kind": "chebyshev"}, "n": 2, "coefficients": mats}
+
+
+class TestPayloadFaults:
+    """A payload the one-pass reader refuses is read matrix by matrix, so every fault
+    keeps the message and exit code it had when each matrix was read on its own."""
+
+    PAIRS = [[[1.0, 0.0], [0.5, -1.0]], [[0.25, 0.0], [2.0, 0.5]]]
+    BIG = 10 ** 400
+    FAULTS = {
+        "bool": (cheb_doc([[1.0, 0.5], [True, 1.0]]),
+                 "expected a number or [re, im] pair, got True"),
+        "string": (cheb_doc([[1.0, "0.5"], [0.25, 1.0]]),
+                   "expected a number or [re, im] pair, got '0.5'"),
+        "null": (cheb_doc([[1.0, 0.5], [0.25, None]]),
+                 "expected a number or [re, im] pair, got None"),
+        "pair-of-1": (cheb_doc([[1.0, [0.5]], [0.25, 1.0]]),
+                      "expected a number or [re, im] pair, got [0.5]"),
+        "pair-of-3": (cheb_doc([[1.0, 0.5], [[0.25, 1.0, 2.0], 1.0]]),
+                      "expected a number or [re, im] pair, got [0.25, 1.0, 2.0]"),
+        "mixed-in-a-matrix": (cheb_doc([[[1.0, 0.5], 0.5], [[0.25, 0.0], False]]),
+                              "expected a number or [re, im] pair, got False"),
+        "mixed-across-matrices": (cheb_doc(PAIRS, [[1, 0], [0, None]]),
+                                  "expected a number or [re, im] pair, got None"),
+        "first-of-two-faults": (cheb_doc(PAIRS, [[1, "x"], [0, None]],
+                                         [[1.0, 0.5], [True, 2.0]]),
+                                "expected a number or [re, im] pair, got True"),
+        "ragged-row": (cheb_doc([[1.0, 0.5, 2.0], [0.25, 1.0]]),
+                       "matrix row 0 must have 2 entries"),
+        "short-row-of-pairs": (cheb_doc([[[1.0, 0.5]], [[0.25, 0.0], [1.0, 0.0]]]),
+                               "matrix row 0 must have 2 entries"),
+        "a-number": (cheb_doc(3.5), "expected a 2x2 matrix, got a number"),
+        "an-object": (cheb_doc({"rows": [[1.0]]}), "expected a 2x2 matrix, got an object"),
+        "short-matrix": (cheb_doc([[1.0, 0.5]]),
+                         "expected a 2x2 matrix, got a list of length 1"),
+        "beyond-float": (cheb_doc([[1.0, BIG], [0.25, 1.0]]),
+                         f"expected a finite number, got {BIG}"),
+        "beyond-float-in-a-pair": (cheb_doc([[1.0, [0.5, -BIG]], [0.25, 1.0]]),
+                                   f"expected a finite number, got [0.5, {-BIG}]"),
+        "nan": (cheb_doc([[1.0, float("nan")], [0.25, 1.0]]),
+                "expected a finite number, got nan"),
+        "n1-bool": ({"basis": {"kind": "monomial"}, "n": 1,
+                     "coefficients": [[[1]], [[2]], [[False]]]},
+                    "expected a number or [re, im] pair, got False"),
+        "hermite-group": ({"basis": {"kind": "hermite", "nodes": [0, 1], "confluencies": [2, 1]},
+                           "n": 1, "hermite_samples": [[[[1.0]], [[2.0]]], [[[[3.0, "i"]]]]]},
+                          "expected a number or [re, im] pair, got [3.0, 'i']"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FAULTS))
+    def test_fault_keeps_its_message_and_exit_2(self, tmp_path, capsys, name):
+        doc, message = self.FAULTS[name]
+        with pytest.raises(DocumentError) as info:
+            parse_document(json.loads(json.dumps(doc)))
+        assert str(info.value) == message
+        path = write(tmp_path, "d.json", doc)
+        for command in ("pencil", "verify", "equiv"):
+            assert run(capsys, command, path) == (2, "", f"error: {message}\n")
 
 
 class TestMatrixParser:
@@ -1260,6 +1324,34 @@ def test_every_subcommand_prints_what_the_list_writer_printed(tmp_path, capsys, 
             assert code in (0, 5) and err == "", (argv[0], pretty, err)
             assert out == list_writer(payloads[-1], pretty), (argv[0], pretty)
     assert len(payloads) == 2 * len(commands)
+
+
+def bare_document(text):
+    """The document text with every [re, im] pair of its payload written as its real part."""
+    doc = json.loads(text)
+    key = next(k for k in ("coefficients", "samples", "hermite_samples") if k in doc)
+
+    def bare(v):
+        return v[0] if isinstance(v[0], float) else [bare(x) for x in v]
+    doc[key] = bare(doc[key])
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("form", ["pairs", "bare"])
+@pytest.mark.parametrize("n, grade", [(2, 4), (1, 1), (3, 2)])
+@pytest.mark.parametrize("kind", TEN_KINDS)
+def test_references_print_the_same_bytes(tmp_path, capsys, monkeypatch, kind, n, grade, form):
+    """Every subcommand, compact and --pretty, prints the same exit code, stdout and stderr
+    with the one-block-at-a-time references of reference.py in place of the array paths."""
+    text = polynomial_document(kind, random_polynomial(kind, n, grade, np.random.default_rng(21)))
+    doc_path = write(tmp_path, "d.json", bare_document(text) if form == "bare" else text)
+    c_path = write(tmp_path, "c.json", (np.eye(n) - 0.5 * np.eye(n, k=1)).tolist())
+    argvs = [argv + pretty for argv in contract_commands(doc_path, c_path)
+             for pretty in ([], ["--pretty"])]
+    production = [run(capsys, *argv) for argv in argvs]
+    assert {code for code, _, _ in production[:-2]} <= {0, 5}  # bary reads interpolation only
+    reference.use_references(monkeypatch)
+    assert [run(capsys, *argv) for argv in argvs] == production
 
 
 @pytest.mark.parametrize("kind", TEN_KINDS)
