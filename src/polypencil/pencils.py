@@ -73,8 +73,11 @@ class CompanionPencil:
         return self.c1.shape[0]
 
     def at(self, z) -> np.ndarray:
-        """The pencil matrix z*C1 - C0; an array of z gives the stack of them."""
-        return np.asarray(z, dtype=complex)[..., None, None] * self.c1 - self.c0
+        """The pencil matrix z*C1 - C0; an array of z gives the stack of them, allocated once:
+        C0 is subtracted in place (the same roundings), so no second stack's pages fault in."""
+        m = np.asarray(z, dtype=complex)[..., None, None] * self.c1
+        m -= self.c0
+        return m
 
 
 def build(p: MatrixPolynomial) -> CompanionPencil:

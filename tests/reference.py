@@ -4,8 +4,12 @@ Each function here computes what a production function computes, the slow
 and obvious way: the pencil builders place one n x n block per slice
 assignment, the Kronecker product is numpy's own, the monomial rows shift
 by np.roll, a payload is read one matrix at a time, and a matrix is
-written by json.dumps of its list form.  The tests compare the two bit for
-bit, and ``REPLACEMENTS`` lets a test run the CLI on these instead.
+written by json.dumps of its list form.  The sample matrices z*C1 - C0 are
+formed with a temporary per operation, the guard's Frobenius norms are
+numpy's own, C1 = I is tested against a built identity, and the balancing
+sweep sums ldexp-scaled copies of W.  The tests compare the two
+bit for bit (the guard by its decisions, since its sums round in another
+order), and ``REPLACEMENTS`` lets a test run the CLI on these instead.
 """
 
 import json
@@ -13,8 +17,9 @@ import sys
 
 import numpy as np
 
-from polypencil import bases, documents, linalg, pencils
+from polypencil import bases, documents, eigen, linalg, pencils
 from polypencil.bases import Hermite, ThreeTermBasis, barycentric_weights, recurrence_row
+from polypencil.eigen import MAX_BALANCE_SWEEPS, _quarter_step
 from polypencil.pencils import CompanionPencil
 
 
@@ -155,7 +160,42 @@ def matrix_to_json(m):
     return json.dumps(np.stack([m.real, m.imag], -1).tolist(), allow_nan=False)
 
 
-# (module, name, reference) for every production function this file restates
+def at(pc, z):
+    """CompanionPencil.at with the product and the difference each allocated."""
+    return np.asarray(z, dtype=complex)[..., None, None] * pc.c1 - pc.c0
+
+
+def frobenius(m):
+    return np.linalg.norm(m, "fro", axis=(-2, -1))
+
+
+def is_identity(a):
+    return np.array_equal(a, np.eye(len(a)))
+
+
+def balancing(c1, c0):
+    """The ldexp sweep of eigen._balancing, the oracle for any faster form of its sums.
+
+    ldexp scales each entry by its own power of four, which stays exact where
+    the power itself is outside the float range.
+    """
+    top = max(np.abs(c1).max(), np.abs(c0).max())
+    left = np.zeros(c1.shape[0], dtype=int)
+    right = np.zeros(c1.shape[1], dtype=int)
+    if top > 0:
+        unit = np.ldexp(1.0, -np.frexp(top)[1])
+        w = np.abs(c1 * unit) ** 2 + np.abs(c0 * unit) ** 2
+        for _ in range(MAX_BALANCE_SWEEPS):
+            step_l = _quarter_step(np.ldexp(w, 2 * right).sum(axis=1), left)
+            left += step_l
+            step_r = _quarter_step(np.ldexp(w, 2 * left[:, None]).sum(axis=0), right)
+            right += step_r
+            if not (step_l.any() or step_r.any()):
+                break
+    return np.ldexp(1.0, left), np.ldexp(1.0, right)
+
+
+# (module or class, name, reference) for every production function this file restates
 REPLACEMENTS = [
     (pencils, "build_three_term", build_three_term),
     (pencils, "build_bernstein", build_bernstein),
@@ -164,16 +204,21 @@ REPLACEMENTS = [
     (bases, "monomial_rows", monomial_rows),
     (documents, "_numeric", numeric_by_matrix),
     (documents, "matrix_to_json", matrix_to_json),
+    (CompanionPencil, "at", at),
+    (linalg, "_frobenius", frobenius),
+    (eigen, "_is_identity", is_identity),
+    (eigen, "_balancing", balancing),
 ]
-PRODUCTION = {name: getattr(module, name) for module, name, _ in REPLACEMENTS}
+PRODUCTION = {name: getattr(owner, name) for owner, name, _ in REPLACEMENTS}
 
 
 def use_references(monkeypatch):
     """Bind every reference wherever its production function is bound in the package."""
-    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "polypencil"]
-    for module_of_origin, name, reference in REPLACEMENTS:
-        assert getattr(module_of_origin, name) is PRODUCTION[name], "already replaced"
-        for module in modules:
-            for attr, value in list(vars(module).items()):
+    namespaces = [m for name, m in sys.modules.items() if name.split(".")[0] == "polypencil"]
+    namespaces.append(CompanionPencil)
+    for owner, name, reference in REPLACEMENTS:
+        assert getattr(owner, name) is PRODUCTION[name], "already replaced"
+        for namespace in namespaces:
+            for attr, value in list(vars(namespace).items()):
                 if value is PRODUCTION[name]:
-                    monkeypatch.setattr(module, attr, reference)
+                    monkeypatch.setattr(namespace, attr, reference)

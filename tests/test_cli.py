@@ -1337,9 +1337,13 @@ def bare_document(text):
     return json.dumps(doc)
 
 
-@pytest.mark.parametrize("form", ["pairs", "bare"])
-@pytest.mark.parametrize("n, grade", [(2, 4), (1, 1), (3, 2)])
-@pytest.mark.parametrize("kind", TEN_KINDS)
+# every kind at three small sizes, and one N = 100 document whose sample stacks pass 1 MB
+REFERENCE_CASES = [(kind, n, grade, form) for kind in TEN_KINDS
+                   for n, grade in [(2, 4), (1, 1), (3, 2)] for form in ("pairs", "bare")]
+REFERENCE_CASES += [("chebyshev", 5, 20, form) for form in ("pairs", "bare")]
+
+
+@pytest.mark.parametrize("kind, n, grade, form", REFERENCE_CASES)
 def test_references_print_the_same_bytes(tmp_path, capsys, monkeypatch, kind, n, grade, form):
     """Every subcommand, compact and --pretty, prints the same exit code, stdout and stderr
     with the one-block-at-a-time references of reference.py in place of the array paths."""

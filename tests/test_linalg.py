@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -164,3 +166,18 @@ def test_guarded_solve_reads_the_columns_b_uses():
     assert guarded_solve(m, np.eye(2, 1))[1]
     assert not guarded_solve(m, np.eye(2))[1]
     assert guarded_solve(m[None], np.eye(2, 1)[None])[1].tolist() == [True]
+
+
+@pytest.mark.parametrize("cols", [5, 100])
+def test_guarded_solve_allocates_little_beyond_its_solution(cols):
+    """The norms of a (10, 100, 100) stack and of M^-1 B take no stack-sized temporary."""
+    rng = np.random.default_rng(cols)
+    stack = rand(rng, 1000, 100).reshape(10, 100, 100)
+    b = np.eye(100, cols, dtype=complex)[None]
+    tracemalloc.start()
+    try:
+        solution, ok = guarded_solve(stack, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok.all() and peak - solution.nbytes < 0.1 * stack.nbytes

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -367,3 +368,18 @@ class TestNonFinitePencil:
             CompanionPencil(c1=c1, c0=c0, n=1)
         with pytest.raises(NonFiniteError):
             CompanionPencil(c1=c0 * np.nan, c0=c1, n=1)
+
+
+
+def test_at_allocates_the_stack_once():
+    """z*C1 - C0 for ten points at N = 100: a 1.6 MB stack, and the product is that stack."""
+    rng = np.random.default_rng(4)
+    pc = build(random_polynomial("chebyshev", 5, 20, rng))
+    zs = rng.standard_normal(10) + 1j * rng.standard_normal(10)
+    tracemalloc.start()
+    try:
+        stack = pc.at(zs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stack.shape == (10, 100, 100) and peak <= 1.05 * stack.nbytes

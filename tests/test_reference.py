@@ -10,17 +10,23 @@ import pytest
 import reference
 from conftest import TEN_KINDS, random_polynomial
 from polypencil import (
+    CompanionPencil,
     Hermite,
     MatrixPolynomial,
+    Monomial,
     build,
+    build_algebraic,
     documents,
     equivalence_degree_graded,
+    generalized_eigenvalues,
+    linalg,
     make_triple,
     one_coefficients,
 )
 from polypencil.bases import monomial_rows, null_vector_basis_matrix
 from polypencil.documents import parse_document
-from polypencil.linalg import kron_eye
+from polypencil.eigen import _balancing, _is_identity
+from polypencil.linalg import PIVOT_GUARD, kron_eye
 
 THREE_TERM_KINDS = ("monomial", "shifted", "taylor", "newton", "chebyshev", "legendre", "custom")
 
@@ -124,3 +130,169 @@ def test_equivalence_f_is_the_null_vector_matrix_tensored(kind):
         p = random_polynomial(kind, 2, grade, np.random.default_rng(grade))
         f = reference.kron_eye(null_vector_basis_matrix(p.basis, grade), 2)
         assert same_bits(equivalence_degree_graded(p).f, f)
+
+
+@pytest.mark.parametrize("kind", TEN_KINDS)
+def test_at_forms_the_reference_stack(kind):
+    """A scalar, a 0-d array, a list and a 1-D array of z, on pencils with signed zeros."""
+    rng = np.random.default_rng(len(kind))
+    p = random_polynomial(kind, 2, 3, rng)
+    pc = build(MatrixPolynomial(p.basis, with_signed_zeros(p.data, rng)))
+    zs = with_signed_zeros(rng.standard_normal((6, 2)).view(complex)[:, 0], rng)
+    for z in (complex(zs[0]), 2, -0.0, np.array(zs[1]), np.complex128(zs[2]), list(zs), zs, []):
+        assert same_bits(pc.at(z), reference.at(pc, z))
+
+
+def guard_decisions(m, b, monkeypatch):
+    """guarded_solve's accept mask with its one-pass norms and with numpy's norms."""
+    ok = linalg.guarded_solve(m, b)[1]
+    with monkeypatch.context() as patch:
+        reference.use_references(patch)
+        return ok, linalg.guarded_solve(m, b)[1]
+
+
+def random_stack(rng, count, size):
+    return rng.standard_normal((count, size, size, 2)).view(complex)[..., 0]
+
+
+@pytest.mark.parametrize("count, size, cols", [(1, 1, 1), (7, 12, 3), (20, 30, 30), (64, 9, 2)])
+def test_guard_decides_as_with_numpys_norms(count, size, cols, monkeypatch):
+    """Members with one column scaled by 1e-4 to 1e-16 fall on both sides of the bound."""
+    rng = np.random.default_rng(count + size)
+    m = random_stack(rng, count, size)
+    m[:, :, 0] *= 10.0 ** -rng.uniform(4, 16, count)[:, None]
+    b = np.eye(size, cols, dtype=complex)[None]
+    ok, expected = guard_decisions(m, b, monkeypatch)
+    assert np.array_equal(ok, expected)
+    assert np.array_equal(guard_decisions(m[0], b[0], monkeypatch)[0], expected[0])
+
+
+@pytest.mark.parametrize("singular", [False, True])
+def test_guard_decides_as_with_numpys_norms_next_to_the_bound(singular, monkeypatch):
+    """Each member's B is scaled to put its rcond within 1e-6 relative of PIVOT_GUARD;
+    with an exactly singular member the stack takes the member-by-member fallback."""
+    rng = np.random.default_rng(6)
+    offsets = np.array([-1e-6, -1e-8, -1e-10, -1e-12, 1e-12, 1e-10, 1e-8, 1e-6])
+    m = random_stack(rng, len(offsets), 6) + 4 * np.eye(6)
+    b0 = np.eye(6, 2, dtype=complex)
+    rcond = 1 / (reference.frobenius(m) * reference.frobenius(np.linalg.solve(m, b0[None])))
+    b = (rcond / (PIVOT_GUARD * (1 + offsets)))[:, None, None] * b0
+    kept = offsets > 0
+    if singular:
+        m[5, 2] = 0.0
+        kept[5] = False
+    solution, ok = linalg.guarded_solve(m, b)
+    near = 1 / (reference.frobenius(m) * reference.frobenius(solution)) / PIVOT_GUARD - 1
+    assert np.all(np.abs(np.delete(near, 5) if singular else near) <= 1e-6)
+    assert np.array_equal(ok, kept)
+    assert np.array_equal(*guard_decisions(m, b, monkeypatch))
+
+
+def test_guard_accepts_nothing_of_an_empty_stack(monkeypatch):
+    solution, ok = linalg.guarded_solve(np.zeros((0, 4, 4), dtype=complex),
+                                        np.eye(4, 2, dtype=complex)[None])
+    assert solution.shape == (0, 4, 2) and ok.shape == (0,)
+    ok, expected = guard_decisions(np.zeros((0, 4, 4), dtype=complex),
+                                   np.eye(4, 2, dtype=complex)[None], monkeypatch)
+    assert ok.shape == expected.shape == (0,)
+
+
+def identity_with(entries):
+    a = np.eye(5, dtype=complex)
+    for index, value in entries.items():
+        a[index] = value
+    return a
+
+
+@pytest.mark.parametrize("c1, taken", [
+    (identity_with({}), True),
+    (identity_with({(0, 3): complex(-0.0, -0.0), (4, 1): -0.0, (2, 2): complex(1, -0.0)}), True),
+    (identity_with({(1, 1): 1 - 0j, (3, 0): complex(0.0, -0.0)}).T, True),
+    (identity_with({(0, 4): 1e-300}), False),
+    (identity_with({(2, 0): 1e-300j}), False),
+    (identity_with({(3, 3): 1 + 2.0 ** -52}), False),
+    (identity_with({(3, 3): 1 + 1e-300j}), False),
+    (identity_with({(4, 4): 0.0}), False),
+])
+def test_the_identity_branch_is_taken_as_before(c1, taken):
+    """Signed zeros and a 1 - 0j diagonal still count as I; 1e-300 or 1 + 2^-52 does not,
+    and generalized_eigenvalues takes the shift path (a nonzero shift) there."""
+    assert _is_identity(c1) == reference.is_identity(c1) == taken
+    c0 = np.diag(np.arange(1.0, 6.0)) + np.diag(np.ones(4), 1)
+    result = generalized_eigenvalues(CompanionPencil(c1=c1, c0=c0.astype(complex), n=1))
+    assert (result.shift_used == 0) == taken
+
+
+@pytest.mark.parametrize("kind", TEN_KINDS)
+def test_identity_decisions_on_every_kind(kind):
+    rng = np.random.default_rng(len(kind) + 1)
+    for p in (random_polynomial(kind, 2, 3, rng),
+              MatrixPolynomial.from_coefficients(Monomial(), [rng.standard_normal((2, 2)),
+                                                              np.eye(2)])):
+        c1 = build(p).c1
+        assert _is_identity(c1) == reference.is_identity(c1)
+
+
+def graded_pencils(rng):
+    """Monomial pencils with coefficients 2^(g k) P_k, and random pencils with rows and columns
+    graded over 2^-g .. 2^g, for g = +-20, +-30."""
+    for g in (20, -20, 30, -30):
+        coeffs = [2.0 ** (g * k) * rng.standard_normal((2, 2)) for k in range(7)]
+        pc = build(MatrixPolynomial.from_coefficients(Monomial(), coeffs))
+        yield pc.c1, pc.c0
+        rows, cols = 2.0 ** (g * np.linspace(-1, 1, 12)), 2.0 ** (-g * np.linspace(-1, 1, 12))
+        c1, c0 = random_stack(rng, 2, 12) * rows[:, None] * cols
+        yield c1, c0
+
+
+def tiny_pencils(rng):
+    """A row, a column, or both, of about 1e-160 of the rest: their sums lie near the
+    smallest subnormal, so balancing them takes a power 4^k with k >= 512, beyond the
+    float range, while every scaled entry of W stays finite."""
+    for rows, cols in (([3], []), ([], [5]), ([0, 7], [2])):
+        c1, c0 = random_stack(rng, 2, 10)
+        for c in (c1, c0):
+            c[rows] *= 1e-160
+            c[:, cols] *= 1e-160
+        yield c1, c0
+
+
+def test_balancing_takes_every_step_of_the_ldexp_sweep():
+    rng = np.random.default_rng(30)
+    for c1, c0 in list(graded_pencils(rng)) + list(tiny_pencils(rng)):
+        d_l, d_r = _balancing(c1, c0)
+        ref_l, ref_r = reference.balancing(c1, c0)
+        assert same_bits(d_l, ref_l) and same_bits(d_r, ref_r)
+        assert np.isfinite(d_l).all() and np.isfinite(d_r).all()
+    exponents = np.abs(np.frexp(np.concatenate([d_l, d_r]))[1])
+    assert exponents.max() > 512  # its last pencil reaches a 4^k outside the float range
+
+
+def mandelbrot_levels(c, depth):
+    """Pencils of p_2 .. p_depth, from p_1 = z + 1 and p_{k+1} = z p_k^2 + c."""
+    one = np.eye(1, dtype=complex)
+    triple = make_triple(build(MatrixPolynomial.from_coefficients(Monomial(), [one, one])))
+    for _ in range(depth - 1):
+        triple = build_algebraic(triple, triple, c * one)
+        yield triple.pencil
+
+
+def result_bits(result):
+    lams, residuals = zip(*result.finite) if result.finite else ((), ())
+    return (bits(np.array(lams, dtype=complex)).tolist(),
+            np.array(residuals, dtype=float).view(np.int64).tolist(),
+            result.infinite_count, bits(np.array([result.shift_used])).tolist())
+
+
+@pytest.mark.parametrize("c", [-1.0, 1.0 + 0.05j, 0.3 - 0.5j])
+def test_mandelbrot_levels_solve_as_with_the_references(c, monkeypatch):
+    """generalized_eigenvalues(level, None) on depths 2-7 (N up to 127), bit for bit."""
+    levels = list(mandelbrot_levels(c, 7))
+    production = [result_bits(generalized_eigenvalues(pc, None)) for pc in levels]
+    reference.use_references(monkeypatch)
+    assert [result_bits(generalized_eigenvalues(pc, None)) for pc in levels] == production
+
+
+def test_use_references_rebinds_every_production_function(monkeypatch):
+    reference.use_references(monkeypatch)
+    assert all(getattr(owner, name) is ref for owner, name, ref in reference.REPLACEMENTS)
