@@ -22,7 +22,6 @@ from .bases import (
     node_polynomial,
     null_vector_basis_matrix,
     one_coefficients,
-    recurrence_row,
 )
 from .eigen import (
     EigenResult,

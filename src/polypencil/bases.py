@@ -1,19 +1,42 @@
-"""Polynomial basis definitions and the per-basis data the pencil builders need.
+"""Basis families, each one row of the paper's tables.
 
-Supported families:
+P(z) = sum_k P_k phi_k(z) of grade ell and block size n has the pencil
+z C1 - C0 of ``pencil(data)``, det(z C1 - C0) = det P(z), and the triple
+X (z C1 - C0)^-1 Y = P(z)^-1, with Y = e_1 (x) I_n for every family and
+X = e (x) I_n, e = ``one_row(ell)`` the row of 1 = sum_k e_k phi_k(z).
+``null_vector_rows(ell)`` and ``monomial_rows(count)`` give polynomials in
+descending powers; ``phi_rows(count, zs)`` gives phi_0 .. phi_{count-1}
+at every z, row i divided by max(1, |z_i|)^(count-1) so nothing overflows.
 
-* three-term recurrence bases (monomial, shifted monomial, Taylor, Newton,
-  Chebyshev T, Legendre P, and user-supplied recurrences), satisfying
-  ``z*phi_k = alpha_k*phi_{k+1} + beta_k*phi_k + gamma_k*phi_{k-1}``;
-* the Bernstein basis on [0, 1];
-* Hermite interpolational bases on distinct nodes with confluencies, and
-  Lagrange bases, the Hermite subclass with every confluency 1, so each
-  function here has one interpolation branch.
+ThreeTermBasis: monomial, shifted monomial, Taylor, Newton, Chebyshev T,
+  Legendre P and custom recurrences, z phi_k = alpha_k phi_{k+1} + beta_k
+  phi_k + gamma_k phi_{k-1}; a subclass supplies only ``recurrence_row(k)``.
+  pencil: N = n ell, C1 = diag(P_ell / alpha_{ell-1}, I / alpha_{ell-2},
+    .., I / alpha_0); C0 holds -P_{ell-1} .. -P_0 across its first block
+    row, the first two plus (beta, gamma) / alpha times P_ell, and in block
+    row ell - 1 - k the band (I, beta_k / alpha_k I, gamma_k / alpha_k I).
+  X row (0, .., 0, 1); null vectors phi_{ell-1} .. phi_0; structural_blocks 0;
+  grade rule (``check_grade``): a Newton node and a custom alpha per grade.
+Bernstein: B_k = C(ell, k) z^k (1 - z)^(ell - k) on [0, 1].
+  pencil: N = n ell, C0 holds -P_{ell-1} .. -P_0 across its first block row
+    and I below the diagonal; C1 is C0 with the corner P_ell / ell - P_{ell-1}
+    and (i + 1) / (ell - i) I on the diagonal of block row i.
+  X row (1, 2, .., ell) / ell; null vectors C(ell, k + 1) z^(ell-1-k) (1 - z)^k;
+  structural_blocks 0.
+Hermite: values and scaled derivatives P^(j)(tau_i) / j! at distinct nodes
+  tau_i of confluency s_i; Lagrange is the subclass with every s_i = 1.
+  pencil: N = n (ell + 2), the arrowhead C1 = diag(0, I), C0 = [[0, -data
+    row], [weights (x) I, T]], T per node tau_i I with I below its diagonal.
+  X row: a 1 at each node's value column; null vectors: omega(z) = prod
+  (z - tau_i)^(s_i) over the basis polynomials; structural_blocks 2 (2n
+  eigenvalues at infinity by structure alone); grade rule: ell + 1 = sum s_i.
 
-Coefficient rows and matrices produced here follow one ordering convention
-throughout: polynomial coefficients are listed with the highest power first,
-and node blocks appear in the user-given node order with derivative data
-descending inside each block.
+C0, and C1 of the coefficient families, fill (blocks, n, blocks, n) arrays,
+each kind of block (a scalar times I_n) by one fancy-index assignment.
+``Basis`` declares each member once: one a family lacks raises
+UnsupportedBasisError naming the class.  Rows list polynomial coefficients
+highest power first, and node blocks in the user-given node order with
+derivative data descending inside each block.
 """
 
 from __future__ import annotations
@@ -28,6 +51,7 @@ import numpy as np
 from .errors import (
     BadConfluencyError,
     DuplicateNodesError,
+    GradeTooSmallError,
     UnsupportedBasisError,
 )
 
@@ -44,14 +68,19 @@ __all__ = [
     "Bernstein",
     "Lagrange",
     "Hermite",
-    "recurrence_row",
-    "phi_rows",
     "one_coefficients",
     "node_polynomial",
     "barycentric_weights",
     "null_vector_basis_matrix",
     "monomial_rows",
 ]
+
+# |z - tau| below this (relative) snaps evaluation to the stored node data,
+# which the interpolation formula reproduces only to rounding.
+NODE_SNAP = 1e-12
+
+# overflow in a pencil's fill surfaces as CompanionPencil's NonFiniteError instead
+_quiet = np.errstate(over="ignore", invalid="ignore")
 
 
 def is_integer(v) -> bool:
@@ -68,27 +97,134 @@ def _check_nodes(nodes):
     return nodes
 
 
+def _at_least_one(ell):
+    if ell < 1:
+        raise ValueError("grade must be >= 1")
+
+
+def _unsupported(what):
+    def member(self, *args):
+        raise UnsupportedBasisError(f"{type(self).__name__} has no {what}")
+    return member
+
+
 class Basis:
-    """Marker base class for every basis variant."""
+    """A basis family: the members of its row of the paper's tables (see the module).
+
+    ``check_grade`` and ``snap`` default to no grade rule and no node data.
+    """
+
+    structural_blocks = property(_unsupported("pencil"))
+    recurrence_row = _unsupported("three-term recurrence")
+    phi_rows = _unsupported("basis functions")
+    one_row = _unsupported("row of 1")
+    pencil = _unsupported("pencil")
+    monomial_rows = _unsupported("monomial expansion")
+    null_vector_rows = _unsupported("null-vector rows")
+    weights = property(_unsupported("barycentric weights"))
+    omega = _unsupported("node polynomial")
+
+    def check_grade(self, grade: int) -> None:
+        """Raise ValueError when the basis cannot hold a polynomial of this grade."""
+
+    def snap(self, zs, data, values) -> None:
+        """Set values[i] to the stored datum where zs[i] sits on a node."""
 
 
 class ThreeTermBasis(Basis):
-    """Marker for bases defined by a three-term recurrence."""
+    """Bases defined by a three-term recurrence; a subclass supplies recurrence_row."""
+
+    structural_blocks = 0
+
+    def phi_rows(self, count, zs):
+        z = np.asarray(zs, dtype=complex).reshape(-1)
+        inv = 1.0 / np.maximum(1.0, np.abs(z))
+        ell = count - 1
+        # psi_k = phi_k / s^k obeys the recurrence with z/s and gamma/s^2
+        z_s, inv2 = z * inv, inv * inv
+        prev, cur = 0.0, np.ones_like(z)
+        columns = [cur]
+        for k in range(ell):
+            a, b, g = self.recurrence_row(k)
+            prev, cur = cur, ((z_s - b * inv) * cur - g * inv2 * prev) / a
+            columns.append(cur)
+        return np.stack(columns, axis=1) * inv[:, None] ** (ell - np.arange(count))
+
+    def one_row(self, ell):
+        _at_least_one(ell)
+        row = np.zeros(ell, dtype=complex)
+        row[-1] = 1.0
+        return row
+
+    @_quiet
+    def pencil(self, data):
+        """Each band row is divided by its alpha_k: the first block row, and so the triple, is
+        untouched, and det(z*C1 - C0) is det P(z) exactly, not up to the product of the alphas.
+        At grade 1 this is the single-block pencil (P_1/alpha_0, (beta_0/alpha_0) P_1 - P_0)."""
+        ell, n = len(data) - 1, data.shape[1]
+        if ell < 1:
+            raise GradeTooSmallError("three-term pencil needs grade >= 1")
+        N = ell * n
+        eye = np.eye(n, dtype=complex)
+        a_top, b_top, g_top = self.recurrence_row(ell - 1)
+        c1, c0 = np.zeros((2, ell, n, ell, n), dtype=complex)  # [block row, row, block col, col]
+        c1[0, :, 0] = data[ell] / a_top
+        c0[0] = -data[ell - 1::-1].transpose(1, 0, 2)
+        c0[0, :, 0] = (b_top / a_top) * data[ell] - data[ell - 1]
+        if ell > 1:
+            c0[0, :, 1] = (g_top / a_top) * data[ell] - data[ell - 2]
+            # alpha, beta/alpha, gamma/alpha of band rows i = 1 .. ell-1, divided as Python numbers
+            band = np.array([(a, b / a, g / a) for a, b, g in (
+                self.recurrence_row(ell - 1 - i) for i in range(1, ell))], dtype=complex)
+            a, b_a, g_a = band.T[..., None, None]
+            i = np.arange(1, ell)
+            c1[i, :, i] = eye / a
+            c0[i, :, i - 1] = eye
+            c0[i, :, i] = b_a * eye
+            c0[i[:-1], :, i[:-1] + 1] = g_a[:-1] * eye
+        return c1.reshape(N, N), c0.reshape(N, N)
+
+    def monomial_rows(self, count):
+        """The recurrence run on coefficient vectors."""
+        rows = np.zeros((count, count), dtype=complex)
+        prev = np.zeros(count, dtype=complex)
+        cur = np.zeros(count, dtype=complex)
+        cur[-1] = 1.0  # phi_0 = 1
+        rows[count - 1] = cur
+        shifted = np.zeros(count, dtype=complex)  # z * phi_k within a fixed-width window
+        for k in range(count - 1):
+            a, b, g = self.recurrence_row(k)
+            shifted[:-1] = cur[1:]
+            nxt = (shifted - b * cur - g * prev) / a
+            prev, cur = cur, nxt
+            rows[count - 2 - k] = cur
+        return rows
+
+    def null_vector_rows(self, ell):
+        _at_least_one(ell)
+        return monomial_rows(self, ell)
 
 
 @dataclass(frozen=True)
 class Monomial(ThreeTermBasis):
-    pass
+    def recurrence_row(self, k):
+        return 1.0, 0.0, 0.0
 
 
 @dataclass(frozen=True)
 class ShiftedMonomial(ThreeTermBasis):
     shift: complex = 0.0
 
+    def recurrence_row(self, k):
+        return 1.0, complex(self.shift), 0.0
+
 
 @dataclass(frozen=True)
 class Taylor(ThreeTermBasis):
     shift: complex = 0.0
+
+    def recurrence_row(self, k):
+        return k + 1.0, complex(self.shift), 0.0
 
 
 @dataclass(frozen=True)
@@ -100,15 +236,28 @@ class Newton(ThreeTermBasis):
     def __post_init__(self):
         object.__setattr__(self, "nodes", _check_nodes(self.nodes))
 
+    def recurrence_row(self, k):
+        if not 0 <= k < len(self.nodes):
+            raise ValueError(f"Newton basis has {len(self.nodes)} nodes; no row k={k}")
+        return 1.0, self.nodes[k], 0.0
+
+    def check_grade(self, grade):
+        if len(self.nodes) < grade:
+            raise ValueError(f"newton basis of grade {grade} needs {grade} nodes, "
+                             f"got {len(self.nodes)}")
+
 
 @dataclass(frozen=True)
 class ChebyshevT(ThreeTermBasis):
-    pass
+    def recurrence_row(self, k):
+        """The k = 0 row is phi_1 = z itself: alpha_0 = 1, not the generic 1/2."""
+        return (1.0, 0.0, 0.0) if k == 0 else (0.5, 0.0, 0.5)
 
 
 @dataclass(frozen=True)
 class LegendreP(ThreeTermBasis):
-    pass
+    def recurrence_row(self, k):
+        return (k + 1.0) / (2.0 * k + 1.0), 0.0, k / (2.0 * k + 1.0)
 
 
 @dataclass(frozen=True)
@@ -129,6 +278,17 @@ class CustomThreeTerm(ThreeTermBasis):
         object.__setattr__(self, "beta", tuple(complex(v) for v in self.beta))
         object.__setattr__(self, "gamma", tuple(complex(v) for v in self.gamma))
 
+    def recurrence_row(self, k):
+        if not 0 <= k < len(self.alpha):
+            raise ValueError(f"custom recurrence defined up to k={len(self.alpha) - 1}")
+        gamma = self.gamma[k] if k < len(self.gamma) else 0.0
+        return self.alpha[k], self.beta[k], gamma
+
+    def check_grade(self, grade):
+        if len(self.alpha) < grade:
+            raise ValueError(f"custom recurrence of grade {grade} needs {grade} alpha values, "
+                             f"got {len(self.alpha)}")
+
 
 @dataclass(frozen=True)
 class Bernstein(Basis):
@@ -137,11 +297,63 @@ class Bernstein(Basis):
     ell is the grade of the polynomial written in it: its count of coefficients less one.
     """
 
+    structural_blocks = 0
+
+    def phi_rows(self, count, zs):
+        z = np.asarray(zs, dtype=complex).reshape(-1)
+        inv = 1.0 / np.maximum(1.0, np.abs(z))
+        ell = count - 1
+        k = np.arange(count)
+        binom = np.array([comb(ell, j) for j in k], dtype=float)
+        return binom * (z * inv)[:, None] ** k * ((1.0 - z) * inv)[:, None] ** (ell - k)
+
+    def one_row(self, ell):
+        _at_least_one(ell)
+        return np.arange(1, ell + 1, dtype=complex) / ell
+
+    @_quiet
+    def pencil(self, data):
+        ell, n = len(data) - 1, data.shape[1]
+        if ell < 1:
+            raise GradeTooSmallError("Bernstein pencil needs grade >= 1")
+        N = ell * n
+        eye = np.eye(n, dtype=complex)
+        i = np.arange(1, ell)
+        c0 = np.zeros((ell, n, ell, n), dtype=complex)  # [block row, row, block col, col]
+        c0[0] = -data[ell - 1::-1].transpose(1, 0, 2)
+        c0[i, :, i - 1] = eye
+        c1 = c0.copy()
+        c1[0, :, 0] = data[ell] / ell - data[ell - 1]
+        c1[i, :, i] = ((i + 1.0) / (ell - i))[:, None, None] * eye
+        return c1.reshape(N, N), c0.reshape(N, N)
+
+    def monomial_rows(self, count):
+        """B_k = sum_j C(ell, k) C(ell - k, j) (-1)^j z^(k+j) in exact integer products."""
+        ell = count - 1
+        rows = np.zeros((count, count), dtype=complex)
+        for k in range(count):
+            for j in range(count - k):  # z^(k+j) sits in column ell - k - j
+                rows[ell - k, ell - k - j] = comb(ell, k) * comb(ell - k, j) * (-1) ** j
+        return rows
+
+    def null_vector_rows(self, ell):
+        """The degree-reduced companions psi_k = C(ell, k+1) z^(ell-1-k) (1-z)^k."""
+        out = np.zeros((ell, ell), dtype=complex)
+        for k in range(ell):
+            poly = np.array([1.0 + 0.0j])  # descending coefficients of (1-z)^k
+            for _ in range(k):
+                poly = np.convolve(poly, np.array([-1.0, 1.0], dtype=complex))
+            pad = ell - 1 - k  # trailing zeros from the factor z^(ell-1-k)
+            out[k] = np.concatenate([comb(ell, k + 1) * poly, np.zeros(pad, dtype=complex)])
+        return out
+
 
 @dataclass(frozen=True)
 class Hermite(Basis):
     nodes: tuple = ()
     confluencies: tuple = ()
+
+    structural_blocks = 2
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", _check_nodes(self.nodes))
@@ -157,6 +369,10 @@ class Hermite(Basis):
     @property
     def grade(self) -> int:
         return sum(self.confluencies) - 1
+
+    def check_grade(self, grade):
+        if grade != self.grade:
+            raise ValueError(f"grade {grade} does not match the basis, whose grade is {self.grade}")
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -180,6 +396,14 @@ class Hermite(Basis):
         w = np.asarray(flat, dtype=complex)
         w.flags.writeable = False
         return w
+
+    def omega(self):
+        """The monic node polynomial, coefficients in descending powers."""
+        poly = np.array([1.0 + 0.0j])
+        for t, s in zip(self.nodes, self.confluencies):
+            for _ in range(s):
+                poly = np.convolve(poly, np.array([1.0, -t], dtype=complex))
+        return poly
 
     @cached_property
     def monomial_expansion(self) -> np.ndarray:
@@ -209,85 +433,16 @@ class Hermite(Basis):
         rows.flags.writeable = False
         return rows
 
-
-@dataclass(frozen=True)
-class Lagrange(Hermite):
-    """Lagrange basis on distinct nodes: the Hermite basis with every confluency 1."""
-
-    def __post_init__(self):
-        if not self.confluencies:
-            object.__setattr__(self, "confluencies", (1,) * len(self.nodes))
-        super().__post_init__()
-        if any(s != 1 for s in self.confluencies):
-            raise BadConfluencyError("a Lagrange basis has every confluency 1")
-
-
-def recurrence_row(basis: Basis, k: int) -> tuple[complex, complex, complex]:
-    """Recurrence coefficients (alpha_k, beta_k, gamma_k) of a three-term basis.
-
-    The k = 0 row is the initial case: phi_1 = (z - beta_0)/alpha_0, so for
-    Chebyshev it returns alpha_0 = 1 (phi_1 = z), not the generic 1/2.
-    """
-    if k < 0:
-        raise ValueError("recurrence index must be >= 0")
-    if isinstance(basis, Monomial):
-        return 1.0, 0.0, 0.0
-    if isinstance(basis, ShiftedMonomial):
-        return 1.0, complex(basis.shift), 0.0
-    if isinstance(basis, Taylor):
-        return k + 1.0, complex(basis.shift), 0.0
-    if isinstance(basis, Newton):
-        if k >= len(basis.nodes):
-            raise ValueError(f"Newton basis has {len(basis.nodes)} nodes; no row k={k}")
-        return 1.0, basis.nodes[k], 0.0
-    if isinstance(basis, ChebyshevT):
-        if k == 0:
-            return 1.0, 0.0, 0.0
-        return 0.5, 0.0, 0.5
-    if isinstance(basis, LegendreP):
-        return (k + 1.0) / (2.0 * k + 1.0), 0.0, k / (2.0 * k + 1.0)
-    if isinstance(basis, CustomThreeTerm):
-        if k >= len(basis.alpha):
-            raise ValueError(f"custom recurrence defined up to k={len(basis.alpha) - 1}")
-        gamma = basis.gamma[k] if k < len(basis.gamma) else 0.0
-        return basis.alpha[k], basis.beta[k], gamma
-    raise UnsupportedBasisError(f"{type(basis).__name__} has no three-term recurrence")
-
-
-def phi_rows(basis: Basis, count: int, zs) -> np.ndarray:
-    """phi_0 .. phi_{count-1} at every z in one pass, one row per point.
-
-    Row i is divided by max(1, |z_i|)^(count-1), so no entry overflows however
-    large z_i is; quotients homogeneous of degree zero in a row (the
-    polynomial backward error) are unaffected.  Columns follow the order of
-    MatrixPolynomial.data: coefficients by ascending index, Lagrange
-    samples by node, and Hermite data per node, value then scaled
-    derivatives ascending.  Interpolation rows use the product form
-    omega(z) * sum_j b_ij (z - tau_i)^(k-j-1), which is exact on the nodes.
-    """
-    z = np.asarray(zs, dtype=complex).reshape(-1)
-    ell = count - 1
-    inv = 1.0 / np.maximum(1.0, np.abs(z))
-    if isinstance(basis, ThreeTermBasis):
-        # psi_k = phi_k / s^k obeys the recurrence with z/s and gamma/s^2
-        z_s, inv2 = z * inv, inv * inv
-        prev, cur = 0.0, np.ones_like(z)
-        columns = [cur]
-        for k in range(ell):
-            a, b, g = recurrence_row(basis, k)
-            prev, cur = cur, ((z_s - b * inv) * cur - g * inv2 * prev) / a
-            columns.append(cur)
-        return np.stack(columns, axis=1) * inv[:, None] ** (ell - np.arange(count))
-    if isinstance(basis, Bernstein):
-        k = np.arange(count)
-        binom = np.array([comb(ell, j) for j in k], dtype=float)
-        return binom * (z * inv)[:, None] ** k * ((1.0 - z) * inv)[:, None] ** (ell - k)
-    if isinstance(basis, Hermite):
-        nodes = np.asarray(basis.nodes, dtype=complex)
-        confl = basis.confluencies
+    def phi_rows(self, count, zs):
+        """Data per node, value then scaled derivatives ascending, in the product form
+        omega(z) * sum_j b_ij (z - tau_i)^(k-j-1), which is exact on the nodes."""
+        z = np.asarray(zs, dtype=complex).reshape(-1)
+        inv = 1.0 / np.maximum(1.0, np.abs(z))
+        nodes = np.asarray(self.nodes, dtype=complex)
+        confl = self.confluencies
         if sum(confl) != count:
             raise ValueError(f"{count} values do not match the {sum(confl)} interpolation data")
-        weights = barycentric_weights(basis)
+        weights = barycentric_weights(self)
         d = (z[:, None] - nodes[None, :]) * inv[:, None]  # (z - tau_i) / s
         powers = d ** np.asarray(confl)
         # prod_{j != i} powers[:, j] as a prefix times a suffix product
@@ -308,41 +463,82 @@ def phi_rows(basis: Basis, count: int, zs) -> np.ndarray:
                 * d ** np.maximum(size - 1 - m, 0)
             acc += np.where(live, term, 0.0)
         return (before * after)[:, node] * acc
-    raise UnsupportedBasisError(f"unknown basis {type(basis).__name__}")
+
+    def snap(self, zs, data, values):
+        nodes = np.asarray(self.nodes)
+        near = np.abs(zs[:, None] - nodes) < NODE_SNAP * (1.0 + np.abs(nodes))
+        hit = near.any(axis=1)
+        starts = np.cumsum(self.confluencies) - self.confluencies
+        values[hit] = data[starts[near[hit].argmax(axis=1)]]
+
+    def one_row(self, ell):
+        _at_least_one(ell)
+        self.check_grade(ell)
+        row = np.zeros(ell + 2, dtype=complex)
+        row[np.cumsum(self.confluencies)] = 1.0  # the value column of each node
+        return row
+
+    @_quiet
+    def pencil(self, data):
+        """The arrowhead; det(tau C1 - C0) = det P(tau) at every node."""
+        ell, n = len(data) - 1, data.shape[1]
+        if ell < 1:
+            raise GradeTooSmallError("interpolation pencil needs grade >= 1")
+        beta = barycentric_weights(self)
+        confl = self.confluencies
+        N = (ell + 2) * n
+        eye = np.eye(n, dtype=complex)
+        c1 = np.eye(N, dtype=complex)
+        c1[:n, :n] = 0.0
+        # block column c + 1 belongs to datum c, position j of a node whose s data start at
+        # `start`; the data row lists each node's data in descending order
+        s, start = np.repeat(confl, confl), np.repeat(np.cumsum(confl) - confl, confl)
+        j = np.arange(ell + 1) - start
+        col = np.arange(1, ell + 2)
+        c0 = np.zeros((ell + 2, n, ell + 2, n), dtype=complex)
+        c0[0, :, 1:] = -data[start + s - 1 - j].transpose(1, 0, 2)
+        c0[col, :, 0] = beta[:, None, None] * eye
+        c0[col, :, col] = np.repeat(np.array(self.nodes), confl)[:, None, None] * eye
+        c0[col[j > 0], :, col[j > 0] - 1] = eye
+        return c1, c0.reshape(N, N)
+
+    def monomial_rows(self, count):
+        """The expansion cached on the basis (``monomial_expansion``, read-only)."""
+        if count != self.grade + 1:
+            raise ValueError(f"{count} rows do not match the {self.grade + 1} interpolation data")
+        return self.monomial_expansion
+
+    def null_vector_rows(self, ell):
+        """omega over the basis polynomials in block-column order (datum s - 1 - j in column j)."""
+        self.check_grade(ell)
+        out = np.zeros((ell + 2, ell + 2), dtype=complex)
+        out[0] = node_polynomial(self)
+        ends = np.cumsum(self.confluencies)  # row ell - c of monomial_rows holds phi_c
+        out[1:, 1:] = monomial_rows(self, ell + 1)[
+            [ell + 1 - e + j for e, s in zip(ends, self.confluencies) for j in range(s)]]
+        return out
+
+
+@dataclass(frozen=True)
+class Lagrange(Hermite):
+    """Lagrange basis on distinct nodes: the Hermite basis with every confluency 1."""
+
+    def __post_init__(self):
+        if not self.confluencies:
+            object.__setattr__(self, "confluencies", (1,) * len(self.nodes))
+        super().__post_init__()
+        if any(s != 1 for s in self.confluencies):
+            raise BadConfluencyError("a Lagrange basis has every confluency 1")
 
 
 def one_coefficients(basis: Basis, ell: int) -> np.ndarray:
-    """Coefficient row expanding the constant 1, ordered as the pencil expects.
-
-    This row, tensored with the identity, is the left factor of the
-    resolvent representation for every pencil built by this package.
-    """
-    if ell < 1:
-        raise ValueError("grade must be >= 1")
-    if isinstance(basis, ThreeTermBasis):
-        row = np.zeros(ell, dtype=complex)
-        row[-1] = 1.0
-        return row
-    if isinstance(basis, Bernstein):
-        return np.arange(1, ell + 1, dtype=complex) / ell
-    if isinstance(basis, Hermite):
-        if ell != basis.grade:
-            raise ValueError("grade must equal the number of interpolation data minus one")
-        row = np.zeros(ell + 2, dtype=complex)
-        row[np.cumsum(basis.confluencies)] = 1.0  # the value column of each node
-        return row
-    raise UnsupportedBasisError(f"unknown basis {type(basis).__name__}")
+    """The X row of a grade-ell pencil: basis.one_row, tensored with I_n by make_triple."""
+    return basis.one_row(ell)
 
 
 def node_polynomial(basis: Basis) -> np.ndarray:
     """Monic node polynomial, coefficients in descending powers."""
-    if not isinstance(basis, Hermite):
-        raise UnsupportedBasisError("node polynomial needs a Lagrange or Hermite basis")
-    poly = np.array([1.0 + 0.0j])
-    for t, s in zip(basis.nodes, basis.confluencies):
-        for _ in range(s):
-            poly = np.convolve(poly, np.array([1.0, -t], dtype=complex))
-    return poly
+    return basis.omega()
 
 
 def barycentric_weights(basis: Basis) -> np.ndarray:
@@ -358,75 +554,14 @@ def barycentric_weights(basis: Basis) -> np.ndarray:
     column of the interpolation pencil.  The array is cached on the
     basis and read-only.
     """
-    if not isinstance(basis, Hermite):
-        raise UnsupportedBasisError("barycentric weights need a Lagrange or Hermite basis")
     return basis.weights
 
 
 def monomial_rows(basis: Basis, count: int) -> np.ndarray:
-    """Rows phi_{count-1} .. phi_0 in descending monomial coefficients.
-
-    The one change of basis to the monomials: the three-term recurrence run
-    on coefficient vectors, B_k = sum_j C(ell, k) C(ell - k, j) (-1)^j z^(k+j)
-    in exact integer products, and for interpolation bases the expansion
-    cached on the basis (``Hermite.monomial_expansion``, read-only).
-    """
-    if isinstance(basis, Hermite):
-        if count != basis.grade + 1:
-            raise ValueError(f"{count} rows do not match the {basis.grade + 1} interpolation data")
-        return basis.monomial_expansion
-    ell = count - 1
-    rows = np.zeros((count, count), dtype=complex)
-    if isinstance(basis, Bernstein):
-        for k in range(count):
-            for j in range(count - k):  # z^(k+j) sits in column ell - k - j
-                rows[ell - k, ell - k - j] = comb(ell, k) * comb(ell - k, j) * (-1) ** j
-        return rows
-    if not isinstance(basis, ThreeTermBasis):
-        raise UnsupportedBasisError(f"no monomial expansion for the {type(basis).__name__} basis")
-    prev = np.zeros(count, dtype=complex)
-    cur = np.zeros(count, dtype=complex)
-    cur[-1] = 1.0  # phi_0 = 1
-    rows[count - 1] = cur
-    shifted = np.zeros(count, dtype=complex)  # z * phi_k within a fixed-width window
-    for k in range(count - 1):
-        a, b, g = recurrence_row(basis, k)
-        shifted[:-1] = cur[1:]
-        nxt = (shifted - b * cur - g * prev) / a
-        prev, cur = cur, nxt
-        rows[count - 2 - k] = cur
-    return rows
+    """Rows phi_{count-1} .. phi_0 in descending monomial coefficients: basis.monomial_rows."""
+    return basis.monomial_rows(count)
 
 
 def null_vector_basis_matrix(basis: Basis, ell: int) -> np.ndarray:
-    """Monomial expansion of the pencil's right-null-vector functions.
-
-    Row r holds, in descending powers, the polynomial sitting in block row r
-    of the pencil's null vector at an eigenvalue: phi_{ell-1}..phi_0 for
-    three-term bases, the degree-reduced Bernstein companions
-    psi_k = C(ell, k+1) z^(ell-1-k) (1-z)^k, and for interpolation bases the node
-    polynomial over the basis polynomials in block-column order (datum s - 1 - j in column j).
-    """
-    if isinstance(basis, ThreeTermBasis):
-        if ell < 1:
-            raise ValueError("grade must be >= 1")
-        return monomial_rows(basis, ell)
-    if isinstance(basis, Bernstein):
-        out = np.zeros((ell, ell), dtype=complex)
-        for k in range(ell):
-            poly = np.array([1.0 + 0.0j])  # descending coefficients of (1-z)^k
-            for _ in range(k):
-                poly = np.convolve(poly, np.array([-1.0, 1.0], dtype=complex))
-            pad = ell - 1 - k  # trailing zeros from the factor z^(ell-1-k)
-            out[k] = np.concatenate([comb(ell, k + 1) * poly, np.zeros(pad, dtype=complex)])
-        return out
-    if isinstance(basis, Hermite):
-        if ell != basis.grade:
-            raise ValueError("grade must equal the number of interpolation data minus one")
-        out = np.zeros((ell + 2, ell + 2), dtype=complex)
-        out[0] = node_polynomial(basis)
-        ends = np.cumsum(basis.confluencies)  # row ell - c of monomial_rows holds phi_c
-        out[1:, 1:] = monomial_rows(basis, ell + 1)[
-            [ell + 1 - e + j for e, s in zip(ends, basis.confluencies) for j in range(s)]]
-        return out
-    raise UnsupportedBasisError(f"no change-of-basis matrix for the {type(basis).__name__} basis")
+    """Monomial expansion of the pencil's right-null-vector functions: basis.null_vector_rows."""
+    return basis.null_vector_rows(ell)

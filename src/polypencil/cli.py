@@ -19,7 +19,7 @@ import numpy as np
 
 from . import algebraic as alg
 from . import eigen
-from .bases import Hermite, barycentric_weights, node_polynomial
+from .bases import barycentric_weights, node_polynomial
 from .documents import (
     DocumentError,
     matrix_to_json,
@@ -35,7 +35,7 @@ from .equivalence import (
     equivalence_lagrange,
     verify_equivalence,
 )
-from .errors import NoConvergenceError, PolyPencilError
+from .errors import NoConvergenceError, PolyPencilError, UnsupportedBasisError
 from .pencils import build
 from .triples import make_triple, sample_resolvents, verify_triple
 
@@ -151,10 +151,7 @@ def cmd_alglin(args):
 
 def cmd_equiv(args):
     p = parse_document(_load_json(args.input))
-    if isinstance(p.basis, Hermite):
-        pair = equivalence_lagrange(p)
-    else:
-        pair = equivalence_degree_graded(p)
+    pair = (equivalence_lagrange if p.basis.structural_blocks else equivalence_degree_graded)(p)
     deviation = verify_equivalence(pair)
     ok = deviation <= args.tol
     return {
@@ -170,9 +167,10 @@ def cmd_bary(args):
     doc = _load_json(args.input)
     grade = parse_header(doc, "basis")
     basis = parse_basis(doc["basis"], grade)
-    if not isinstance(basis, Hermite):
-        raise DocumentError("bary needs a lagrange or hermite basis")
-    weights = barycentric_weights(basis)
+    try:
+        weights = barycentric_weights(basis)
+    except UnsupportedBasisError as exc:
+        raise DocumentError("bary needs a lagrange or hermite basis") from exc
     return {
         "weights": [scalar_to_json(w) for w in weights],
         "node_polynomial": [scalar_to_json(c) for c in node_polynomial(basis)],

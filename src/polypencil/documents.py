@@ -163,11 +163,10 @@ def parse_basis(desc, grade):
         raise DocumentError(f"unknown basis kind {kind!r}; expected one of {', '.join(BASIS_KINDS)}")
     try:
         basis = _basis(kind, desc, grade)
-    except (ValueError, BadConfluencyError) as exc:  # a constructor refused the description
+        if grade is not None:
+            basis.check_grade(grade)
+    except (ValueError, BadConfluencyError) as exc:  # the basis refused the description
         raise DocumentError(str(exc)) from exc
-    if isinstance(basis, Hermite) and grade is not None and grade != basis.grade:
-        raise DocumentError(
-            f"grade {grade} does not match the basis, whose grade is {basis.grade}")
     return basis
 
 

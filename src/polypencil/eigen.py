@@ -75,7 +75,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import Hermite, phi_rows
 from .errors import NoConvergenceError, SingularPencilEverywhereError
 from .linalg import as_cmatrix, guarded_solve
 # Unused here: bench/test_bench.py::test_patch_replaces_every_binding_and_restores_it
@@ -235,7 +234,7 @@ def _polynomial_backward_errors(p: MatrixPolynomial, lams) -> np.ndarray:
     scaling cancels in the quotient.
     """
     data = p.data
-    phi = phi_rows(p.basis, data.shape[0], lams)
+    phi = p.basis.phi_rows(data.shape[0], lams)
     smallest = np.linalg.svd(np.tensordot(phi, data, axes=1), compute_uv=False)[:, -1]
     scale = np.abs(phi) @ np.linalg.svd(data, compute_uv=False)[:, 0]
     # a zero denominator means P(lambda) = 0, which is exactly singular
@@ -397,7 +396,7 @@ def _finite_part(pc: CompanionPencil):
     benchmark it took 2.2 times as long and raised the worst eta from 1.6e-5
     to 0.2.
     """
-    if not isinstance(pc.basis, Hermite):
+    if pc.basis is None or not pc.basis.structural_blocks:
         return pc.c1, pc.c0, lambda lams, y: y
     n = pc.n
     d, b, t = pc.c0[:n, n:], pc.c0[n:, :n], pc.c0[n:, n:]

@@ -22,18 +22,11 @@ from math import comb
 
 import numpy as np
 
-from .bases import (
-    Bernstein,
-    Hermite,
-    Monomial,
-    ThreeTermBasis,
-    monomial_rows,
-    null_vector_basis_matrix,
-)
+from .bases import Monomial, monomial_rows, null_vector_basis_matrix
 from .errors import SingularC0Error, UnsupportedBasisError
 from .linalg import guarded_solve, kron_eye
 from .matpoly import MatrixPolynomial
-from .pencils import CompanionPencil, build, build_hermite, build_three_term
+from .pencils import CompanionPencil, build
 
 __all__ = [
     "TO_MONOMIAL",
@@ -66,14 +59,15 @@ def _times_inverse(x, a, a_inverse):
 def monomial_form(p: MatrixPolynomial) -> MatrixPolynomial:
     """The same polynomial with monomial coefficients.
 
-    The coefficients are the data contracted with ``bases.monomial_rows``.
-    Lagrange and Hermite input is padded with two zero leading coefficients
-    (grade ell + 2) so its companion pencil matches the arrowhead size.
+    The coefficients are the data contracted with ``bases.monomial_rows``,
+    padded with one zero leading coefficient per structural block of the
+    basis (two for Lagrange and Hermite input, grade ell + 2), so its
+    companion pencil matches the basis pencil's size.
     """
     rows = monomial_rows(p.basis, p.grade + 1)[::-1, ::-1]  # [k, m]: z^m in phi_k
     coeffs = np.einsum("km,kij->mij", rows, p.data)
-    if isinstance(p.basis, Hermite):
-        coeffs = np.concatenate([coeffs, np.zeros((2, p.n, p.n), dtype=complex)])
+    pad = np.zeros((p.basis.structural_blocks, p.n, p.n), dtype=complex)
+    coeffs = np.concatenate([coeffs, pad])
     return MatrixPolynomial.from_coefficients(Monomial(), coeffs)
 
 
@@ -90,10 +84,10 @@ def equivalence_degree_graded(p: MatrixPolynomial) -> EquivalencePair:
     verify_equivalence, like every other check of the pair.
     SingularC0Error means both terms are singular.
     """
-    if not isinstance(p.basis, (ThreeTermBasis, Bernstein)):
+    if p.basis.structural_blocks:
         raise UnsupportedBasisError("degree-graded equivalence needs coefficient data")
     pc_phi = build(p)
-    pc_m = build_three_term(monomial_form(p))
+    pc_m = build(monomial_form(p))
     f_small = null_vector_basis_matrix(p.basis, p.grade)
     f = kron_eye(f_small, p.n)
     f_inverse = kron_eye(np.linalg.inv(f_small), p.n)
@@ -118,7 +112,7 @@ def equivalence_lagrange(p: MatrixPolynomial) -> EquivalencePair:
     in row r; F stacks the node polynomial over the monomial expansions of
     the basis polynomials.
     """
-    if not isinstance(p.basis, Hermite):
+    if not p.basis.structural_blocks:
         raise UnsupportedBasisError("interpolation equivalence needs sample data")
     ell, n = p.grade, p.n
     e_small = np.zeros((ell + 2, ell + 2), dtype=complex)
@@ -134,8 +128,7 @@ def equivalence_lagrange(p: MatrixPolynomial) -> EquivalencePair:
     f_small = null_vector_basis_matrix(p.basis, ell)
     e = kron_eye(e_small, n)
     f = kron_eye(f_small, n)
-    return EquivalencePair(e=e, f=f, phi=build_hermite(p),
-                           monomial=build_three_term(monomial_form(p)))
+    return EquivalencePair(e=e, f=f, phi=build(p), monomial=build(monomial_form(p)))
 
 
 def verify_equivalence(pair: EquivalencePair) -> float:

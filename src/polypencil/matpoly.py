@@ -1,7 +1,7 @@
 """Matrix polynomials P(z) = sum_k P_k phi_k(z): a basis and one stacked array.
 
 The basis fixes what the matrices P_k mean; ``data`` holds them in the
-column order of ``bases.phi_rows``.  The grade is a declared upper bound on
+column order of ``Basis.phi_rows``.  The grade is a declared upper bound on
 the degree and is authoritative: leading zero coefficients are kept, because
 they are what puts eigenvalues at infinity in the pencils built from the
 polynomial.
@@ -13,14 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import Basis, Bernstein, Hermite, ThreeTermBasis, phi_rows
+from .bases import Basis
 from .errors import DimensionMismatchError, UnsupportedBasisError
 
 __all__ = ["MatrixPolynomial", "evaluate"]
-
-# |z - tau| below this (relative) snaps evaluation to the stored node data,
-# which the interpolation formula reproduces only to rounding.
-NODE_SNAP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -55,10 +51,7 @@ class MatrixPolynomial:
             raise DimensionMismatchError("coefficient must have at least one row and column")
         if not np.isfinite(data).all():
             raise ValueError("coefficient contains non-finite entries")
-        basis = self.basis
-        if isinstance(basis, Hermite) and len(data) != basis.grade + 1:
-            raise ValueError(f"{len(data)} matrices do not match the grade {basis.grade} "
-                             f"of the {type(basis).__name__} basis")
+        self.basis.check_grade(len(data) - 1)
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
 
@@ -72,8 +65,8 @@ class MatrixPolynomial:
 
     @classmethod
     def from_coefficients(cls, basis, coefficients):
-        if not isinstance(basis, (ThreeTermBasis, Bernstein)):
-            raise UnsupportedBasisError("coefficient payload needs a three-term or Bernstein basis")
+        if basis.structural_blocks:
+            raise UnsupportedBasisError("coefficient payload needs a non-interpolation basis")
         return cls(basis, coefficients)
 
     def __call__(self, z):
@@ -90,13 +83,8 @@ def evaluate(p: MatrixPolynomial, z) -> np.ndarray:
     """
     zs = np.asarray(z, dtype=complex)
     flat = zs.reshape(-1)
-    phi = phi_rows(p.basis, p.grade + 1, flat) * np.maximum(1.0, np.abs(flat))[:, None] ** p.grade
+    phi = p.basis.phi_rows(p.grade + 1, flat) * np.maximum(1.0, np.abs(flat))[:, None] ** p.grade
     out = np.einsum("kc,cij->kij", phi, p.data)
-    if isinstance(p.basis, Hermite):
-        nodes = np.asarray(p.basis.nodes)
-        near = np.abs(flat[:, None] - nodes) < NODE_SNAP * (1.0 + np.abs(nodes))
-        hit = near.any(axis=1)
-        starts = np.cumsum(p.basis.confluencies) - p.basis.confluencies
-        out[hit] = p.data[starts[near[hit].argmax(axis=1)]]
+    p.basis.snap(flat, p.data, out)
     return out.reshape(zs.shape + out.shape[1:])
 

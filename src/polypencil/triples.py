@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bases import Hermite, one_coefficients
+from .bases import one_coefficients
 from .errors import DimensionMismatchError, SingularMatrixError, SingularPencilError
 from .linalg import as_cmatrix, guarded_solve, kron_eye, sip
 from .matpoly import MatrixPolynomial, evaluate
@@ -41,12 +41,12 @@ class GeneralizedStandardTriple:
 def make_triple(pc: CompanionPencil) -> GeneralizedStandardTriple:
     """Attach the universal X and Y to a pencil as a builder returned it.
 
-    Its grade is the block count, less the two structural blocks of an interpolation pencil.
+    Its grade is the block count, less the structural blocks of its basis family.
     """
     if pc.basis is None:
         raise ValueError("pencil carries no basis; transform or compose its triple instead")
     n, blocks = pc.n, pc.size // pc.n
-    row = one_coefficients(pc.basis, blocks - 2 if isinstance(pc.basis, Hermite) else blocks)
+    row = one_coefficients(pc.basis, blocks - pc.basis.structural_blocks)
     x = kron_eye(row[None], n)
     y = np.zeros((pc.size, n), dtype=complex)
     y[:n, :] = np.eye(n, dtype=complex)

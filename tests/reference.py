@@ -1,7 +1,7 @@
 """Reference implementations of the whole-array paths, written one block or one matrix at a time.
 
 Each function here computes what a production function computes, the slow
-and obvious way: the pencil builders place one n x n block per slice
+and obvious way: the families' pencils place one n x n block per slice
 assignment, the Kronecker product is numpy's own, the monomial rows shift
 by np.roll, a payload is read one matrix at a time, and a matrix is
 written by json.dumps of its list form.  The sample matrices z*C1 - C0 are
@@ -17,8 +17,8 @@ import sys
 
 import numpy as np
 
-from polypencil import bases, documents, eigen, linalg, pencils
-from polypencil.bases import Hermite, ThreeTermBasis, barycentric_weights, recurrence_row
+from polypencil import documents, eigen, linalg
+from polypencil.bases import Bernstein, Hermite, ThreeTermBasis, barycentric_weights
 from polypencil.eigen import MAX_BALANCE_SWEEPS, _quarter_step
 from polypencil.pencils import CompanionPencil
 
@@ -27,12 +27,12 @@ def _blk(i, n):
     return slice(i * n, (i + 1) * n)
 
 
-def build_three_term(p):
-    ell, n = p.grade, p.n
-    coeff = p.data
+def three_term_pencil(basis, coeff):
+    """ThreeTermBasis.pencil: (C1, C0) of the coefficients."""
+    ell, n = len(coeff) - 1, coeff.shape[1]
     N = ell * n
     eye = np.eye(n, dtype=complex)
-    a_top, b_top, g_top = recurrence_row(p.basis, ell - 1)
+    a_top, b_top, g_top = basis.recurrence_row(ell - 1)
     c1 = np.zeros((N, N), dtype=complex)
     c1[_blk(0, n), _blk(0, n)] = coeff[ell] / a_top
     c0 = np.zeros((N, N), dtype=complex)
@@ -42,18 +42,18 @@ def build_three_term(p):
     for j in range(2, ell):
         c0[_blk(0, n), _blk(j, n)] = -coeff[ell - 1 - j]
     for i in range(1, ell):
-        a, b, g = recurrence_row(p.basis, ell - 1 - i)
+        a, b, g = basis.recurrence_row(ell - 1 - i)
         c1[_blk(i, n), _blk(i, n)] = eye / a
         c0[_blk(i, n), _blk(i - 1, n)] = eye
         c0[_blk(i, n), _blk(i, n)] = (b / a) * eye
         if i + 1 < ell:
             c0[_blk(i, n), _blk(i + 1, n)] = (g / a) * eye
-    return CompanionPencil(c1=c1, c0=c0, n=n, basis=p.basis)
+    return c1, c0
 
 
-def build_bernstein(p):
-    ell, n = p.grade, p.n
-    coeff = p.data
+def bernstein_pencil(basis, coeff):
+    """Bernstein.pencil: (C1, C0) of the coefficients."""
+    ell, n = len(coeff) - 1, coeff.shape[1]
     N = ell * n
     eye = np.eye(n, dtype=complex)
     c0 = np.zeros((N, N), dtype=complex)
@@ -65,36 +65,40 @@ def build_bernstein(p):
     c1[_blk(0, n), _blk(0, n)] = coeff[ell] / ell - coeff[ell - 1]
     for i in range(1, ell):
         c1[_blk(i, n), _blk(i, n)] = ((i + 1.0) / (ell - i)) * eye
-    return CompanionPencil(c1=c1, c0=c0, n=n, basis=p.basis)
+    return c1, c0
 
 
-def build_hermite(p):
-    ell, n = p.grade, p.n
-    beta = barycentric_weights(p.basis)
+def hermite_pencil(basis, data):
+    """Hermite.pencil: (C1, C0) of the interpolation data."""
+    ell, n = len(data) - 1, data.shape[1]
+    beta = barycentric_weights(basis)
     N = (ell + 2) * n
     eye = np.eye(n, dtype=complex)
     c1 = np.eye(N, dtype=complex)
     c1[_blk(0, n), _blk(0, n)] = 0.0
     c0 = np.zeros((N, N), dtype=complex)
     start = 0  # the node's payload offset; its block columns are start+1 .. start+s
-    for tau, s in zip(p.basis.nodes, p.basis.confluencies):
+    for tau, s in zip(basis.nodes, basis.confluencies):
         for j in range(s):
             col = start + 1 + j
-            c0[_blk(0, n), _blk(col, n)] = -p.data[start + s - 1 - j]
+            c0[_blk(0, n), _blk(col, n)] = -data[start + s - 1 - j]
             c0[_blk(col, n), _blk(0, n)] = beta[start + j] * eye
             c0[_blk(col, n), _blk(col, n)] = tau * eye
             if j > 0:
                 c0[_blk(col, n), _blk(col - 1, n)] = eye
         start += s
-    return CompanionPencil(c1=c1, c0=c0, n=n, basis=p.basis)
+    return c1, c0
 
 
 def build(p):
+    """pencils.build on the reference pencils, each family chosen by its class."""
     if isinstance(p.basis, ThreeTermBasis):
-        return build_three_term(p)
-    if isinstance(p.basis, Hermite):
-        return build_hermite(p)
-    return build_bernstein(p)
+        c1, c0 = three_term_pencil(p.basis, p.data)
+    elif isinstance(p.basis, Hermite):
+        c1, c0 = hermite_pencil(p.basis, p.data)
+    else:
+        c1, c0 = bernstein_pencil(p.basis, p.data)
+    return CompanionPencil(c1=c1, c0=c0, n=p.n, basis=p.basis)
 
 
 def kron_eye(a, n):
@@ -102,16 +106,14 @@ def kron_eye(a, n):
 
 
 def monomial_rows(basis, count):
-    """bases.monomial_rows with the shift by z made by np.roll."""
-    if not isinstance(basis, ThreeTermBasis):
-        return PRODUCTION["monomial_rows"](basis, count)
+    """ThreeTermBasis.monomial_rows with the shift by z made by np.roll."""
     rows = np.zeros((count, count), dtype=complex)
     prev = np.zeros(count, dtype=complex)
     cur = np.zeros(count, dtype=complex)
     cur[-1] = 1.0
     rows[count - 1] = cur
     for k in range(count - 1):
-        a, b, g = recurrence_row(basis, k)
+        a, b, g = basis.recurrence_row(k)
         shifted = np.roll(cur, -1)
         shifted[-1] = 0.0
         nxt = (shifted - b * cur - g * prev) / a
@@ -195,13 +197,14 @@ def balancing(c1, c0):
     return np.ldexp(1.0, left), np.ldexp(1.0, right)
 
 
-# (module or class, name, reference) for every production function this file restates
+# (module or class, name, reference) for every production function this file restates;
+# a family method is rebound on its class, so every subclass of the family takes it
 REPLACEMENTS = [
-    (pencils, "build_three_term", build_three_term),
-    (pencils, "build_bernstein", build_bernstein),
-    (pencils, "build_hermite", build_hermite),
+    (ThreeTermBasis, "pencil", three_term_pencil),
+    (Bernstein, "pencil", bernstein_pencil),
+    (Hermite, "pencil", hermite_pencil),
     (linalg, "kron_eye", kron_eye),
-    (bases, "monomial_rows", monomial_rows),
+    (ThreeTermBasis, "monomial_rows", monomial_rows),
     (documents, "_numeric", numeric_by_matrix),
     (documents, "matrix_to_json", matrix_to_json),
     (CompanionPencil, "at", at),
@@ -209,16 +212,18 @@ REPLACEMENTS = [
     (eigen, "_is_identity", is_identity),
     (eigen, "_balancing", balancing),
 ]
-PRODUCTION = {name: getattr(owner, name) for owner, name, _ in REPLACEMENTS}
+PRODUCTION = {(owner, name): getattr(owner, name) for owner, name, _ in REPLACEMENTS}
 
 
 def use_references(monkeypatch):
     """Bind every reference wherever its production function is bound in the package."""
     namespaces = [m for name, m in sys.modules.items() if name.split(".")[0] == "polypencil"]
-    namespaces.append(CompanionPencil)
+    namespaces += list(dict.fromkeys(owner for owner, _, _ in REPLACEMENTS
+                                     if isinstance(owner, type)))
     for owner, name, reference in REPLACEMENTS:
-        assert getattr(owner, name) is PRODUCTION[name], "already replaced"
+        production = PRODUCTION[owner, name]
+        assert getattr(owner, name) is production, "already replaced"
         for namespace in namespaces:
             for attr, value in list(vars(namespace).items()):
-                if value is PRODUCTION[name]:
+                if value is production:
                     monkeypatch.setattr(namespace, attr, reference)

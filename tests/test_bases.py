@@ -26,29 +26,28 @@ from polypencil import (
     node_polynomial,
     null_vector_basis_matrix,
     one_coefficients,
-    recurrence_row,
 )
-from polypencil.bases import monomial_rows, phi_rows
+from polypencil.bases import monomial_rows
 
 
 class TestRecurrenceRow:
     def test_chebyshev_generic(self):
-        assert recurrence_row(ChebyshevT(), 3) == (0.5, 0.0, 0.5)
+        assert ChebyshevT().recurrence_row(3) == (0.5, 0.0, 0.5)
 
     def test_chebyshev_initial_case(self):
         # phi_1 must be z itself, so the k = 0 row has alpha = 1
-        assert recurrence_row(ChebyshevT(), 0) == (1.0, 0.0, 0.0)
+        assert ChebyshevT().recurrence_row(0) == (1.0, 0.0, 0.0)
 
     def test_monomial(self):
-        assert recurrence_row(Monomial(), 7) == (1.0, 0.0, 0.0)
+        assert Monomial().recurrence_row(7) == (1.0, 0.0, 0.0)
 
     def test_legendre(self):
-        a, b, g = recurrence_row(LegendreP(), 2)
+        a, b, g = LegendreP().recurrence_row(2)
         assert (a, b, g) == pytest.approx((3 / 5, 0.0, 2 / 5))
 
     def test_newton_and_taylor(self):
-        assert recurrence_row(Newton(nodes=[2.0, 5.0]), 1) == (1.0, 5.0, 0.0)
-        assert recurrence_row(Taylor(shift=1.5), 3) == (4.0, 1.5, 0.0)
+        assert Newton(nodes=[2.0, 5.0]).recurrence_row(1) == (1.0, 5.0, 0.0)
+        assert Taylor(shift=1.5).recurrence_row(3) == (4.0, 1.5, 0.0)
 
     def test_custom_rejects_zero_alpha(self):
         with pytest.raises(ValueError):
@@ -56,12 +55,12 @@ class TestRecurrenceRow:
 
     def test_non_three_term_rejected(self):
         with pytest.raises(UnsupportedBasisError):
-            recurrence_row(Bernstein(), 1)
+            Bernstein().recurrence_row(1)
 
 
 def phi_value(basis, count, k, z):
     """phi_k(z) from a count-column phi_rows row, undoing its max(1, |z|) scaling."""
-    return complex(phi_rows(basis, count, [z])[0, k] * max(1.0, abs(z)) ** (count - 1))
+    return complex(basis.phi_rows(count, [z])[0, k] * max(1.0, abs(z)) ** (count - 1))
 
 
 class TestEvalPhi:
@@ -332,7 +331,7 @@ def test_monomial_rows_expand_phi(kind, rng):
     count = 7 if kind == "bernstein" else 8
     rows = monomial_rows(basis, count)  # phi_{count-1} .. phi_0, descending powers
     zs = rng.uniform(0, 1, 5) * np.exp(2j * np.pi * rng.uniform(size=5))
-    phi = phi_rows(basis, count, zs)  # |z| <= 1: no scaling applied
+    phi = basis.phi_rows(count, zs)  # |z| <= 1: no scaling applied
     for z, row in zip(zs, phi):
         got = [np.polyval(rows[count - 1 - k], z) for k in range(count)]
         assert np.max(np.abs(got - row)) <= 1e-12 * np.max(np.abs(row))

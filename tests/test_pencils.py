@@ -27,7 +27,6 @@ from polypencil import (
     evaluate,
     flip_triple,
     make_triple,
-    recurrence_row,
     similarity_triple,
     transpose_triple,
     verify_equivalence,
@@ -83,7 +82,7 @@ class TestThreeTerm:
     def test_grade_one_is_the_single_block_pencil(self, kind, rng):
         # the Mandelbrot base level p_1 = z + 1 is the monomial case
         p = random_polynomial(kind, 2, 1, rng)
-        a0, b0, _ = recurrence_row(p.basis, 0)
+        a0, b0, _ = p.basis.recurrence_row(0)
         pc = build_three_term(p)
         assert np.array_equal(pc.c1, p.data[1] / a0)
         assert np.array_equal(pc.c0, (b0 / a0) * p.data[1] - p.data[0])

@@ -50,8 +50,8 @@ def with_signed_zeros(a, rng):
 def assert_builds_the_reference(p):
     pc, ref = build(p), reference.build(p)
     assert same_bits(pc.c1, ref.c1) and same_bits(pc.c0, ref.c0)
-    x = reference.kron_eye(one_coefficients(p.basis, pc.size // p.n - 2 * isinstance(
-        p.basis, Hermite))[None], p.n)
+    x = reference.kron_eye(
+        one_coefficients(p.basis, pc.size // p.n - p.basis.structural_blocks)[None], p.n)
     assert same_bits(make_triple(pc).x, x)
 
 
@@ -296,3 +296,11 @@ def test_mandelbrot_levels_solve_as_with_the_references(c, monkeypatch):
 def test_use_references_rebinds_every_production_function(monkeypatch):
     reference.use_references(monkeypatch)
     assert all(getattr(owner, name) is ref for owner, name, ref in reference.REPLACEMENTS)
+    # a family's methods are rebound on its class, so every kind of the family reaches them
+    families = {"bernstein": reference.bernstein_pencil, "lagrange": reference.hermite_pencil,
+                "hermite": reference.hermite_pencil}
+    for kind in TEN_KINDS:
+        basis = random_polynomial(kind, 1, 2, np.random.default_rng(0)).basis
+        assert type(basis).pencil is families.get(kind, reference.three_term_pencil)
+        if kind in THREE_TERM_KINDS:
+            assert type(basis).monomial_rows is reference.monomial_rows
