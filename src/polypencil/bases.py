@@ -1,38 +1,42 @@
 """Basis families, each one row of the paper's tables.
 
 P(z) = sum_k P_k phi_k(z) of grade ell and block size n has the pencil
-z C1 - C0 of ``pencil(data)``, det(z C1 - C0) = det P(z), and the triple
-X (z C1 - C0)^-1 Y = P(z)^-1, with Y = e_1 (x) I_n for every family and
-X = e (x) I_n, e = ``one_row(ell)`` the row of 1 = sum_k e_k phi_k(z).
-``null_vector_rows(ell)`` and ``monomial_rows(count)`` give polynomials in
-descending powers; ``phi_rows(count, zs)`` gives phi_0 .. phi_{count-1}
-at every z, row i divided by max(1, |z_i|)^(count-1) so nothing overflows.
+z C1 - C0 = [z R1 - R0; (z K1 - K0) (x) I_n] of m block rows that
+``pencils.build`` assembles from two members: ``skeleton(ell)``, m and the
+scalar entries of K1 and K0 below block row 0 as (rows, cols, values)
+sequences, zeros included so a signed zero keeps its bit, and
+``data_row(data)``, block row 0 of C1 and C0 as (m, n, n) block stacks.
+det(z C1 - C0) = det P(z), and the triple X (z C1 - C0)^-1 Y = P(z)^-1 has
+Y = e_1 (x) I_n and X = e (x) I_n, e = ``one_row(ell)`` the row of
+1 = sum_k e_k phi_k(z).  ``null_vector_rows(ell)`` and ``monomial_rows(count)``
+give polynomials in descending powers; ``phi_rows(count, zs)`` gives phi_0 ..
+phi_{count-1} at every z, row i divided by max(1, |z_i|)^(count-1) so
+nothing overflows.
 
 ThreeTermBasis: monomial, shifted monomial, Taylor, Newton, Chebyshev T,
   Legendre P and custom recurrences, z phi_k = alpha_k phi_{k+1} + beta_k
   phi_k + gamma_k phi_{k-1}; a subclass supplies only ``recurrence_row(k)``.
-  pencil: N = n ell, C1 = diag(P_ell / alpha_{ell-1}, I / alpha_{ell-2},
-    .., I / alpha_0); C0 holds -P_{ell-1} .. -P_0 across its first block
-    row, the first two plus (beta, gamma) / alpha times P_ell, and in block
-    row ell - 1 - k the band (I, beta_k / alpha_k I, gamma_k / alpha_k I).
+  m = ell; block row i is recurrence row k = ell - 1 - i over alpha_k: K1
+  (i, i) 1 / alpha_k; K0 (i, i - 1) 1, (i, i) beta_k / alpha_k, (i, i + 1)
+  gamma_k / alpha_k.  With row ell - 1's alpha, beta, gamma: R1 = (P_ell /
+  alpha, 0, ..), R0 = (beta / alpha P_ell - P_{ell-1}, gamma / alpha P_ell -
+  P_{ell-2}, -P_{ell-3}, .., -P_0).
   X row (0, .., 0, 1); null vectors phi_{ell-1} .. phi_0; structural_blocks 0;
-  grade rule (``check_grade``): a Newton node and a custom alpha per grade.
+  grade rule (``grade_rule``): a Newton node and a custom alpha per grade.
 Bernstein: B_k = C(ell, k) z^k (1 - z)^(ell - k) on [0, 1].
-  pencil: N = n ell, C0 holds -P_{ell-1} .. -P_0 across its first block row
-    and I below the diagonal; C1 is C0 with the corner P_ell / ell - P_{ell-1}
-    and (i + 1) / (ell - i) I on the diagonal of block row i.
+  m = ell; K0 (i, i - 1) 1; K1 (i, i - 1) 1 and (i, i) (i + 1) / (ell - i).
+  R0 = (-P_{ell-1}, .., -P_0); R1 is R0 with P_ell / ell - P_{ell-1} first.
   X row (1, 2, .., ell) / ell; null vectors C(ell, k + 1) z^(ell-1-k) (1 - z)^k;
   structural_blocks 0.
 Hermite: values and scaled derivatives P^(j)(tau_i) / j! at distinct nodes
   tau_i of confluency s_i; Lagrange is the subclass with every s_i = 1.
-  pencil: N = n (ell + 2), the arrowhead C1 = diag(0, I), C0 = [[0, -data
-    row], [weights (x) I, T]], T per node tau_i I with I below its diagonal.
+  m = ell + 2, the arrowhead; block column c + 1 holds datum c, each node's
+  data descending.  K1 (c, c) 1; K0 (c, 0) the barycentric weights, (c, c)
+  the node and (c, c - 1) 1 inside a node's block.  R1 = 0, R0 = (0, -data).
   X row: a 1 at each node's value column; null vectors: omega(z) = prod
   (z - tau_i)^(s_i) over the basis polynomials; structural_blocks 2 (2n
   eigenvalues at infinity by structure alone); grade rule: ell + 1 = sum s_i.
 
-C0, and C1 of the coefficient families, fill (blocks, n, blocks, n) arrays,
-each kind of block (a scalar times I_n) by one fancy-index assignment.
 ``Basis`` declares each member once: one a family lacks raises
 UnsupportedBasisError naming the class.  Rows list polynomial coefficients
 highest power first, and node blocks in the user-given node order with
@@ -51,7 +55,6 @@ import numpy as np
 from .errors import (
     BadConfluencyError,
     DuplicateNodesError,
-    GradeTooSmallError,
     UnsupportedBasisError,
 )
 
@@ -78,9 +81,6 @@ __all__ = [
 # |z - tau| below this (relative) snaps evaluation to the stored node data,
 # which the interpolation formula reproduces only to rounding.
 NODE_SNAP = 1e-12
-
-# overflow in a pencil's fill surfaces as CompanionPencil's NonFiniteError instead
-_quiet = np.errstate(over="ignore", invalid="ignore")
 
 
 def is_integer(v) -> bool:
@@ -111,14 +111,17 @@ def _unsupported(what):
 class Basis:
     """A basis family: the members of its row of the paper's tables (see the module).
 
-    ``check_grade`` and ``snap`` default to no grade rule and no node data.
+    ``check_grade`` and ``snap`` default to no grade rule and no node data, and
+    ``payload_key``, the document key of the family's data, to coefficients.
     """
 
-    structural_blocks = property(_unsupported("pencil"))
+    payload_key = "coefficients"
+    structural_blocks = property(_unsupported("skeleton"))
     recurrence_row = _unsupported("three-term recurrence")
     phi_rows = _unsupported("basis functions")
     one_row = _unsupported("row of 1")
-    pencil = _unsupported("pencil")
+    skeleton = _unsupported("skeleton")
+    data_row = _unsupported("data row")
     monomial_rows = _unsupported("monomial expansion")
     null_vector_rows = _unsupported("null-vector rows")
     weights = property(_unsupported("barycentric weights"))
@@ -156,33 +159,29 @@ class ThreeTermBasis(Basis):
         row[-1] = 1.0
         return row
 
-    @_quiet
-    def pencil(self, data):
-        """Each band row is divided by its alpha_k: the first block row, and so the triple, is
-        untouched, and det(z*C1 - C0) is det P(z) exactly, not up to the product of the alphas.
-        At grade 1 this is the single-block pencil (P_1/alpha_0, (beta_0/alpha_0) P_1 - P_0)."""
-        ell, n = len(data) - 1, data.shape[1]
-        if ell < 1:
-            raise GradeTooSmallError("three-term pencil needs grade >= 1")
-        N = ell * n
-        eye = np.eye(n, dtype=complex)
-        a_top, b_top, g_top = self.recurrence_row(ell - 1)
-        c1, c0 = np.zeros((2, ell, n, ell, n), dtype=complex)  # [block row, row, block col, col]
-        c1[0, :, 0] = data[ell] / a_top
-        c0[0] = -data[ell - 1::-1].transpose(1, 0, 2)
-        c0[0, :, 0] = (b_top / a_top) * data[ell] - data[ell - 1]
+    def skeleton(self, ell):
+        """Each band row is divided by its alpha_k: block row 0, and so the triple, is
+        untouched, and det(z*C1 - C0) is det P(z) exactly, not up to the product of the
+        alphas.  At grade 1 there is no band row."""
+        i = list(range(1, ell))
+        band = [self.recurrence_row(ell - 1 - r) for r in i]
+        # 1 / alpha by numpy's complex division, the ratios by Python's: the two round apart
+        return ell, (i, i, np.divide(1.0, [a for a, _, _ in band], dtype=complex) if band else []), (
+            i + i + i[:-1], [r - 1 for r in i] + i + [r + 1 for r in i[:-1]],
+            [1.0] * (ell - 1) + [b / a for a, b, _ in band] + [g / a for a, _, g in band[:-1]])
+
+    def data_row(self, data):
+        """At grade 1, (P_1 / alpha_0) and ((beta_0 / alpha_0) P_1 - P_0): the single-block
+        pencil."""
+        ell = len(data) - 1
+        a, b, g = self.recurrence_row(ell - 1)
+        r0 = -data[ell - 1::-1]
+        r1 = np.zeros(r0.shape, dtype=complex)
+        r1[0] = data[ell] / a
+        r0[0] = (b / a) * data[ell] - data[ell - 1]
         if ell > 1:
-            c0[0, :, 1] = (g_top / a_top) * data[ell] - data[ell - 2]
-            # alpha, beta/alpha, gamma/alpha of band rows i = 1 .. ell-1, divided as Python numbers
-            band = np.array([(a, b / a, g / a) for a, b, g in (
-                self.recurrence_row(ell - 1 - i) for i in range(1, ell))], dtype=complex)
-            a, b_a, g_a = band.T[..., None, None]
-            i = np.arange(1, ell)
-            c1[i, :, i] = eye / a
-            c0[i, :, i - 1] = eye
-            c0[i, :, i] = b_a * eye
-            c0[i[:-1], :, i[:-1] + 1] = g_a[:-1] * eye
-        return c1.reshape(N, N), c0.reshape(N, N)
+            r0[1] = (g / a) * data[ell] - data[ell - 2]
+        return r1, r0
 
     def monomial_rows(self, count):
         """The recurrence run on coefficient vectors."""
@@ -241,10 +240,13 @@ class Newton(ThreeTermBasis):
             raise ValueError(f"Newton basis has {len(self.nodes)} nodes; no row k={k}")
         return 1.0, self.nodes[k], 0.0
 
+    @staticmethod
+    def grade_rule(grade, count):
+        if count < grade:
+            raise ValueError(f"newton basis of grade {grade} needs {grade} nodes, got {count}")
+
     def check_grade(self, grade):
-        if len(self.nodes) < grade:
-            raise ValueError(f"newton basis of grade {grade} needs {grade} nodes, "
-                             f"got {len(self.nodes)}")
+        self.grade_rule(grade, len(self.nodes))
 
 
 @dataclass(frozen=True)
@@ -284,10 +286,14 @@ class CustomThreeTerm(ThreeTermBasis):
         gamma = self.gamma[k] if k < len(self.gamma) else 0.0
         return self.alpha[k], self.beta[k], gamma
 
-    def check_grade(self, grade):
-        if len(self.alpha) < grade:
+    @staticmethod
+    def grade_rule(grade, count):
+        if count < grade:
             raise ValueError(f"custom recurrence of grade {grade} needs {grade} alpha values, "
-                             f"got {len(self.alpha)}")
+                             f"got {count}")
+
+    def check_grade(self, grade):
+        self.grade_rule(grade, len(self.alpha))
 
 
 @dataclass(frozen=True)
@@ -311,21 +317,17 @@ class Bernstein(Basis):
         _at_least_one(ell)
         return np.arange(1, ell + 1, dtype=complex) / ell
 
-    @_quiet
-    def pencil(self, data):
-        ell, n = len(data) - 1, data.shape[1]
-        if ell < 1:
-            raise GradeTooSmallError("Bernstein pencil needs grade >= 1")
-        N = ell * n
-        eye = np.eye(n, dtype=complex)
-        i = np.arange(1, ell)
-        c0 = np.zeros((ell, n, ell, n), dtype=complex)  # [block row, row, block col, col]
-        c0[0] = -data[ell - 1::-1].transpose(1, 0, 2)
-        c0[i, :, i - 1] = eye
-        c1 = c0.copy()
-        c1[0, :, 0] = data[ell] / ell - data[ell - 1]
-        c1[i, :, i] = ((i + 1.0) / (ell - i))[:, None, None] * eye
-        return c1.reshape(N, N), c0.reshape(N, N)
+    def skeleton(self, ell):
+        i = list(range(1, ell))
+        below, ones = [r - 1 for r in i], [1.0] * (ell - 1)
+        return ell, (i + i, below + i, ones + [(r + 1.0) / (ell - r) for r in i]), (i, below, ones)
+
+    def data_row(self, data):
+        ell = len(data) - 1
+        r0 = -data[ell - 1::-1]
+        r1 = r0.copy()
+        r1[0] = data[ell] / ell - data[ell - 1]
+        return r1, r0
 
     def monomial_rows(self, count):
         """B_k = sum_j C(ell, k) C(ell - k, j) (-1)^j z^(k+j) in exact integer products."""
@@ -354,6 +356,7 @@ class Hermite(Basis):
     confluencies: tuple = ()
 
     structural_blocks = 2
+    payload_key = "hermite_samples"
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", _check_nodes(self.nodes))
@@ -478,29 +481,22 @@ class Hermite(Basis):
         row[np.cumsum(self.confluencies)] = 1.0  # the value column of each node
         return row
 
-    @_quiet
-    def pencil(self, data):
-        """The arrowhead; det(tau C1 - C0) = det P(tau) at every node."""
-        ell, n = len(data) - 1, data.shape[1]
-        if ell < 1:
-            raise GradeTooSmallError("interpolation pencil needs grade >= 1")
-        beta = barycentric_weights(self)
-        confl = self.confluencies
-        N = (ell + 2) * n
-        eye = np.eye(n, dtype=complex)
-        c1 = np.eye(N, dtype=complex)
-        c1[:n, :n] = 0.0
-        # block column c + 1 belongs to datum c, position j of a node whose s data start at
-        # `start`; the data row lists each node's data in descending order
-        s, start = np.repeat(confl, confl), np.repeat(np.cumsum(confl) - confl, confl)
-        j = np.arange(ell + 1) - start
+    def skeleton(self, ell):
+        confl = np.array(self.confluencies)
         col = np.arange(1, ell + 2)
-        c0 = np.zeros((ell + 2, n, ell + 2, n), dtype=complex)
-        c0[0, :, 1:] = -data[start + s - 1 - j].transpose(1, 0, 2)
-        c0[col, :, 0] = beta[:, None, None] * eye
-        c0[col, :, col] = np.repeat(np.array(self.nodes), confl)[:, None, None] * eye
-        c0[col[j > 0], :, col[j > 0] - 1] = eye
-        return c1, c0.reshape(N, N)
+        later = col[col > np.repeat(np.cumsum(confl) - confl + 1, confl)]  # past a node's first
+        return ell + 2, (col, col, np.ones(ell + 1)), (
+            np.concatenate([col, col, later]), np.concatenate([0 * col, col, later - 1]),
+            np.concatenate([barycentric_weights(self), np.repeat(self.nodes, confl),
+                            np.ones(later.size)]))
+
+    def data_row(self, data):
+        """Each node's data in descending order, so det(tau C1 - C0) = det P(tau) at every node:
+        block column c + 1 holds datum first + last - c of its node's data first .. last."""
+        confl = np.array(self.confluencies)
+        r0 = np.zeros((len(data) + 1,) + data.shape[1:], dtype=complex)
+        r0[1:] = -data[np.repeat(2 * np.cumsum(confl) - confl - 1, confl) - np.arange(len(data))]
+        return np.zeros_like(r0), r0
 
     def monomial_rows(self, count):
         """The expansion cached on the basis (``monomial_expansion``, read-only)."""
@@ -522,6 +518,8 @@ class Hermite(Basis):
 @dataclass(frozen=True)
 class Lagrange(Hermite):
     """Lagrange basis on distinct nodes: the Hermite basis with every confluency 1."""
+
+    payload_key = "samples"
 
     def __post_init__(self):
         if not self.confluencies:

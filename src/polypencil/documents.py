@@ -194,15 +194,14 @@ def _basis(kind, desc, grade):
         if not all(isinstance(row, list) for row in rows):
             raise DocumentError("custom recurrence alpha/beta/gamma must be lists")
         alpha, beta, gamma = (tuple(parse_scalar(v) for v in row) for row in rows)
-        if grade is not None and len(alpha) < grade:
-            raise DocumentError(f"custom recurrence of grade {grade} needs {grade} alpha values, "
-                                f"got {len(alpha)}")
+        if grade is not None:
+            CustomThreeTerm.grade_rule(grade, len(alpha))
         return CustomThreeTerm(alpha=alpha, beta=beta, gamma=gamma)
     nodes = desc.get("nodes")
     if not isinstance(nodes, list) or not nodes:
         raise DocumentError(f"{kind} basis needs a nonempty node list")
-    if kind == "newton" and grade is not None and len(nodes) < grade:
-        raise DocumentError(f"newton basis of grade {grade} needs {grade} nodes, got {len(nodes)}")
+    if kind == "newton" and grade is not None:
+        Newton.grade_rule(grade, len(nodes))
     nodes = tuple(parse_scalar(t) for t in nodes)
     if kind == "newton":
         return Newton(nodes=nodes)
@@ -249,10 +248,8 @@ def parse_document(doc) -> MatrixPolynomial:
     if grade is None and key == "coefficients":
         grade = len(mats) - 1
     basis = parse_basis(doc["basis"], grade)
-    takes = ("samples" if isinstance(basis, Lagrange)
-             else "hermite_samples" if isinstance(basis, Hermite) else "coefficients")
-    if key != takes:
-        raise DocumentError(f"a {doc['basis']['kind']} basis takes {takes}, not {key}")
+    if key != basis.payload_key:
+        raise DocumentError(f"a {doc['basis']['kind']} basis takes {basis.payload_key}, not {key}")
     if key == "hermite_samples":
         sizes = [len(g) if isinstance(g, list) else None for g in mats]
         if sizes != list(basis.confluencies):

@@ -147,11 +147,10 @@ PIVOT_GUARD = 1e-12
 def guarded_solve(m, b):
     """(M^-1 B, ok) for a matrix or a stack: ok where 1 / (||M||_F ||M^-1 B||_F) >= PIVOT_GUARD.
 
-    B = I gives LAPACK's M^-1 bit for bit, and the rcond_F of M.  A stack
-    takes a (1, N, k) B: NumPy < 2 reads a 2-D one as a stack of vectors.
-    One LAPACK call solves the stack; when an exactly singular member makes
-    it raise, the members are solved one by one, and that one alone is left
-    NaN and refused.
+    B = I gives LAPACK's M^-1 bit for bit, and the rcond_F of M; one N x k B
+    serves every member of a stack.  One LAPACK call solves the stack; when
+    an exactly singular member makes it raise, the members are solved one by
+    one, and that one alone is left NaN and refused.
     """
     m = np.asarray(m)
     try:

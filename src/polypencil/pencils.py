@@ -1,11 +1,11 @@
 """Companion pencils: the pair (C1, C0) a basis family lays out for a polynomial.
 
-``build`` takes (C1, C0) from the polynomial's family (``Basis.pencil``, whose
-block layouts ``bases`` tabulates), with det(z*C1 - C0) = det P(z) for every
-z, the executable form of the linearization property.  A finite document
-whose arithmetic overflows (a recurrence coefficient near the largest float,
-say) yields a non-finite pencil, filled with numpy's overflow warnings off;
-CompanionPencil rejects it with NonFiniteError, the one check every caller meets.
+``build`` assembles every family's pencil, [data row; (z K1 - K0) (x) I_n]:
+block row 0 from the family's ``data_row``, and each scalar of its
+``skeleton`` times I_n below it, so det(z*C1 - C0) = det P(z) for every z.
+A fill that overflows (a recurrence coefficient near the largest float, say)
+runs with numpy's warnings off; CompanionPencil rejects the non-finite
+pencil with NonFiniteError, the one check every caller meets.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import Basis
-from .errors import DimensionMismatchError, NonFiniteError
+from .errors import DimensionMismatchError, GradeTooSmallError, NonFiniteError
 from .matpoly import MatrixPolynomial
 
 __all__ = [
@@ -61,9 +61,19 @@ class CompanionPencil:
 
 
 def build(p: MatrixPolynomial) -> CompanionPencil:
-    """The companion pencil of p: the (C1, C0) of its basis family, with p's n and basis."""
-    c1, c0 = p.basis.pencil(p.data)
-    return CompanionPencil(c1=c1, c0=c0, n=p.n, basis=p.basis)
+    """The companion pencil of p: its family's data row over its skeleton tensored with I_n."""
+    if p.grade < 1:
+        raise GradeTooSmallError(f"{type(p.basis).__name__} pencil needs grade >= 1")
+    n = p.n
+    with np.errstate(over="ignore", invalid="ignore"):
+        m, *skeleton = p.basis.skeleton(p.grade)
+        c = np.zeros((2, m, n, m, n), dtype=complex)  # C1, C0 as [block row, row, block col, col]
+        for pencil, row, (rows, cols, values) in zip(c, p.basis.data_row(p.data), skeleton):
+            pencil[0] = row.transpose(1, 0, 2)
+            if len(rows):
+                pencil[rows, :, cols] = np.multiply.outer(values, np.eye(n, dtype=complex))
+    c1, c0 = c.reshape(2, m * n, m * n)
+    return CompanionPencil(c1=c1, c0=c0, n=n, basis=p.basis)
 
 
 # build under the names the benchmark's span tracer wraps; no caller in the package

@@ -60,13 +60,9 @@ _RADIUS = 2.0
 
 
 def _resolvents(t: GeneralizedStandardTriple, zs: np.ndarray) -> np.ndarray:
-    """X (z C1 - C0)^-1 Y at every z of a 1-D array, from one stacked LAPACK solve.
-
-    The right-hand side goes in as a (1, N, n) stack: NumPy < 2 reads a 2-D
-    one against a 3-D matrix stack as a stack of vectors.
-    """
+    """X (z C1 - C0)^-1 Y at every z of a 1-D array, from one stacked LAPACK solve."""
     try:
-        return t.x @ np.linalg.solve(t.pencil.at(zs), t.y[None])
+        return t.x @ np.linalg.solve(t.pencil.at(zs), t.y)
     except np.linalg.LinAlgError as exc:
         z = complex(zs[0]) if len(zs) == 1 else None  # a stack does not say which member failed
         raise SingularPencilError(f"pencil is singular at z in {zs.tolist()}", z=z) from exc
@@ -142,7 +138,7 @@ def _accepted(pc: CompanionPencil, y, count, rng):
             z = complex(rng.uniform(-_RADIUS, _RADIUS), rng.uniform(-_RADIUS, _RADIUS))
             if abs(z) <= _RADIUS:
                 pending.append(z)
-        solutions, ok = guarded_solve(pc.at(pending), y[None])
+        solutions, ok = guarded_solve(pc.at(pending), y)
         found += int(ok.sum())
         yield [z for z, keep in zip(pending, ok) if keep], solutions[ok]
 

@@ -17,8 +17,8 @@ import sys
 
 import numpy as np
 
-from polypencil import documents, eigen, linalg
-from polypencil.bases import Bernstein, Hermite, ThreeTermBasis, barycentric_weights
+from polypencil import documents, eigen, linalg, pencils
+from polypencil.bases import Hermite, ThreeTermBasis, barycentric_weights
 from polypencil.eigen import MAX_BALANCE_SWEEPS, _quarter_step
 from polypencil.pencils import CompanionPencil
 
@@ -28,7 +28,7 @@ def _blk(i, n):
 
 
 def three_term_pencil(basis, coeff):
-    """ThreeTermBasis.pencil: (C1, C0) of the coefficients."""
+    """pencils.build on a three-term basis: (C1, C0) of the coefficients."""
     ell, n = len(coeff) - 1, coeff.shape[1]
     N = ell * n
     eye = np.eye(n, dtype=complex)
@@ -52,7 +52,7 @@ def three_term_pencil(basis, coeff):
 
 
 def bernstein_pencil(basis, coeff):
-    """Bernstein.pencil: (C1, C0) of the coefficients."""
+    """pencils.build on a Bernstein basis: (C1, C0) of the coefficients."""
     ell, n = len(coeff) - 1, coeff.shape[1]
     N = ell * n
     eye = np.eye(n, dtype=complex)
@@ -69,7 +69,7 @@ def bernstein_pencil(basis, coeff):
 
 
 def hermite_pencil(basis, data):
-    """Hermite.pencil: (C1, C0) of the interpolation data."""
+    """pencils.build on a Hermite or Lagrange basis: (C1, C0) of the interpolation data."""
     ell, n = len(data) - 1, data.shape[1]
     beta = barycentric_weights(basis)
     N = (ell + 2) * n
@@ -200,9 +200,7 @@ def balancing(c1, c0):
 # (module or class, name, reference) for every production function this file restates;
 # a family method is rebound on its class, so every subclass of the family takes it
 REPLACEMENTS = [
-    (ThreeTermBasis, "pencil", three_term_pencil),
-    (Bernstein, "pencil", bernstein_pencil),
-    (Hermite, "pencil", hermite_pencil),
+    (pencils, "build", build),
     (linalg, "kron_eye", kron_eye),
     (ThreeTermBasis, "monomial_rows", monomial_rows),
     (documents, "_numeric", numeric_by_matrix),

@@ -976,6 +976,22 @@ class TestDocumentValidation:
         doc = dict(NEWTON_DOC, basis={"kind": "newton", "nodes": [1, 0.5]})
         self._assert_schema_fault(capsys, "nodes", "eig", write(tmp_path, "d.json", doc))
 
+    @pytest.mark.parametrize("basis, fault", [
+        ({"kind": "newton", "nodes": [1, "x"]}, "newton basis of grade 3 needs 3 nodes, got 2"),
+        ({"kind": "newton", "nodes": [1, 1]}, "newton basis of grade 3 needs 3 nodes, got 2"),
+        ({"kind": "custom", "recurrence": {"alpha": [1, "x"], "beta": [0, 0]}},
+         "expected a number or [re, im] pair, got 'x'"),
+        ({"kind": "custom", "recurrence": {"alpha": [1, 0], "beta": [0, 0]}},
+         "custom recurrence of grade 3 needs 3 alpha values, got 2"),
+    ], ids=["newton-bad-node", "newton-duplicate-node", "custom-bad-alpha", "custom-zero-alpha"])
+    def test_a_basis_short_of_the_grade_with_a_second_fault_reports_one(self, tmp_path, capsys,
+                                                                        basis, fault):
+        """A Newton basis's node count is checked before its node values are read, a custom
+        recurrence's alpha count after its values are read and before they are checked."""
+        code, out, err = run(capsys, "pencil", write(tmp_path, "d.json",
+                                                     dict(NEWTON_DOC, basis=basis)))
+        assert (code, out, err) == (2, "", f"error: {fault}\n")
+
     def test_bernstein_document_of_one_matrix_exits_2(self, tmp_path, capsys):
         doc = {"basis": {"kind": "bernstein"}, "n": 1, "coefficients": [[[1]]]}
         self._assert_schema_fault(capsys, "Bernstein grade", "eig", write(tmp_path, "d.json", doc))

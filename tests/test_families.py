@@ -47,13 +47,18 @@ class ScaledPowers(Basis):
     def one_row(self, ell):
         return np.eye(ell, dtype=complex)[-1]  # 1 = phi_0, the last block column
 
-    def pencil(self, data):
-        ell, n = len(data) - 1, data.shape[1]
-        c1 = np.kron(self.c * np.eye(ell), np.eye(n)).astype(complex)
-        c1[:n, :n] = self.c * data[ell]
-        c0 = np.kron(np.eye(ell, k=-1), np.eye(n)).astype(complex)
-        c0[:n] = -np.concatenate(data[ell - 1::-1], axis=1)
-        return c1, c0
+    def skeleton(self, ell):
+        """K1 = c I and K0 = I below the diagonal, below block row 0."""
+        band = list(range(1, ell))
+        return ell, (band, band, [self.c] * (ell - 1)), (band, [i - 1 for i in band],
+                                                          [1.0] * (ell - 1))
+
+    def data_row(self, data):
+        """(c P_ell, 0, .., 0); (-P_ell-1, .., -P_0)."""
+        ell = len(data) - 1
+        r1 = np.zeros((ell,) + data.shape[1:], dtype=complex)
+        r1[0] = self.c * data[ell]
+        return r1, -data[ell - 1::-1]
 
     def monomial_rows(self, count):
         return np.diag(self.c ** np.arange(count - 1, -1, -1)).astype(complex)
@@ -130,7 +135,7 @@ def test_toy_family_is_strictly_equivalent_to_the_monomial_pencil(n, ell):
 def test_a_member_the_family_lacks_names_it():
     with pytest.raises(UnsupportedBasisError, match="ScaledPowers has no three-term recurrence"):
         ScaledPowers().recurrence_row(0)
-    with pytest.raises(UnsupportedBasisError, match="Basis has no pencil"):
+    with pytest.raises(UnsupportedBasisError, match="Basis has no skeleton"):
         MatrixPolynomial.from_coefficients(Basis(), [np.eye(2), np.eye(2)])
 
 

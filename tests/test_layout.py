@@ -1,11 +1,9 @@
 """Only ``bases`` knows a basis family by its class.
 
 Every other module reads the family's members (``structural_blocks``,
-``pencil``, ``one_row``, ...).  This test walks the package's sources and
+``skeleton``, ``one_row``, ...).  This test walks the package's sources and
 fails on any ``isinstance`` or ``issubclass`` whose class argument names a
-class defined in ``bases.py``, wherever it sits, ``bases.py`` included.  The
-one exception is ``documents`` mapping a basis to its payload key, which is
-the document format's knowledge, not the family's.
+class defined in ``bases.py``, wherever it sits, ``bases.py`` included.
 """
 
 import ast
@@ -14,12 +12,6 @@ from pathlib import Path
 import polypencil
 
 SOURCES = Path(polypencil.__file__).resolve().parent
-
-# (file, enclosing function, class) of every class test allowed
-ALLOWED = {
-    ("documents.py", "parse_document", "Lagrange"),
-    ("documents.py", "parse_document", "Hermite"),
-}
 
 
 def basis_classes():
@@ -61,8 +53,7 @@ def test_the_guard_sees_the_basis_classes():
             "Lagrange"} <= basis_classes()
 
 
-def test_no_module_tests_a_basis_class_but_the_document_reader():
+def test_no_module_tests_a_basis_class():
     classes = basis_classes()
     found = [hit for path in sorted(SOURCES.glob("*.py")) for hit in class_tests(path, classes)]
-    assert sorted(hit for hit in found if hit not in ALLOWED) == []
-    assert set(found) == ALLOWED, "the allowlist names a class test that is gone"
+    assert found == []

@@ -133,19 +133,19 @@ def test_sip_involution():
 
 def test_guarded_solve_refuses_each_singular_member_alone():
     # exactly singular, then 1 / (||M||_F ||M^-1 B||_F) about 1e-13: both
-    # refused, the others kept.  B = I_3[:, :2] goes in as a (1, N, n) stack,
+    # refused, the others kept.  One B = I_3[:, :2] serves the whole stack,
     # and the exactly singular member is refused though B misses its null row
     ms = np.array([np.eye(3), np.diag([1.0, 1.0, 0.0]), np.diag([1.0, 1e-13, 1.0]),
                    2 * np.eye(3)], dtype=complex)
-    b = np.eye(3, 2, dtype=complex)[None]
+    b = np.eye(3, 2, dtype=complex)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(ms, b)
     solutions, ok = guarded_solve(ms, b)
     assert ok.tolist() == [True, False, False, True]
     assert solutions.shape == (4, 3, 2) and np.isnan(solutions[1]).all()
     for k in (0, 2, 3):
-        assert np.array_equal(solutions[k], np.linalg.solve(ms[k], b[0]))
-    solution, ok = guarded_solve(ms[1], b[0])
+        assert np.array_equal(solutions[k], np.linalg.solve(ms[k], b))
+    solution, ok = guarded_solve(ms[1], b)
     assert not ok and solution.shape == (3, 2) and np.isnan(solution).all()
 
 

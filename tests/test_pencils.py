@@ -89,7 +89,7 @@ class TestThreeTerm:
 
     def test_grade_zero_rejected(self):
         p = MatrixPolynomial.from_coefficients(Monomial(), scalar([4]))
-        with pytest.raises(GradeTooSmallError):
+        with pytest.raises(GradeTooSmallError, match="Monomial pencil needs grade >= 1"):
             build_three_term(p)
 
 
@@ -134,7 +134,7 @@ class TestBernstein:
 
     def test_grade_too_small(self):
         p = MatrixPolynomial.from_coefficients(Bernstein(), scalar([1]))
-        with pytest.raises(GradeTooSmallError):
+        with pytest.raises(GradeTooSmallError, match="Bernstein pencil needs grade >= 1"):
             build_bernstein(p)
 
 
@@ -169,7 +169,7 @@ class TestLagrange:
 
     def test_single_node_rejected(self):
         p = MatrixPolynomial(Lagrange(nodes=[0.0]), scalar([1]))
-        with pytest.raises(GradeTooSmallError):
+        with pytest.raises(GradeTooSmallError, match="Lagrange pencil needs grade >= 1"):
             build_lagrange(p)
 
 

@@ -7,6 +7,7 @@ has +0.0, or the reverse, fails like any other difference.
 import numpy as np
 import pytest
 
+import polypencil
 import reference
 from conftest import TEN_KINDS, random_polynomial
 from polypencil import (
@@ -16,12 +17,14 @@ from polypencil import (
     Monomial,
     build,
     build_algebraic,
+    cli,
     documents,
     equivalence_degree_graded,
     generalized_eigenvalues,
     linalg,
     make_triple,
     one_coefficients,
+    pencils,
 )
 from polypencil.bases import monomial_rows, null_vector_basis_matrix
 from polypencil.documents import parse_document
@@ -296,11 +299,9 @@ def test_mandelbrot_levels_solve_as_with_the_references(c, monkeypatch):
 def test_use_references_rebinds_every_production_function(monkeypatch):
     reference.use_references(monkeypatch)
     assert all(getattr(owner, name) is ref for owner, name, ref in reference.REPLACEMENTS)
-    # a family's methods are rebound on its class, so every kind of the family reaches them
-    families = {"bernstein": reference.bernstein_pencil, "lagrange": reference.hermite_pencil,
-                "hermite": reference.hermite_pencil}
-    for kind in TEN_KINDS:
+    # every name the package binds build to reaches the reference, and a family's methods
+    # are rebound on its class, so every kind of the family reaches them
+    assert polypencil.build is pencils.build is cli.build is reference.build
+    for kind in THREE_TERM_KINDS:
         basis = random_polynomial(kind, 1, 2, np.random.default_rng(0)).basis
-        assert type(basis).pencil is families.get(kind, reference.three_term_pencil)
-        if kind in THREE_TERM_KINDS:
-            assert type(basis).monomial_rows is reference.monomial_rows
+        assert type(basis).monomial_rows is reference.monomial_rows
