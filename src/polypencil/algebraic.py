@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonFiniteError
+from .errors import DimensionMismatchError
 from .linalg import as_cmatrix
 from .matpoly import MatrixPolynomial, evaluate
 from .pencils import CompanionPencil
-from .triples import GeneralizedStandardTriple, verify_triple
+from .triples import GeneralizedStandardTriple, finite_values, verify_triple
 
 __all__ = ["build_algebraic", "composed_triple", "h_values", "verify_algebraic", "ratio_spread"]
 
@@ -86,11 +86,7 @@ def h_values(a, b, c, zs):
         a_values = _values(a, zs)
         b_values = a_values if b is a else _values(b, zs)  # a square z p_k p_k + c: p_k once
         h = zs[:, None, None] * (a_values @ b_values) + as_cmatrix(c)
-    finite = np.isfinite(h).all(axis=(1, 2))
-    if not finite.all():
-        z = complex(zs[np.argmin(finite)])
-        raise NonFiniteError(f"H(z) overflows at sample z={z}", z=z)
-    return h
+    return finite_values(h, zs, "H")
 
 
 def verify_algebraic(t: GeneralizedStandardTriple, a, b, c, zs) -> float:

@@ -30,21 +30,23 @@ Bernstein: B_k = C(ell, k) z^k (1 - z)^(ell - k) on [0, 1].
   structural_blocks 0.
 Hermite: values and scaled derivatives P^(j)(tau_i) / j! at distinct nodes
   tau_i of confluency s_i; Lagrange is the subclass with every s_i = 1.
-  m = ell + 2, the arrowhead; block column c + 1 holds datum c, each node's
-  data descending.  K1 (c, c) 1; K0 (c, 0) the barycentric weights, (c, c)
-  the node and (c, c - 1) 1 inside a node's block.  R1 = 0, R0 = (0, -data).
-  X row: a 1 at each node's value column; null vectors: omega(z) = prod
-  (z - tau_i)^(s_i) over the basis polynomials; structural_blocks 2 (2n
-  eigenvalues at infinity by structure alone); grade rule: ell + 1 = sum s_i.
+  ``layout`` gives datum c its node i, the place ``first`` of node i's value
+  (node i's data ascend from it) and mirror[c] = 2 first + s_i - 1 - c, the
+  datum in block column c + 1 (each node's data descend; an involution).
+  m = ell + 2, the arrowhead.  K1 (c, c) 1; K0 (c, 0) the barycentric weights,
+  (c, c) the node and (c, c - 1) 1 inside a node's block.  R1 = 0, R0 = (0,
+  -data[mirror]).  X row: a 1 at each node's value column; null vectors:
+  omega(z) = prod (z - tau_i)^(s_i) over phi_mirror[c]; structural_blocks 2
+  (2n eigenvalues at infinity by structure alone); grade rule: ell + 1 = sum s_i.
 
 ``Basis`` declares each member once: one a family lacks raises
 UnsupportedBasisError naming the class.  Rows list polynomial coefficients
-highest power first, and node blocks in the user-given node order with
-derivative data descending inside each block.
+highest power first.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import comb
@@ -81,6 +83,7 @@ __all__ = [
 # |z - tau| below this (relative) snaps evaluation to the stored node data,
 # which the interpolation formula reproduces only to rounding.
 NODE_SNAP = 1e-12
+HermiteLayout = namedtuple("HermiteLayout", "node first mirror")
 
 
 def is_integer(v) -> bool:
@@ -378,6 +381,16 @@ class Hermite(Basis):
             raise ValueError(f"grade {grade} does not match the basis, whose grade is {self.grade}")
 
     @cached_property
+    def layout(self):
+        """(node, first, mirror) per datum in data order, read-only: see the module."""
+        ends = np.cumsum(self.confluencies)
+        node = np.repeat(np.arange(len(ends)), self.confluencies)
+        first = (ends - self.confluencies)[node]
+        layout = np.array([node, first, first + ends[node] - 1 - np.arange(len(node))])
+        layout.flags.writeable = False
+        return HermiteLayout(layout[0], layout[1], layout[2])
+
+    @cached_property
     def weights(self) -> np.ndarray:
         """barycentric_weights of this basis, read-only."""
         nodes, confl = self.nodes, self.confluencies
@@ -417,22 +430,21 @@ class Hermite(Basis):
         by factor, then Horner in z - tau_i adding w_{i,q} g_i.
         """
         ell, w, confl = self.grade, self.weights, self.confluencies
+        node, first, mirror = self.layout
         rows = np.zeros((ell + 1, ell + 1), dtype=complex)
         factors = [np.array([1.0, -t], dtype=complex) for t in self.nodes]
-        start = 0
         for i, s in enumerate(confl):
-            others = [factors[j] for j, sj in enumerate(confl) if j != i for _ in range(sj)]
+            others = [factors[j] for j in node.tolist() if j != i]
             g = reduce(np.convolve, others, np.ones(1, dtype=complex)) if s > 1 else None
-            for k in range(s):
-                row = np.array([w[start + s - 1 - k]], dtype=complex)
+            for k, c in enumerate(np.flatnonzero(node == i)):  # datum k of node i
+                row = np.array([w[mirror[c]]], dtype=complex)
                 for f in others:
                     row = np.convolve(row, f)
                 for q in range(s - 2 - k, -k - 1, -1):  # the last k steps add no weight
                     row = np.convolve(row, factors[i])
                     if q >= 0:
-                        row[-g.size:] += w[start + q] * g
-                rows[ell - start - k] = row
-            start += s
+                        row[-g.size:] += w[first[c] + q] * g
+                rows[ell - c] = row
         rows.flags.writeable = False
         return rows
 
@@ -441,61 +453,53 @@ class Hermite(Basis):
         omega(z) * sum_j b_ij (z - tau_i)^(k-j-1), which is exact on the nodes."""
         z = np.asarray(zs, dtype=complex).reshape(-1)
         inv = 1.0 / np.maximum(1.0, np.abs(z))
-        nodes = np.asarray(self.nodes, dtype=complex)
         confl = self.confluencies
         if sum(confl) != count:
             raise ValueError(f"{count} values do not match the {sum(confl)} interpolation data")
         weights = barycentric_weights(self)
-        d = (z[:, None] - nodes[None, :]) * inv[:, None]  # (z - tau_i) / s
+        d = (z[:, None] - np.asarray(self.nodes)) * inv[:, None]  # (z - tau_i) / s
         powers = d ** np.asarray(confl)
         # prod_{j != i} powers[:, j] as a prefix times a suffix product
         ones = np.ones((z.size, 1), dtype=complex)
         before = np.concatenate([ones, np.cumprod(powers[:, :-1], axis=1)], axis=1)
         after = np.concatenate([np.cumprod(powers[:, :0:-1], axis=1)[:, ::-1], ones], axis=1)
-        # column c = start_i + k (node i, k-th datum) sums, for m = 0 .. s_i - 1 - k,
-        # weights[start_i + s_i - 1 - k - m] * inv^m * d_i^(s_i - 1 - m)
-        node = np.repeat(np.arange(len(confl)), confl)
+        # column c (node i, datum k = c - first) sums, for m = 0 .. s_i - 1 - k,
+        # weights[mirror[c] - m] * inv^m * d_i^(s_i - 1 - m)
+        node, first, mirror = self.layout
         size = np.asarray(confl)[node]
-        start = (np.cumsum(confl) - confl)[node]
-        top = 2 * start + size - 1 - np.arange(count)  # start_i + s_i - 1 - k
         d = d[:, node]
         acc = np.zeros((z.size, count), dtype=complex)
         for m in range(max(confl)):
-            live = top - m >= start
-            term = weights[np.where(live, top - m, 0)] * inv[:, None] ** m \
+            live = mirror - m >= first
+            term = weights[np.where(live, mirror - m, 0)] * inv[:, None] ** m \
                 * d ** np.maximum(size - 1 - m, 0)
             acc += np.where(live, term, 0.0)
         return (before * after)[:, node] * acc
 
     def snap(self, zs, data, values):
-        nodes = np.asarray(self.nodes)
+        nodes = np.asarray(self.nodes)[self.layout.node]  # each datum's node
         near = np.abs(zs[:, None] - nodes) < NODE_SNAP * (1.0 + np.abs(nodes))
         hit = near.any(axis=1)
-        starts = np.cumsum(self.confluencies) - self.confluencies
-        values[hit] = data[starts[near[hit].argmax(axis=1)]]
+        values[hit] = data[near[hit].argmax(axis=1)]  # a node's first datum is its value
 
     def one_row(self, ell):
         _at_least_one(ell)
         self.check_grade(ell)
         row = np.zeros(ell + 2, dtype=complex)
-        row[np.cumsum(self.confluencies)] = 1.0  # the value column of each node
+        row[1 + self.layout.mirror[self.layout.first]] = 1.0  # each node's value column
         return row
 
     def skeleton(self, ell):
-        confl = np.array(self.confluencies)
         col = np.arange(1, ell + 2)
-        later = col[col > np.repeat(np.cumsum(confl) - confl + 1, confl)]  # past a node's first
+        later = col[col > self.layout.first + 1]  # past a node's first column
         return ell + 2, (col, col, np.ones(ell + 1)), (
             np.concatenate([col, col, later]), np.concatenate([0 * col, col, later - 1]),
-            np.concatenate([barycentric_weights(self), np.repeat(self.nodes, confl),
+            np.concatenate([barycentric_weights(self), np.asarray(self.nodes)[self.layout.node],
                             np.ones(later.size)]))
 
     def data_row(self, data):
-        """Each node's data in descending order, so det(tau C1 - C0) = det P(tau) at every node:
-        block column c + 1 holds datum first + last - c of its node's data first .. last."""
-        confl = np.array(self.confluencies)
-        r0 = np.zeros((len(data) + 1,) + data.shape[1:], dtype=complex)
-        r0[1:] = -data[np.repeat(2 * np.cumsum(confl) - confl - 1, confl) - np.arange(len(data))]
+        """Each node's data in descending order, so det(tau C1 - C0) = det P(tau) at every node."""
+        r0 = np.concatenate([np.zeros_like(data[:1]), -data[self.layout.mirror]])
         return np.zeros_like(r0), r0
 
     def monomial_rows(self, count):
@@ -505,13 +509,11 @@ class Hermite(Basis):
         return self.monomial_expansion
 
     def null_vector_rows(self, ell):
-        """omega over the basis polynomials in block-column order (datum s - 1 - j in column j)."""
+        """omega over the basis polynomials in block-column order."""
         self.check_grade(ell)
         out = np.zeros((ell + 2, ell + 2), dtype=complex)
         out[0] = node_polynomial(self)
-        ends = np.cumsum(self.confluencies)  # row ell - c of monomial_rows holds phi_c
-        out[1:, 1:] = monomial_rows(self, ell + 1)[
-            [ell + 1 - e + j for e, s in zip(ends, self.confluencies) for j in range(s)]]
+        out[1:, 1:] = monomial_rows(self, ell + 1)[ell - self.layout.mirror]  # phi_c in row ell - c
         return out
 
 

@@ -65,22 +65,17 @@ def _emit(payload, pretty):
     """Write the payload as strict JSON; a NaN or an infinity in it raises ValueError.
 
     Matrix values are numpy arrays, written by matrix_to_json and spliced in
-    between the encoder's own separators; --pretty reads that text back as
-    lists for the indented dump.  Either way the bytes are those json.dumps
-    writes for the payload with each matrix as nested lists of [re, im] pairs.
+    between the encoder's own separators; --pretty reads that text back and
+    indents it.  Either way the bytes are those json.dumps writes for the
+    payload with each matrix as nested lists of [re, im] pairs.
     """
     try:
-        if pretty:
-            text = _PRETTY({key: json.loads(matrix_to_json(v)) if isinstance(v, np.ndarray) else v
-                            for key, v in payload.items()})
-        else:
-            text = "{" + ", ".join([
-                _COMPACT(key) + ": " + (matrix_to_json(v) if isinstance(v, np.ndarray)
-                                        else _COMPACT(v))
-                for key, v in payload.items()]) + "}"
+        text = "{" + ", ".join([
+            _COMPACT(key) + ": " + (matrix_to_json(v) if isinstance(v, np.ndarray) else _COMPACT(v))
+            for key, v in payload.items()]) + "}"
     except ValueError:
         raise ValueError("non-finite result: the output holds a NaN or an infinity") from None
-    sys.stdout.write(text + "\n")
+    sys.stdout.write((_PRETTY(json.loads(text)) if pretty else text) + "\n")
 
 
 def cmd_pencil(args):

@@ -117,14 +117,12 @@ def equivalence_lagrange(p: MatrixPolynomial) -> EquivalencePair:
     ell, n = p.grade, p.n
     e_small = np.zeros((ell + 2, ell + 2), dtype=complex)
     e_small[0, 0] = 1.0
-    # block column j of a node of confluency s holds datum d = s - 1 - j
-    columns = [(tau, d) for tau, s in zip(p.basis.nodes, p.basis.confluencies)
-               for d in range(s - 1, -1, -1)]
-    for col, (tau, d) in enumerate(columns, 1):
+    node, first, mirror = p.basis.layout  # block column c + 1 holds datum d of node tau
+    for c, (tau, d) in enumerate(zip([p.basis.nodes[i] for i in node], (mirror - first).tolist())):
         for r in range(ell + 1 - d):
             power = tau ** (ell - r - d)
             # 1 * power would turn an imaginary -0.0 into +0.0
-            e_small[1 + r, col] = comb(ell - r, d) * power if d else power
+            e_small[1 + r, 1 + c] = comb(ell - r, d) * power if d else power
     f_small = null_vector_basis_matrix(p.basis, ell)
     e = kron_eye(e_small, n)
     f = kron_eye(f_small, n)

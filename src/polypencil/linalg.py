@@ -167,6 +167,19 @@ def guarded_solve(m, b):
 
 
 def _frobenius(m):
-    """||M||_F of a matrix or of each member of a stack: one pass, no stack-sized temporary."""
+    """||M||_F of a matrix or of each member of a stack: one pass, no stack-sized temporary.
+
+    A member whose sum of squares overflows or underflows, one with entries past about
+    2^+-511, is summed again scaled by a power of two, which is exact: rcond_F is then the
+    same at every scale of M.  Every other member keeps the bits of the one pass.
+    """
     parts = np.ascontiguousarray(m, dtype=complex).view(np.float64)  # |z|^2 = re^2 + im^2
-    return np.sqrt(np.einsum("...ij,...ij->...", parts, parts))
+    norms = np.sqrt(np.einsum("...ij,...ij->...", parts, parts))
+    redo = (norms > 2.0 ** 511) | (norms < 2.0 ** -511)  # the sum of squares left the range
+    if redo.any():
+        parts = parts[redo]  # the members to redo, stacked; one matrix is a stack of one
+        scale = np.ldexp(1.0, -np.frexp(np.abs(parts).max(axis=(1, 2)))[1])
+        parts = parts * scale[:, None, None]
+        norms = np.array(norms)
+        norms[redo] = np.sqrt(np.einsum("kij,kij->k", parts, parts)) / scale
+    return norms

@@ -54,9 +54,11 @@ class CompanionPencil:
 
     def at(self, z) -> np.ndarray:
         """The pencil matrix z*C1 - C0; an array of z gives the stack of them, allocated once:
-        C0 is subtracted in place (the same roundings), so no second stack's pages fault in."""
-        m = np.asarray(z, dtype=complex)[..., None, None] * self.c1
-        m -= self.c0
+        C0 is subtracted in place (the same roundings), so no second stack's pages fault in.
+        An entry that overflows is left infinite, unwarned, for the caller's guard to refuse."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = np.asarray(z, dtype=complex)[..., None, None] * self.c1
+            m -= self.c0
         return m
 
 

@@ -14,7 +14,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bases import one_coefficients
-from .errors import DimensionMismatchError, SingularMatrixError, SingularPencilError
+from .errors import (
+    DimensionMismatchError,
+    NonFiniteError,
+    SingularMatrixError,
+    SingularPencilError,
+)
 from .linalg import as_cmatrix, guarded_solve, kron_eye, sip
 from .matpoly import MatrixPolynomial, evaluate
 from .pencils import CompanionPencil
@@ -73,6 +78,15 @@ def resolvent(t: GeneralizedStandardTriple, z) -> np.ndarray:
     return _resolvents(t, np.array([complex(z)]))[0]
 
 
+def finite_values(values, zs, name):
+    """values, a polynomial's (n, n) matrices stacked over the points zs, when all are finite;
+    else NonFiniteError naming the first point whose value overflowed."""
+    if not np.isfinite(values).all():
+        z = complex(zs[np.argmin(np.isfinite(values).all(axis=(1, 2)))])
+        raise NonFiniteError(f"{name}(z) overflows at sample z={z}", z=z)
+    return values
+
+
 def verify_triple(t: GeneralizedStandardTriple, p, zs, resolvents=None) -> float:
     """max over the samples of ||resolvent(z) P(z) - I||_F.
 
@@ -80,18 +94,22 @@ def verify_triple(t: GeneralizedStandardTriple, p, zs, resolvents=None) -> float
     or P's values already stacked over the samples, one (n, n) matrix per
     point (verify_algebraic passes H(z) so).  The resolvents are the stack
     sample_resolvents returned with ``zs``, or else come from one stacked
-    solve per chunk of _CHUNK points.
+    solve per chunk of _CHUNK points.  A P(z) that overflows raises
+    NonFiniteError naming z; a residual that does is returned as it is, a
+    NaN or an infinity, never as a pass.  numpy's warnings stay off.
     """
     zs = np.array([complex(z) for z in zs], dtype=complex)
-    values = evaluate(p, zs) if isinstance(p, MatrixPolynomial) else np.asarray(p)
-    eye = np.eye(t.pencil.n, dtype=complex)
-    worst = 0.0
-    for i in range(0, len(zs), _CHUNK):
-        at = slice(i, i + _CHUNK)
-        chunk = _resolvents(t, zs[at]) if resolvents is None else resolvents[at]
-        residuals = chunk @ values[at] - eye
-        worst = max(worst, float(np.linalg.norm(residuals, axis=(1, 2)).max()))
-    return worst
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = finite_values(evaluate(p, zs) if isinstance(p, MatrixPolynomial)
+                               else np.asarray(p), zs, "P")
+        eye = np.eye(t.pencil.n, dtype=complex)
+        worst = 0.0
+        for i in range(0, len(zs), _CHUNK):
+            at = slice(i, i + _CHUNK)
+            chunk = _resolvents(t, zs[at]) if resolvents is None else resolvents[at]
+            # np.maximum keeps a NaN, where max(worst, nan) would drop it
+            worst = np.maximum(worst, np.linalg.norm(chunk @ values[at] - eye, axis=(1, 2)).max())
+    return float(worst)
 
 
 def _transformed(t, x, c1, c0, y) -> GeneralizedStandardTriple:

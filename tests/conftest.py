@@ -21,6 +21,11 @@ ALL_KINDS = COEFF_KINDS + ("lagrange", "hermite")
 # every basis kind a document can name: ALL_KINDS plus a user-supplied recurrence
 TEN_KINDS = ALL_KINDS + ("custom",)
 
+# the coefficients of a Chebyshev n = 2, grade 4 polynomial, the one the scaling tests scale
+_FIXTURE_RNG = np.random.default_rng(0)
+CHEBYSHEV_N2_G4 = (_FIXTURE_RNG.standard_normal((5, 2, 2))
+                   + 1j * _FIXTURE_RNG.standard_normal((5, 2, 2)))
+
 
 def rand_matrix(rng, n):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

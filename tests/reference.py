@@ -197,6 +197,63 @@ def balancing(c1, c0):
     return np.ldexp(1.0, left), np.ldexp(1.0, right)
 
 
+# The Hermite data layout as each site derived it from the confluencies before
+# ``Hermite.layout`` held it, one function per site: the integer oracles of
+# tests/test_hermite_layout.py.
+
+def phi_rows_index(confl):
+    """Hermite.phi_rows: per datum its node, its node's size and start, and its top weight."""
+    node = np.repeat(np.arange(len(confl)), confl)
+    size = np.asarray(confl)[node]
+    start = (np.cumsum(confl) - confl)[node]
+    return node, size, start, 2 * start + size - 1 - np.arange(sum(confl))
+
+
+def snap_starts(confl):
+    """Hermite.snap: the place of each node's value datum."""
+    return np.cumsum(confl) - confl
+
+
+def one_row_columns(confl):
+    """Hermite.one_row: the block column of each node's value."""
+    return np.cumsum(confl)
+
+
+def skeleton_index(confl, nodes):
+    """Hermite.skeleton: the block columns past a node's first, and each column's node."""
+    confl = np.array(confl)
+    col = np.arange(1, confl.sum() + 1)
+    return col[col > np.repeat(np.cumsum(confl) - confl + 1, confl)], np.repeat(nodes, confl)
+
+
+def data_row_index(confl):
+    """Hermite.data_row: the datum of each block column."""
+    confl = np.array(confl)
+    return np.repeat(2 * np.cumsum(confl) - confl - 1, confl) - np.arange(confl.sum())
+
+
+def null_vector_index(confl):
+    """Hermite.null_vector_rows: the monomial_rows row of each block column."""
+    ell, ends = sum(confl) - 1, np.cumsum(confl)
+    return [ell + 1 - e + j for e, s in zip(ends, confl) for j in range(s)]
+
+
+def monomial_expansion_index(confl):
+    """Hermite.monomial_expansion, per datum in data order: (node, weight of the lowest
+    power, row, the node's start, derivative order k)."""
+    ell, out, start = sum(confl) - 1, [], 0
+    for i, s in enumerate(confl):
+        for k in range(s):
+            out.append((i, start + s - 1 - k, ell - start - k, start, k))
+        start += s
+    return out
+
+
+def equivalence_columns(confl, nodes):
+    """equivalence_lagrange: (tau, d) of each block column, datum d of the node tau."""
+    return [(tau, d) for tau, s in zip(nodes, confl) for d in range(s - 1, -1, -1)]
+
+
 # (module or class, name, reference) for every production function this file restates;
 # a family method is rebound on its class, so every subclass of the family takes it
 REPLACEMENTS = [

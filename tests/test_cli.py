@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import golden
 import reference
-from conftest import TEN_KINDS, random_polynomial, refuse_inverse
+from conftest import CHEBYSHEV_N2_G4, TEN_KINDS, random_polynomial, refuse_inverse
 from polypencil import (
     MatrixPolynomial,
     algebraic,
@@ -1468,3 +1469,46 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["N"] == 2
+
+
+def scaled_chebyshev(exponent):
+    """The Chebyshev n = 2, grade 4 document of CHEBYSHEV_N2_G4, every coefficient times
+    2^exponent (exact)."""
+    s = 2.0 ** exponent
+    return {"basis": {"kind": "chebyshev"}, "n": 2, "grade": 4,
+            "coefficients": [[[[v.real * s, v.imag * s] for v in row] for row in c]
+                             for c in CHEBYSHEV_N2_G4.tolist()]}
+
+
+def run_unwarned(capsys, *argv):
+    """run, with any numpy warning raised as an error: the CLI must issue none."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run(capsys, *argv)
+
+
+@pytest.mark.parametrize("exponent", [520, 600, 1015])
+def test_verify_keeps_its_residual_when_p_is_scaled_past_the_squares_range(tmp_path, capsys,
+                                                                           exponent):
+    """Entries past 2^511 overflow a sum of squares; the guard's norms are rescaled, so the
+    same samples are kept, and with them the same pivots and the same residual bits."""
+    code, out, err = run(capsys, "verify", write(tmp_path, "one.json", scaled_chebyshev(0)))
+    assert (code, err) == (0, "")
+    code, scaled, err = run_unwarned(capsys, "verify",
+                                     write(tmp_path, "scaled.json", scaled_chebyshev(exponent)))
+    assert (code, err) == (0, "")
+    assert json.loads(scaled)["max_residual"] == json.loads(out)["max_residual"]
+
+
+def test_verify_of_an_overflowing_p_exits_3_with_one_error_line(tmp_path, capsys):
+    code, out, err = run_unwarned(capsys, "verify",
+                                  write(tmp_path, "doc.json", scaled_chebyshev(1018)))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: P(z) overflows at sample z=") and err.count("\n") == 1
+
+
+def test_verify_of_an_overflowing_pencil_writes_one_error_line_and_no_warning(tmp_path, capsys):
+    doc = {"basis": {"kind": "monomial"}, "n": 1, "grade": 2, "coefficients": [[[1e308]]] * 3}
+    code, out, err = run_unwarned(capsys, "verify", write(tmp_path, "doc.json", doc))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from polypencil import SingularMatrixError
 from polypencil.linalg import (
+    _frobenius,
     as_cmatrix,
     det,
     guarded_solve,
@@ -181,3 +183,35 @@ def test_guarded_solve_allocates_little_beyond_its_solution(cols):
     finally:
         tracemalloc.stop()
     assert ok.all() and peak - solution.nbytes < 0.1 * stack.nbytes
+
+
+@pytest.mark.parametrize("exponent", [520, 600, 1015, -520, -700])
+def test_guard_norms_scale_exactly_past_the_range_of_their_squares(exponent):
+    """A member whose sum of squares overflows or underflows is summed again, scaled by a power
+    of two: its norm is the unscaled one times 2^exponent, bit for bit, and the others keep
+    their bits."""
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal((4, 6, 6)) + 1j * rng.standard_normal((4, 6, 6))
+    base = _frobenius(m)
+    s = 2.0 ** exponent
+    scaled = m.copy()
+    scaled[[1, 3]] *= s
+    norms = _frobenius(scaled)
+    assert norms[0] == base[0] and norms[2] == base[2]
+    assert np.array_equal(norms[[1, 3]], base[[1, 3]] * s)
+    assert _frobenius(m[1] * s) == base[1] * s  # one matrix, not a stack
+
+
+@pytest.mark.parametrize("exponent", [520, 1015, -600])
+def test_guard_decides_alike_at_every_scale(exponent):
+    """rcond_F does not change when M is scaled, so neither does a decision of the guard."""
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((40, 5, 5)) + 1j * rng.standard_normal((40, 5, 5))
+    m[::4, 0] = m[::4, 1] * (1 + 1e-15)  # some members near singular, refused
+    b = np.eye(5, 2, dtype=complex)
+    _, ok = guarded_solve(m, b)
+    assert 0 < ok.sum() < len(ok)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, scaled_ok = guarded_solve(m * 2.0 ** exponent, b)
+    assert np.array_equal(scaled_ok, ok)

@@ -382,3 +382,12 @@ def test_at_allocates_the_stack_once():
     finally:
         tracemalloc.stop()
     assert stack.shape == (10, 100, 100) and peak <= 1.05 * stack.nbytes
+
+
+def test_at_leaves_an_overflow_infinite_without_a_warning():
+    """z*C1 - C0 past the float range is left to the sample guard to refuse, unwarned."""
+    pc = build(MatrixPolynomial.from_coefficients(Monomial(), scalar([1e308, 1e308, 1e308])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stack = pc.at(np.array([-1.9 + 0.3j, 0.5]))
+    assert not np.isfinite(stack[0]).all() and np.isfinite(stack[1]).all()

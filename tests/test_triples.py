@@ -1,4 +1,5 @@
 import copy
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import golden
 from conftest import (
     ALL_KINDS,
+    CHEBYSHEV_N2_G4,
     TEN_KINDS,
     hermite_polynomial,
     one_at_a_time,
@@ -23,6 +25,7 @@ from polypencil import (
     MatrixPolynomial,
     Monomial,
     Newton,
+    NonFiniteError,
     SingularMatrixError,
     SingularPencilError,
     build,
@@ -409,3 +412,42 @@ def test_monic_monomial_triple_is_the_classical_standard_triple(n, ell, rng):
     for k in range(ell):
         expected = np.eye(n) if k == ell - 1 else np.zeros((n, n))
         assert np.max(np.abs(powers[k] @ t.y - expected)) <= 1e-12
+
+
+class TestNonFiniteValues:
+    """A NaN or an infinity in P's values raises, naming its point; it never reads as a pass."""
+
+    def setup_method(self):
+        self.p = MatrixPolynomial.from_coefficients(ChebyshevT(), CHEBYSHEV_N2_G4)
+        self.t = make_triple(build(self.p))
+        self.zs = [0.3 + 0.2j, -0.7 + 1.1j, 1.2 - 0.4j, -1.5j, 0.9]
+
+    def test_all_nan_values_raise(self):
+        values = np.full((5, 2, 2), np.nan, dtype=complex)
+        with pytest.raises(NonFiniteError, match=r"P\(z\) overflows at sample z=\(0\.3\+0\.2j\)"):
+            verify_triple(self.t, values, self.zs)
+
+    def test_one_nan_member_of_five_raises_naming_its_point(self):
+        values = evaluate(self.p, np.array(self.zs))
+        assert 0.0 < verify_triple(self.t, values, self.zs) <= 1e-13
+        values[3, 1, 0] = np.nan
+        with pytest.raises(NonFiniteError) as info:
+            verify_triple(self.t, values, self.zs)
+        assert info.value.z == -1.5j
+
+    def test_an_overflowing_polynomial_raises_without_a_warning(self):
+        """Scaled by 2^1018 the polynomial overflows at z = 1.9, while its pencil stays finite."""
+        p = MatrixPolynomial.from_coefficients(ChebyshevT(), CHEBYSHEV_N2_G4 * 2.0 ** 1018)
+        t = make_triple(build(p))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError) as info:
+                verify_triple(t, p, [1.9, 0.3 + 0.2j])
+        assert info.value.z == 1.9
+
+    def test_a_non_finite_residual_is_returned_as_it_is(self):
+        zs, resolvents = sample_resolvents(self.t, 5, np.random.default_rng(1))
+        resolvents[2, 0, 1] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not np.isfinite(verify_triple(self.t, self.p, zs, resolvents))
